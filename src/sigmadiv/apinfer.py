@@ -18,7 +18,7 @@ import numpy as np
 import scipy.special as sps
 
 from . import gibbs, specfun
-from .draws import PosteriorDraws
+from .draws import PosteriorDraws, trapezoid_cdf
 from .errors import DomainError, SamplerError
 
 __all__ = [
@@ -250,10 +250,7 @@ def _u_marginal_grid(n: int, k: int, prior: GammaPrior, rho: float) -> tuple:
                         -np.inf)
     if u[0] == 0.0 and M == 0.0:
         logf[0] = -c * math.log(prior.b)
-    f = np.exp(logf - logf.max())
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(u))])
-    cdf /= cdf[-1]
-    return u, cdf, c
+    return u, trapezoid_cdf(u, logf), c
 
 
 def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
@@ -273,7 +270,7 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     u = np.interp(rng.random(n_draws), cdf, grid)
     gamma = rng.gamma(c, size=n_draws) / (b_gamma + rho * u / _SQRT2)
     return PosteriorDraws(name="gamma", values=gamma, rho=rho, seed=rng_seed,
-                          ess=float(n_draws), converged=True)
+                          ess=float(n_draws))
 
 
 def ap_predictive_sample(gamma: float, n: int, k: int, abundances: Sequence[int],

@@ -4,7 +4,7 @@ Every run is seeded and every output file records the fully resolved
 configuration, so repeated runs with the same flags are byte-identical.
 CSV files carry the config as a leading comment line; JSON files embed it
 under "_config".  Exit codes: 2 parse errors, 3 domain errors,
-4 non-convergence, 5 internal errors.
+5 internal errors.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import numpy as np
 from . import apinfer, dpinfer, estimators, gibbs, taxo
 from .datamodel import (ingest_abundance_csv, ingest_taxonomy_csv,
                         stream_to_partition, write_abundance_csv, write_taxonomy_csv)
-from .errors import ConvergenceError, DomainError, ParseError, SigmadivError
+from .errors import DomainError, ParseError, SigmadivError
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
-EXIT_NONCONVERGENCE = 4
 EXIT_INTERNAL = 5
 
 _DRAW_FMT = "%.17g"
@@ -164,9 +163,6 @@ def cmd_fit(args) -> int:
                  [(i, v) for i, v in enumerate(draws.values)], args.format, config,
                  value_fmt=_DRAW_FMT)
     _write_json(outdir, "summary", _summary_payload(draws.summary()), config)
-    if not draws.converged:
-        print("warning: effective sample size below threshold", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     return 0
 
 
@@ -298,12 +294,6 @@ def cmd_taxonomic(args) -> int:
     _write_table(outdir, "branch_summaries",
                  ["level", "label", "mean", "q01", "q99", "n_branch", "k_branch",
                   "prior_only"], rows, args.format, config)
-    bad = [d for d in ([fit.level1]
-                       + [x for ld in fit.branches for x in ld.values()])
-           if not d.converged]
-    if bad:
-        print(f"warning: {len(bad)} chains below the ESS threshold", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     return 0
 
 
@@ -373,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sg", type=float, nargs=3, metavar=("A", "B", "NREF"),
                        help="Stirling-gamma prior")
         p.add_argument("--gamma-prior", type=float, nargs=2, metavar=("A", "B"))
-        p.add_argument("--py", type=float, help="Pitman-Yor prior theta (reporting only)")
-        p.add_argument("--ig", type=float, help="inverse-Gaussian prior beta (reporting only)")
         p.add_argument("--mcmc-iters", type=int, default=10_000)
         p.add_argument("--burn-in", type=int, default=1_000)
         p.add_argument("--replicates", type=int, default=1_000)
@@ -428,9 +416,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except SigmadivError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

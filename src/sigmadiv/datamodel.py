@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
@@ -282,7 +281,3 @@ def stream_to_taxonomy(stream: Sequence[Tuple[str, ...]], levels: int) -> Taxono
             node_map = node.children
     dataset.validate()
     return dataset
-
-
-def partition_to_json_str(data: PartitionData) -> str:
-    return json.dumps(data.to_json(), indent=2, sort_keys=True)

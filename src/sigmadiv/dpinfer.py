@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 import scipy.special as sps
 
-from .draws import PosteriorDraws, autocorrelation, effective_sample_size
+from .draws import PosteriorDraws, trapezoid_cdf
 from .errors import DomainError
-from . import estimators
 
 __all__ = [
     "StirlingGammaSpec",
@@ -86,102 +84,67 @@ class CoarsenedPosterior:
         return out
 
 
-def _slice_chain(log_density, x0: float, n_iter: int, rng: np.random.Generator,
-                 width: float, max_steps: int = 200) -> np.ndarray:
-    """Univariate slice sampler with stepping out and shrinkage (Neal 2003)."""
-    draws = np.empty(n_iter)
-    x = x0
-    fx = log_density(x)
-    for i in range(n_iter):
-        level = fx + math.log(rng.random())
-        u = rng.random()
-        lo = x - width * u
-        hi = lo + width
-        steps = 0
-        while log_density(lo) > level and steps < max_steps:
-            lo -= width
-            steps += 1
-        steps = 0
-        while log_density(hi) > level and steps < max_steps:
-            hi += width
-            steps += 1
-        while True:
-            xp = rng.uniform(lo, hi)
-            fxp = log_density(xp)
-            if fxp > level:
+_COARSE_NODES = 1025
+_GRID_NODES = 2 ** 15 + 1
+_TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
+_X_LIMIT = 700.0  # |log alpha| beyond which exp over- or underflows
+
+
+def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int, name: str,
+                     rho: float) -> PosteriorDraws:
+    """Exact iid draws of alpha by inverse CDF on a dense grid in x = log alpha.
+
+    The density of x, log_kernel(e^x) + x, is log-concave for every SG kernel,
+    so the peak of a coarse grid brackets the mode.  Each end of the bracket
+    then steps outward, doubling the step, until the log density is
+    _TAIL_DROP below the peak; heavy tails (a small branch decays only like
+    e^{0.2 x} to the left) thus widen the grid instead of being cut off.
+    """
+    def logf(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = log_kernel(np.exp(x)) + x  # Jacobian of alpha = e^x
+        return np.where(np.isfinite(val), val, -np.inf)
+
+    coarse = np.linspace(math.log(1e-8), math.log(1e12), _COARSE_NODES)
+    fc = logf(coarse)
+    i = int(np.argmax(fc))
+    peak = float(fc[i])
+    step = coarse[1] - coarse[0]
+    ends = []
+    for x, sign in ((coarse[max(i - 1, 0)], -1.0),
+                    (coarse[min(i + 1, _COARSE_NODES - 1)], 1.0)):
+        d = step
+        while abs(x) < _X_LIMIT:
+            fx = float(logf(x))
+            peak = max(peak, fx)
+            if fx < peak - _TAIL_DROP:
                 break
-            if xp < x:
-                lo = xp
-            else:
-                hi = xp
-        x, fx = xp, fxp
-        draws[i] = x
-    return draws
-
-
-def _kernel_mode_and_width(logf) -> Tuple[float, float]:
-    """Mode of the log-alpha density and a slice width from its local curvature."""
-    res = scipy.optimize.minimize_scalar(
-        lambda x: -logf(x),
-        bounds=(math.log(1e-8), math.log(1e12)), method="bounded",
-        options={"xatol": 1e-10})
-    mode = float(res.x)
-    h = 1e-3
-    d2 = (logf(mode + h) - 2.0 * logf(mode) + logf(mode - h)) / (h * h)
-    sd = 1.0 / math.sqrt(-d2) if d2 < 0.0 else 1.0
-    return mode, max(min(4.0 * sd, 50.0), 1e-3)
-
-
-_THIN_CANDIDATES = (1, 2, 4, 8, 16)
-
-
-def _sample_log_kernel(log_kernel, n_draws: int, rng_seed: int, name: str,
-                       rho: float, x_init: Optional[float] = None,
-                       burn_in: int = 200) -> PosteriorDraws:
+            x = float(np.clip(x + sign * d, -_X_LIMIT, _X_LIMIT))
+            d *= 2.0
+        ends.append(x)
+    grid = np.linspace(ends[0], ends[1], _GRID_NODES)
+    cdf = trapezoid_cdf(grid, logf(grid))
     rng = np.random.default_rng(rng_seed)
-
-    def logf(x: float) -> float:
-        val = float(log_kernel(math.exp(x))) + x  # Jacobian of alpha = e^x
-        return val if math.isfinite(val) else -np.inf
-
-    mode, width = _kernel_mode_and_width(logf)
-    x0 = mode if x_init is None or not math.isfinite(x_init) else x_init
-
-    # the lag threshold sits at the 0.05 contract; the pilot is long enough
-    # that its autocorrelation noise floor (~2/sqrt(len)) stays below it
-    pilot = _slice_chain(logf, x0, burn_in + 1500, rng, width)[burn_in:]
-    thin = _THIN_CANDIDATES[-1]
-    for t in _THIN_CANDIDATES:
-        if abs(autocorrelation(pilot, t)) < 0.05:
-            thin = t
-            break
-    chain = _slice_chain(logf, pilot[-1], n_draws * thin, rng, width)[::thin]
-    values = np.exp(chain)
-    ess = effective_sample_size(values)
+    values = np.exp(np.interp(rng.random(n_draws), cdf, grid))
     return PosteriorDraws(name=name, values=values, rho=rho, seed=rng_seed,
-                          thin=thin, ess=ess, converged=ess >= n_draws / 10.0)
+                          ess=float(n_draws))
 
 
 def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
                         rng_seed: int) -> PosteriorDraws:
-    """Slice-sample the coarsened Stirling-gamma posterior of alpha.
+    """Draw the coarsened Stirling-gamma posterior of alpha.
 
-    The chain runs on log alpha, starts at the maximum likelihood estimate
-    when it exists (falling back to the kernel mode), and is thinned until
-    the pilot lag-autocorrelation drops below 0.05.
+    The draws are exact iid draws by log-grid inverse CDF, so no thinning or
+    convergence check applies: thin is 1 and ess equals n_draws.
     """
     if n_draws < 1:
         raise DomainError("n_draws must be >= 1")
-    x_init = None
-    if 1 < post.k < post.n:
-        x_init = math.log(estimators.mle_alpha(post.n, post.k).value)
-    return _sample_log_kernel(post.log_kernel, n_draws, rng_seed, "alpha",
-                              post.rho, x_init=x_init)
+    return _log_grid_sample(post.log_kernel, n_draws, rng_seed, "alpha", post.rho)
 
 
 def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> PosteriorDraws:
     """Draws from the SG prior itself (used for prior-only branches and checks)."""
-    return _sample_log_kernel(prior.log_kernel, n_draws, rng_seed, "alpha", rho=0.0)
+    return _log_grid_sample(prior.log_kernel, n_draws, rng_seed, "alpha", rho=0.0)
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Dict, Optional
 import numpy as np
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
-           "summarize_draws"]
+           "summarize_draws", "trapezoid_cdf"]
 
 SUMMARY_QUANTILES = (0.01, 0.25, 0.50, 0.75, 0.99)
 
@@ -37,6 +37,13 @@ def effective_sample_size(x: np.ndarray, max_lag: int = 200) -> float:
     return n / (1.0 + 2.0 * s)
 
 
+def trapezoid_cdf(x: np.ndarray, logf: np.ndarray) -> np.ndarray:
+    """Normalised trapezoid-rule CDF on the grid x of a density known as log f."""
+    f = np.exp(logf - logf.max())
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
+    return cdf / cdf[-1]
+
+
 def summarize_draws(values: np.ndarray) -> Dict[str, float]:
     qs = np.quantile(values, SUMMARY_QUANTILES)
     out = {"mean": float(np.mean(values))}
@@ -54,7 +61,6 @@ class PosteriorDraws:
     seed: Optional[int] = None
     thin: int = 1
     ess: float = field(default=0.0)
-    converged: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values)

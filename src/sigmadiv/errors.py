@@ -23,7 +23,3 @@ class TableSizeError(SigmadivError, ValueError):
 
 class SamplerError(SigmadivError, RuntimeError):
     """A rejection loop exceeded its retry budget."""
-
-
-class ConvergenceError(SigmadivError, RuntimeError):
-    """An MCMC run failed its effective-sample-size threshold."""

@@ -243,18 +243,6 @@ def urn_sample(model: GibbsModel, n_steps: int, rng_seed: int) -> np.ndarray:
     return np.array([urn.step() for _ in range(n_steps)], dtype=np.int64)
 
 
-def _kn_trajectory(model: GibbsModel, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """A K_1..K_n path; only (n, k) is tracked since discovery depends on nothing else."""
-    p_new = _discovery_fn(model, n_steps)
-    ks = np.empty(n_steps, dtype=np.int64)
-    k = 0
-    for n in range(n_steps):
-        if n == 0 or rng.random() < p_new(n, k):
-            k += 1
-        ks[n] = k
-    return ks
-
-
 # Coefficient tables cached per (kind, sigma, shift); readers share tables,
 # construction is serialized.
 _table_cache: Dict[Tuple, specfun.CoefficientTable] = {}

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sigmadiv
 from sigmadiv import cli, gibbs
 from sigmadiv.datamodel import ingest_abundance_csv
 
@@ -72,6 +75,16 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             run("fit", "--input", tiny_csv, "--output-dir", tmp_path / "x")
         assert exc.value.code == 2
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sigmadiv.cli, sys; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestDeterminism:
