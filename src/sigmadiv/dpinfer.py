@@ -32,6 +32,30 @@ __all__ = [
 ]
 
 
+_STIRLING_FROM = 1e3  # alpha above which log (alpha)_n uses the Stirling series
+
+
+def _log_rising(alpha: np.ndarray, n: int) -> np.ndarray:
+    """log (alpha)_n = gammaln(alpha + n) - gammaln(alpha), elementwise.
+
+    The plain gammaln difference cancels for alpha >> n (it is pure rounding
+    noise once alpha + n == alpha in float), so above _STIRLING_FROM it is
+    replaced by the difference of Stirling series,
+    (alpha - 1/2) log1p(n/alpha) + n log(alpha + n) - n + S(alpha + n) - S(alpha)
+    with S(z) = 1/(12 z) - 1/(360 z^3); there the only cancellation is of
+    size n and the truncation error is below 1e-18.
+    """
+    big = alpha > _STIRLING_FROM
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where(big, alpha, _STIRLING_FROM)
+        zn = z + n
+        stirling = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
+                    + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
+        small = np.where(big, 1.0, alpha)
+        direct = sps.gammaln(small + n) - sps.gammaln(small)
+    return np.where(big, stirling, direct)
+
+
 @dataclass(frozen=True)
 class StirlingGammaSpec:
     """SG(a, b, n_ref) prior; a/b is the location (prior guess of K_{n_ref})."""
@@ -49,8 +73,7 @@ class StirlingGammaSpec:
 
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        return ((self.a - 1.0) * np.log(alpha)
-                - self.b * (sps.gammaln(alpha + self.n_ref) - sps.gammaln(alpha)))
+        return (self.a - 1.0) * np.log(alpha) - self.b * _log_rising(alpha, self.n_ref)
 
 
 @dataclass(frozen=True)
@@ -75,13 +98,9 @@ class CoarsenedPosterior:
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         p = self.prior
-        out = ((p.a + self.rho * self.k - 1.0) * np.log(alpha)
-               - self.rho * (sps.gammaln(alpha + self.n) - sps.gammaln(alpha)))
-        if p.n_ref == self.n:
-            out -= p.b * (sps.gammaln(alpha + self.n) - sps.gammaln(alpha))
-        else:
-            out -= p.b * (sps.gammaln(alpha + p.n_ref) - sps.gammaln(alpha))
-        return out
+        lr_n = _log_rising(alpha, self.n)
+        lr_ref = lr_n if p.n_ref == self.n else _log_rising(alpha, p.n_ref)
+        return (p.a + self.rho * self.k - 1.0) * np.log(alpha) - self.rho * lr_n - p.b * lr_ref
 
 
 _COARSE_NODES = 1025
@@ -90,7 +109,7 @@ _TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
 _X_LIMIT = 700.0  # |log alpha| beyond which exp over- or underflows
 
 
-def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int, name: str,
+def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int,
                      rho: float) -> PosteriorDraws:
     """Exact iid draws of alpha by inverse CDF on a dense grid in x = log alpha.
 
@@ -99,6 +118,9 @@ def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int, name: str,
     then steps outward, doubling the step, until the log density is
     _TAIL_DROP below the peak; heavy tails (a small branch decays only like
     e^{0.2 x} to the left) thus widen the grid instead of being cut off.
+    An end that reaches |x| = _X_LIMIT without that drop means the density is
+    not integrable (an SG endpoint a/b = 1 or a/b = n_ref, k = n) or its tail
+    is too heavy to sample in float range; that raises DomainError.
     """
     def logf(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -109,16 +131,23 @@ def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int, name: str,
     fc = logf(coarse)
     i = int(np.argmax(fc))
     peak = float(fc[i])
+    if peak == -np.inf:
+        raise DomainError("the alpha density is zero or not finite on [1e-8, 1e12]")
     step = coarse[1] - coarse[0]
     ends = []
     for x, sign in ((coarse[max(i - 1, 0)], -1.0),
                     (coarse[min(i + 1, _COARSE_NODES - 1)], 1.0)):
         d = step
-        while abs(x) < _X_LIMIT:
+        while True:
             fx = float(logf(x))
             peak = max(peak, fx)
             if fx < peak - _TAIL_DROP:
                 break
+            if abs(x) >= _X_LIMIT:
+                raise DomainError(
+                    "the alpha posterior is improper or too heavy-tailed to sample: its "
+                    f"density does not fall {_TAIL_DROP:g} below the peak for log alpha "
+                    f"within +-{_X_LIMIT:g}")
             x = float(np.clip(x + sign * d, -_X_LIMIT, _X_LIMIT))
             d *= 2.0
         ends.append(x)
@@ -126,7 +155,7 @@ def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int, name: str,
     cdf = trapezoid_cdf(grid, logf(grid))
     rng = np.random.default_rng(rng_seed)
     values = np.exp(np.interp(rng.random(n_draws), cdf, grid))
-    return PosteriorDraws(name=name, values=values, rho=rho, seed=rng_seed,
+    return PosteriorDraws(name="alpha", values=values, rho=rho, seed=rng_seed,
                           ess=float(n_draws))
 
 
@@ -139,12 +168,12 @@ def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
     """
     if n_draws < 1:
         raise DomainError("n_draws must be >= 1")
-    return _log_grid_sample(post.log_kernel, n_draws, rng_seed, "alpha", post.rho)
+    return _log_grid_sample(post.log_kernel, n_draws, rng_seed, post.rho)
 
 
 def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> PosteriorDraws:
     """Draws from the SG prior itself (used for prior-only branches and checks)."""
-    return _log_grid_sample(prior.log_kernel, n_draws, rng_seed, "alpha", rho=0.0)
+    return _log_grid_sample(prior.log_kernel, n_draws, rng_seed, rho=0.0)
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -170,6 +199,22 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
             break
         j = j - high
     return j.astype(np.int64)
+
+
+def _discovery_mean(alpha: np.ndarray, n: int, N: np.ndarray) -> np.ndarray:
+    """alpha (psi(alpha + N) - psi(alpha + n)), the mean count of new taxa.
+
+    Above _STIRLING_FROM the digamma difference is taken from the series
+    psi(z) = log z - 1/(2 z) - 1/(12 z^2) + O(z^-4) with the log difference
+    as log1p, since the plain difference is rounding noise by alpha ~ 1e16.
+    """
+    big = alpha > _STIRLING_FROM
+    z = np.where(big, alpha, _STIRLING_FROM)
+    zn, zN = z + n, z + N
+    series = np.log1p((N - n) / zn) + 0.5 * (1.0 / zn - 1.0 / zN) + (zn ** -2 - zN ** -2) / 12.0
+    small = np.where(big, 1.0, alpha)
+    direct = sps.digamma(small + N) - sps.digamma(small + n)
+    return alpha * np.where(big, series, direct)
 
 
 @dataclass
@@ -208,7 +253,7 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
     else:
         N = np.maximum(np.floor(rng.uniform(0.5 * N_hat, 1.5 * N_hat, size=n_draws)),
                        float(post.n))
-    lam = alpha * (sps.digamma(alpha + N) - sps.digamma(alpha + post.n))
+    lam = _discovery_mean(alpha, post.n, N)
     u = rng.random(n_draws)
     new = _poisson_ppf(u, lam)
     return RichnessPrediction(draws=post.k + new, N_hat=N_hat, n=post.n, k=post.k,
@@ -237,6 +282,6 @@ def calibration_curve(prior: StirlingGammaSpec, n: int, k: int,
     for i, rho in enumerate(rho_grid):
         post = CoarsenedPosterior(prior=prior, n=n, k=k, rho=float(rho))
         alpha = sg_posterior_sample(post, n_draws, rng_seed + i).values
-        ll = k * np.log(alpha) - (sps.gammaln(alpha + n) - sps.gammaln(alpha))
+        ll = k * np.log(alpha) - _log_rising(alpha, n)
         out.append((float(rho), float(ll.mean())))
     return out

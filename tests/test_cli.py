@@ -155,6 +155,11 @@ class TestRichness:
         _, rows = read_csv_rows(out / "richness_draws.csv")
         assert {int(r[1]) for r in rows} == {7}
 
+    def test_all_singletons_default_prior_is_domain_error(self, tmp_path):
+        # the default prior has a/b = n, so k = n leaves the alpha posterior improper
+        assert run("richness", "--n", 50, "--k", 50, "--nhat", 100, "--seed", 1,
+                   "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
+
 
 class TestExtrapolate:
     def test_one_step_equals_predictive(self, tiny_csv, tmp_path):

@@ -86,6 +86,41 @@ class TestHeavyLeftTail:
         assert draws.mean() == pytest.approx(want_mean, rel=0.01)
 
 
+class TestHeavyRightTail:
+    # (50, 48) under the CLI default prior at rho = 1 and (1000, 100) at
+    # rho = 0.001: the log-alpha density decays only like e^{-2 x} and
+    # e^{-0.9 x} to the right, so the bracket walks past alpha ~ n 2^53,
+    # where a plain gammaln difference for log (alpha)_n is rounding noise
+    @pytest.mark.parametrize("n,k,rho", [(50, 48, 1.0), (1000, 100, 0.001)])
+    def test_quartiles_match_grid(self, n, k, rho):
+        post = CP(prior=SG(1.0, 1.0 / n, n), n=n, k=k, rho=rho)
+        draws = dpinfer.sg_posterior_sample(post, 200_000, rng_seed=4).values
+        qs = [0.25, 0.5, 0.75]
+        want = grid_quantiles_log_kernel(post.log_kernel, 1e-8, 1e12, qs)
+        assert np.abs(np.quantile(draws, qs) / want - 1).max() < 0.02
+
+    def test_log_rising_for_alpha_far_above_n(self):
+        for alpha in [10.0, 999.0, 1001.0, 1e6, 1e17, 1e300]:
+            for n in [1, 50, 1000]:
+                want = math.fsum(math.log(alpha) + math.log1p(j / alpha) for j in range(n))
+                got = float(dpinfer._log_rising(np.array(alpha), n))
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestImproper:
+    # a/b = n_ref with k = n leaves the kernel flat as alpha -> infinity,
+    # and a/b = 1 leaves the prior flat as alpha -> 0
+    def test_posterior_raises(self):
+        post = CP(prior=SG(1.0, 1.0 / 50, 50), n=50, k=50, rho=1.0)
+        with pytest.raises(DomainError):
+            dpinfer.sg_posterior_sample(post, 100, rng_seed=0)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0 / 50), (0.5, 0.5)])
+    def test_prior_raises(self, a, b):
+        with pytest.raises(DomainError):
+            dpinfer.sg_prior_sample(SG(a, b, 50), 100, rng_seed=0)
+
+
 class TestAmazonPosterior:
     def test_rho_one_row(self, amazon_stats):
         n, k = amazon_stats
@@ -131,6 +166,14 @@ class TestRichness:
         log_pois = j * math.log(lam) - lam - gammaln(j + 1.0)
         tv = 0.5 * np.abs(exact - np.exp(log_pois)).sum()
         assert tv < 0.02
+
+    def test_discovery_mean_for_alpha_far_above_n(self):
+        # psi(alpha + N) - psi(alpha + n) = sum_{n <= j < N} 1 / (alpha + j)
+        for alpha in [10.0, 999.0, 1001.0, 1e6, 1e17, 1e300]:
+            for N in [51, 2_000]:
+                want = math.fsum(alpha / (alpha + j) for j in range(50, N))
+                got = dpinfer._discovery_mean(np.array([alpha]), 50, np.array([float(N)]))
+                assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_mean_matches_extrapolation_formula(self, amazon_stats):
         n, k = amazon_stats
