@@ -288,16 +288,15 @@ def ap_predictive_sample(gamma: float, n: int, k: int, abundances: Sequence[int]
     if len(abundances) != k or abundances.sum() != n:
         raise DomainError("abundances inconsistent with (n, k)")
     t = gamma / _SQRT2
+    p_new = gibbs._p_new(gibbs.AldousPitman(gamma), n, k)
     if n == 1:
-        p_new = t * math.exp(gibbs._log_h(-1, t))
         if rng.random() < p_new:
             return None
         return 0
     M = 2 * n - k - 2
-    lw_new = math.log(t) + gibbs._log_h(k - 2 * n, t)
-    lw_old = math.log(2 * n - k) + gibbs._log_h(k - 2 * n - 1, t)
-    p_linear = 1.0 / (1.0 + math.exp(lw_old - lw_new))
-    m_comp = M + 1.0 if rng.random() < p_linear else M + 2.0
+    # the linear component's weight t h_nu / (t h_nu + |nu| h_{nu-1}), nu = k - 2n,
+    # is t h_nu / h_{nu+1} by the three-term recurrence: the discovery probability
+    m_comp = M + 1.0 if rng.random() < p_new else M + 2.0
     u = sample_modified_half_normal(rng, m_comp, 0.5, t)
     if rng.random() < t / (t + u):
         return None

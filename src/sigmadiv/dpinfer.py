@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.special as sps
 
+from . import specfun
 from .draws import PosteriorDraws, trapezoid_cdf
 from .errors import DomainError
 
@@ -30,30 +31,6 @@ __all__ = [
     "diversity_transforms",
     "calibration_curve",
 ]
-
-
-_STIRLING_FROM = 1e3  # alpha above which log (alpha)_n uses the Stirling series
-
-
-def _log_rising(alpha: np.ndarray, n: int) -> np.ndarray:
-    """log (alpha)_n = gammaln(alpha + n) - gammaln(alpha), elementwise.
-
-    The plain gammaln difference cancels for alpha >> n (it is pure rounding
-    noise once alpha + n == alpha in float), so above _STIRLING_FROM it is
-    replaced by the difference of Stirling series,
-    (alpha - 1/2) log1p(n/alpha) + n log(alpha + n) - n + S(alpha + n) - S(alpha)
-    with S(z) = 1/(12 z) - 1/(360 z^3); there the only cancellation is of
-    size n and the truncation error is below 1e-18.
-    """
-    big = alpha > _STIRLING_FROM
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(big, alpha, _STIRLING_FROM)
-        zn = z + n
-        stirling = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
-                    + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
-        small = np.where(big, 1.0, alpha)
-        direct = sps.gammaln(small + n) - sps.gammaln(small)
-    return np.where(big, stirling, direct)
 
 
 @dataclass(frozen=True)
@@ -73,7 +50,7 @@ class StirlingGammaSpec:
 
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        return (self.a - 1.0) * np.log(alpha) - self.b * _log_rising(alpha, self.n_ref)
+        return (self.a - 1.0) * np.log(alpha) - self.b * specfun.log_rising(alpha, self.n_ref)
 
 
 @dataclass(frozen=True)
@@ -98,8 +75,8 @@ class CoarsenedPosterior:
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         p = self.prior
-        lr_n = _log_rising(alpha, self.n)
-        lr_ref = lr_n if p.n_ref == self.n else _log_rising(alpha, p.n_ref)
+        lr_n = specfun.log_rising(alpha, self.n)
+        lr_ref = lr_n if p.n_ref == self.n else specfun.log_rising(alpha, p.n_ref)
         return (p.a + self.rho * self.k - 1.0) * np.log(alpha) - self.rho * lr_n - p.b * lr_ref
 
 
@@ -201,15 +178,18 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return j.astype(np.int64)
 
 
+_SERIES_FROM = 1e3  # alpha above which _discovery_mean uses the digamma series
+
+
 def _discovery_mean(alpha: np.ndarray, n: int, N: np.ndarray) -> np.ndarray:
     """alpha (psi(alpha + N) - psi(alpha + n)), the mean count of new taxa.
 
-    Above _STIRLING_FROM the digamma difference is taken from the series
+    Above _SERIES_FROM the digamma difference is taken from the series
     psi(z) = log z - 1/(2 z) - 1/(12 z^2) + O(z^-4) with the log difference
     as log1p, since the plain difference is rounding noise by alpha ~ 1e16.
     """
-    big = alpha > _STIRLING_FROM
-    z = np.where(big, alpha, _STIRLING_FROM)
+    big = alpha > _SERIES_FROM
+    z = np.where(big, alpha, _SERIES_FROM)
     zn, zN = z + n, z + N
     series = np.log1p((N - n) / zn) + 0.5 * (1.0 / zn - 1.0 / zN) + (zn ** -2 - zN ** -2) / 12.0
     small = np.where(big, 1.0, alpha)
@@ -282,6 +262,6 @@ def calibration_curve(prior: StirlingGammaSpec, n: int, k: int,
     for i, rho in enumerate(rho_grid):
         post = CoarsenedPosterior(prior=prior, n=n, k=k, rho=float(rho))
         alpha = sg_posterior_sample(post, n_draws, rng_seed + i).values
-        ll = k * np.log(alpha) - _log_rising(alpha, n)
+        ll = k * np.log(alpha) - specfun.log_rising(alpha, n)
         out.append((float(rho), float(ll.mean())))
     return out

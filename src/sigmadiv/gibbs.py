@@ -8,7 +8,6 @@ them through log_V(n, k), the log partition weights.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -89,14 +88,6 @@ class AldousPitman:
 GibbsModel = Union[DirichletMultinomial, DirichletProcess, AldousPitman]
 
 
-@functools.lru_cache(maxsize=1_000_000)
-def _log_h(order: int, t: float) -> float:
-    """Memoized Hermite-function logs; order 0 short-circuits to h_0 = 1."""
-    if order == 0:
-        return 0.0
-    return specfun.log_hermite(order, t)
-
-
 def _check_nk(n: int, k: int) -> None:
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -122,7 +113,7 @@ def log_V(model: GibbsModel, n: int, k: int) -> float:
         t = model.gamma / math.sqrt(2.0)
         return ((n - k / 2.0 - 0.5) * math.log(2.0)
                 + (k - 1) * math.log(model.gamma / 2.0)
-                + _log_h(k + 1 - 2 * n, t))
+                + specfun.log_hermite(k + 1 - 2 * n, t))
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -161,31 +152,57 @@ def predictive(model: GibbsModel, n: int, k: int,
     return PredictiveSplit(p_new=p_new, reuse_weights=weights)
 
 
-def _p_new(model: GibbsModel, n: int, k: int) -> float:
-    """Discovery probability after (n, k), using the family's closed form."""
-    if isinstance(model, DirichletProcess):
-        return model.alpha / (model.alpha + n)
-    if isinstance(model, DirichletMultinomial):
-        s = abs(model.sigma)
-        return (model.H - k) * s / (model.H * s + n) if k < model.H else 0.0
-    t = model.gamma / math.sqrt(2.0)
-    return t * math.exp(_log_h(k - 2 * n, t) - _log_h(k + 1 - 2 * n, t))
-
-
 def _discovery_fn(model: GibbsModel, n_max: int):
-    """p_new(n, k) evaluator for a fixed horizon; precomputes the AP Hermite
-    table in one vectorized pass so long Monte Carlo chains stay cheap."""
-    if not isinstance(model, AldousPitman):
-        return lambda n, k: _p_new(model, n, k)
+    """p_new(n, k), the discovery probability after n draws and k taxa (n >= 1).
+
+    DM and DP use their closed forms.  For AP, p_new(n, k) = t h_{k-2n}(t) /
+    h_{k+1-2n}(t) is entry 2n - k - 1 of the Hermite ratio table, read from a
+    flat list the closure holds: orders reached by horizons n < n_max are
+    loaded at once, deeper ones block by block as the caller goes there.
+    """
+    if isinstance(model, DirichletProcess):
+        alpha = model.alpha
+        return lambda n, k: alpha / (alpha + n)
+    if isinstance(model, DirichletMultinomial):
+        H, s = model.H, abs(model.sigma)
+        return lambda n, k: (H - k) * s / (H * s + n) if k < H else 0.0
     t = model.gamma / math.sqrt(2.0)
-    log_h = np.concatenate([
-        specfun.log_hermite_batch(np.arange(-2 * n_max - 1, 0), t), [0.0]])
-    base = 2 * n_max + 1  # index of order nu is base + nu
+    B = specfun.HERMITE_BLOCK
+    ratios = specfun.hermite_ratio_block(t, 0)
+
+    def grow(i: int) -> None:
+        nonlocal ratios
+        if len(ratios) <= i and len(ratios) == B:  # the cache's own block 0: copy, never mutate
+            ratios = list(ratios)
+        while len(ratios) <= i:
+            ratios.extend(specfun.hermite_ratio_block(t, len(ratios) // B))
 
     def p_new(n: int, k: int) -> float:
-        return t * math.exp(log_h[base + k - 2 * n] - log_h[base + k + 1 - 2 * n])
+        try:
+            return ratios[2 * n - k - 1]
+        except IndexError:
+            grow(2 * n - k - 1)
+            return ratios[2 * n - k - 1]
 
+    grow(2 * n_max - 4)  # the deepest entry read at n < n_max (k >= 1)
     return p_new
+
+
+def _p_new(model: GibbsModel, n: int, k: int) -> float:
+    """One discovery probability; loops build _discovery_fn once instead."""
+    return _discovery_fn(model, 0)(n, k)
+
+
+def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
+    """log h_nu(t) - log h_top(t) for nu = top, top - 1, ..., top - count (top <= 0).
+
+    Cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t).
+    """
+    B = specfun.HERMITE_BLOCK
+    first, last = -top // B, max(-top + count - 1, -top) // B
+    table = np.concatenate([specfun.hermite_ratio_block(t, b) for b in range(first, last + 1)])
+    p = table[-top - first * B:-top - first * B + count]
+    return np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
 
 
 class _Urn:
@@ -200,6 +217,7 @@ class _Urn:
     def __init__(self, model: GibbsModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
+        self._p_new = _discovery_fn(model, 0)
         self.counts: List[int] = []
         self.individuals: List[int] = []
         self.n = 0
@@ -211,7 +229,7 @@ class _Urn:
     def step(self) -> int:
         model, rng = self.model, self.rng
         n, k = self.n, self.k
-        if n == 0 or rng.random() < _p_new(model, n, k):
+        if n == 0 or rng.random() < self._p_new(n, k):
             label = k
             self.counts.append(0)
         else:
@@ -243,7 +261,7 @@ def urn_sample(model: GibbsModel, n_steps: int, rng_seed: int) -> np.ndarray:
     return np.array([urn.step() for _ in range(n_steps)], dtype=np.int64)
 
 
-# Coefficient tables cached per (kind, sigma, shift); readers share tables,
+# Central coefficient tables cached per (kind, sigma); readers share tables,
 # construction is serialized.
 _table_cache: Dict[Tuple, specfun.CoefficientTable] = {}
 _table_lock = threading.Lock()
@@ -256,11 +274,13 @@ def _coeff_table(sigma: float, shift: float, cap: int) -> specfun.CoefficientTab
         kind = "noncentral_stirling1" if shift else "stirling1"
     else:
         kind = "noncentral_gen_factorial" if shift else "gen_factorial"
-    key = (kind, sigma, shift)
+    if shift:  # keyed on the data through n - sigma*k, so a cache would only grow
+        return specfun.build_coefficients(kind, sigma=sigma, shift=shift, n_max=cap)
+    key = (kind, sigma)
     with _table_lock:
         table = _table_cache.get(key)
         if table is None or table.n_max < cap:
-            table = specfun.build_coefficients(kind, sigma=sigma, shift=shift, n_max=cap)
+            table = specfun.build_coefficients(kind, sigma=sigma, n_max=cap)
             _table_cache[key] = table
     return table
 
@@ -272,7 +292,15 @@ def prior_Kn_pmf(model: GibbsModel, n: int, table_cap: int = DEFAULT_TABLE_CAP) 
     if n > table_cap:
         raise TableSizeError(f"n={n} exceeds table cap {table_cap}")
     row = _coeff_table(model.discount, 0.0, table_cap).log_row(n)[1:]
-    logv = np.array([log_V(model, n, k) for k in range(1, n + 1)])
+    if isinstance(model, AldousPitman):
+        # orders k + 1 - 2n run from 1 - n (k = n) down: one anchor, then the ratio table
+        t = model.gamma / math.sqrt(2.0)
+        anchor = specfun.log_hermite(1 - n, t) if n > 1 else 0.0
+        ks = np.arange(1, n + 1)
+        logv = ((n - ks / 2.0 - 0.5) * math.log(2.0) + (ks - 1) * math.log(model.gamma / 2.0)
+                + anchor + _ap_log_h_drop(t, 1 - n, n - 1)[::-1])
+    else:
+        logv = np.array([log_V(model, n, k) for k in range(1, n + 1)])
     return np.exp(logv + row)
 
 
@@ -302,6 +330,14 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
     sigma = model.discount
     shift = n - sigma * k
     row = _coeff_table(sigma, shift, table_cap).log_row(m)
+    if isinstance(model, AldousPitman):
+        # log V_{n+m,k+j} - log V_{n,k}: the order k + j + 1 - 2(n+m) sits 2m - j
+        # below the base order k + 1 - 2n, so the Hermite part is a ratio-table sum
+        j = np.arange(m + 1)
+        t = model.gamma / math.sqrt(2.0)
+        drop = _ap_log_h_drop(t, k + 1 - 2 * n, 2 * m)
+        return np.exp((m - j / 2.0) * math.log(2.0) + j * math.log(model.gamma / 2.0)
+                      + drop[2 * m - j] + row)
     base = log_V(model, n, k)
     logv = np.array([log_V(model, n + m, k + j) if k + j <= n + m else -np.inf
                      for j in range(m + 1)])

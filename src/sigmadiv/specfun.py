@@ -7,8 +7,11 @@ range where raw factorial-type magnitudes overflow immediately.
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 import scipy.special as sps
@@ -22,6 +25,8 @@ __all__ = [
     "digamma",
     "log_binom",
     "log_hermite",
+    "HERMITE_BLOCK",
+    "hermite_ratio_block",
     "build_coefficients",
 ]
 
@@ -29,15 +34,37 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
 
 
-def log_rising(a: float, n: int) -> float:
-    """log of the rising factorial (a)_n = a (a+1) ... (a+n-1), a > 0."""
-    if a <= 0.0:
-        raise DomainError(f"log_rising requires a > 0, got a={a}")
+_STIRLING_FROM = 1e3  # a above which log (a)_n uses the Stirling series
+
+
+def log_rising(a, n: int):
+    """log of the rising factorial (a)_n = a (a+1) ... (a+n-1), a > 0, elementwise.
+
+    gammaln(a + n) - gammaln(a) cancels for a >> n (it is pure rounding noise
+    once a + n == a in float), so above _STIRLING_FROM it is replaced by the
+    difference of Stirling series,
+    (a - 1/2) log1p(n/a) + n log(a + n) - n + S(a + n) - S(a)
+    with S(z) = 1/(12 z) - 1/(360 z^3); there the only cancellation is of
+    size n and the truncation error is below 1e-18.  A scalar a gives a float,
+    an array a an array.
+    """
     if n < 0:
         raise DomainError(f"log_rising requires n >= 0, got n={n}")
-    if n == 0:
-        return 0.0
-    return float(sps.gammaln(a + n) - sps.gammaln(a))
+    if not isinstance(a, np.ndarray) and 0.0 < a <= _STIRLING_FROM:  # common scalar case
+        return float(sps.gammaln(a + n) - sps.gammaln(a))
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise DomainError(f"log_rising requires a > 0, got a={a}")
+    big = a > _STIRLING_FROM
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where(big, a, _STIRLING_FROM)
+        zn = z + n
+        stirling = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
+                    + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
+        small = np.where(big, 1.0, a)
+        direct = sps.gammaln(small + n) - sps.gammaln(small)
+    out = np.where(big, stirling, direct)
+    return float(out) if out.ndim == 0 else out
 
 
 def digamma(x):
@@ -56,23 +83,16 @@ def log_binom(n: float, r: float) -> float:
     return float(sps.gammaln(n + 1) - sps.gammaln(r + 1) - sps.gammaln(n - r + 1))
 
 
-def log_hermite(order: float, t: float) -> float:
-    """log of the Hermite function of negative order.
+def _hermite_integrand(order: float, t: float):
+    """Quadrature nodes u, log-integrand log_f and half-width of the rule for h_order(t).
 
-    Evaluates h_nu(t) = Gamma(-nu)^{-1} * int_0^inf u^{-nu-1} e^{-u^2/2 - t u} du
-    for nu < 0 and t > 0 by Gauss-Legendre quadrature of the log-concave
-    integrand in log space.  The support is located analytically: the mode
-    u* solves (-nu-1)/u - u - t = 0, and since the log-integrand has
-    curvature <= -1 everywhere, the region where it exceeds (max - 60) is
-    bracketed within u* +/- sqrt(120); the exact endpoints are bisected and
-    the 512-node rule is applied between them.  Relative accuracy is ~1e-12
-    for integer orders across |nu| up to at least 1e6.
+    The integrand u^m e^{-u^2/2 - t u}, m = -order - 1, is log-concave.  Its
+    mode u* solves m/u - u - t = 0, and since the log-integrand has curvature
+    <= -1 everywhere, the region where it exceeds (max - 60) lies within
+    u* +/- sqrt(120); the exact endpoints are bisected and the 512-node rule
+    is placed between them.
     """
-    if order >= 0.0:
-        raise DomainError(f"log_hermite requires order < 0, got {order}")
-    if t <= 0.0:
-        raise DomainError(f"log_hermite requires t > 0, got t={t}")
-    m = -order - 1.0  # integrand is u^m e^{-u^2/2 - t u}
+    m = -order - 1.0
 
     if m > 0.0:
         u_star = 0.5 * (-t + np.sqrt(t * t + 4.0 * m))
@@ -103,42 +123,88 @@ def log_hermite(order: float, t: float) -> float:
 
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = center + half * _GL_NODES
-    log_f = m * np.log(u) - 0.5 * u * u - t * u
+    return u, m * np.log(u) - 0.5 * u * u - t * u, half
+
+
+def log_hermite(order: float, t: float) -> float:
+    """log of the Hermite function of negative order.
+
+    Evaluates h_nu(t) = Gamma(-nu)^{-1} * int_0^inf u^{-nu-1} e^{-u^2/2 - t u} du
+    for nu < 0 and t > 0 by Gauss-Legendre quadrature of the log-concave
+    integrand in log space, on the bracket of _hermite_integrand.  Relative
+    accuracy is ~1e-12 for integer orders across |nu| up to at least 1e6
+    (deep orders are further limited by the float spacing of log h itself,
+    ~5e-10 at |nu| = 4e5).
+    """
+    if order >= 0.0:
+        raise DomainError(f"log_hermite requires order < 0, got {order}")
+    if t <= 0.0:
+        raise DomainError(f"log_hermite requires t > 0, got t={t}")
+    _, log_f, half = _hermite_integrand(order, t)
     log_integral = sps.logsumexp(log_f, b=_GL_WEIGHTS * half)
     return float(log_integral - sps.gammaln(-order))
 
 
-def log_hermite_batch(orders: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized log_hermite over an array of negative orders at fixed t.
+HERMITE_BLOCK = 4096  # orders per block of the Hermite ratio table
+_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~67 MB of Python floats
 
-    Uses the same Laplace-centered Gauss-Legendre rule but with a fixed
-    half-width bracket (the log-integrand has curvature <= -1 everywhere, so
-    sqrt(120) covers a drop of 60); accuracy ~1e-10, trading the last two
-    digits of the bisected bracket for a ~100x throughput gain on the urn
-    and accumulation-curve Monte Carlo paths.
+_hermite_blocks: "OrderedDict[Tuple[float, int], List[float]]" = OrderedDict()
+_hermite_lock = threading.Lock()
+
+
+def hermite_ratio_block(t: float, block: int) -> List[float]:
+    """One block of the Hermite ratio table t h_nu(t) / h_{nu+1}(t), nu < 0.
+
+    Entry i of block b is the ratio at order nu = -(b B + i + 1), B =
+    HERMITE_BLOCK, so the blocks laid end to end index the table by -nu - 1.
+    For the Aldous-Pitman model with t = gamma / sqrt(2) the ratio at
+    nu = k - 2n is the probability of a new taxon after n draws and k taxa.
+
+    In ratio form the three-term recurrence h_{nu+1} = t h_nu - nu h_{nu-1}
+    reads q_nu = t + |nu| / q_{nu-1} with q_nu = h_{nu+1} / h_nu.  Both terms
+    are positive, so climbing upward is stable (an error in q_{nu-1} reaches
+    q_nu scaled by 1 - t / q_nu, between 0 and 1).  Each block is seeded at
+    its own bottom order by one quadrature of the ratio and climbed to its
+    top, so a value depends only on (t, order), never on which blocks were
+    built before.  The returned list is shared with the cache: do not mutate
+    it.  Blocks are kept in an LRU of at most _HERMITE_CACHE_BLOCKS.
     """
-    orders = np.asarray(orders, dtype=float)
-    if np.any(orders >= 0.0) or t <= 0.0:
-        raise DomainError("log_hermite_batch needs orders < 0 and t > 0")
-    m = -orders - 1.0
-    u_star = 0.5 * (-t + np.sqrt(t * t + 4.0 * m))
-    span = np.sqrt(120.0)
-    lo = np.maximum(u_star - span, 0.0)
-    hi = u_star + span
-    out = np.empty(orders.shape, dtype=float)
-    chunk = 2048
-    for start in range(0, orders.size, chunk):
-        sl = slice(start, min(start + chunk, orders.size))
-        c = 0.5 * (hi[sl] + lo[sl])[:, None]
-        h = 0.5 * (hi[sl] - lo[sl])[:, None]
-        u = c + h * _GL_NODES[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_f = np.where(u > 0,
-                             m[sl][:, None] * np.log(np.maximum(u, 1e-300))
-                             - 0.5 * u * u - t * u,
-                             np.where(m[sl][:, None] == 0.0, 0.0, -np.inf))
-        out[sl] = sps.logsumexp(log_f, axis=1, b=_GL_WEIGHTS[None, :] * h)
-    return out - sps.gammaln(-orders)
+    if t <= 0.0 or block < 0:
+        raise DomainError(f"hermite_ratio_block needs t > 0 and block >= 0, got {t}, {block}")
+    key = (t, block)
+    with _hermite_lock:
+        ratios = _hermite_blocks.get(key)
+        if ratios is not None:
+            _hermite_blocks.move_to_end(key)
+            return ratios
+    B = HERMITE_BLOCK
+    top = block * B + 1  # |nu| of entry 0
+    ratios = [0.0] * B
+    q = math.exp(_log_hermite_ratio(-(top + B - 1), t))
+    ratios[B - 1] = t / q
+    for i in range(B - 2, -1, -1):
+        q = t + (top + i) / q
+        ratios[i] = t / q
+    with _hermite_lock:
+        _hermite_blocks[key] = ratios
+        _hermite_blocks.move_to_end(key)
+        while len(_hermite_blocks) > _HERMITE_CACHE_BLOCKS:
+            _hermite_blocks.popitem(last=False)
+    return ratios
+
+
+def _log_hermite_ratio(order: int, t: float) -> float:
+    """log(h_{order+1}(t) / h_order(t)) for order <= -2, by one quadrature.
+
+    The integrand of h_{order+1} is that of h_order divided by u, so both
+    integrals share the nodes of h_order and their ratio is a weighted mean
+    of 1/u; the large common factor cancels exactly, where the difference of
+    two log_hermite values would keep the rounding of each (~5e-10 at
+    |order| = 4e5).
+    """
+    u, log_f, _ = _hermite_integrand(order, t)
+    w = _GL_WEIGHTS * np.exp(log_f - log_f.max())
+    return math.log(float(np.dot(w, 1.0 / u)) / float(w.sum())) + math.log(-order - 1.0)
 
 
 @dataclass(frozen=True)

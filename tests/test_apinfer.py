@@ -361,12 +361,13 @@ class TestConstructiveAgreement:
 
     def test_sqrt_growth_short_horizon(self):
         g, n, reps = 2.0, 2_000, 120
+        p_new = gibbs._discovery_fn(AP(g), n)
         stats = []
         for seed in range(reps):
             rng = np.random.default_rng(seed)
             k = 0
             for i in range(n):
-                if i == 0 or rng.random() < gibbs._p_new(AP(g), i, k):
+                if i == 0 or rng.random() < p_new(i, k):
                     k += 1
             stats.append(k / math.sqrt(n))
         assert abs(np.mean(stats) - g) / g < 0.07

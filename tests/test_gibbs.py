@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from sigmadiv import gibbs
+from sigmadiv import gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
 from sigmadiv.errors import DomainError, TableSizeError
 
@@ -38,6 +38,15 @@ class TestLogV:
 
     def test_dm_support_bound(self):
         assert gibbs.log_V(DM(-1.0, 3), 5, 4) == -np.inf
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e12, 1e15])
+    def test_dp_alpha_far_above_n(self, alpha):
+        # V_{n,n} = prod_j alpha / (alpha + j) <= 1; the two ~1.7e3 logs it is the
+        # difference of are spaced 2.3e-13 apart in float
+        got = gibbs.log_V(DP(alpha), 50, 50)
+        assert got <= 0.0
+        assert got == pytest.approx(-math.fsum(math.log1p(j / alpha) for j in range(50)),
+                                    abs=5e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -131,6 +140,24 @@ class TestUrn:
         assert (a == b).all()
 
 
+class TestDiscoveryFn:
+    def test_values_independent_of_horizon(self):
+        # built for a long horizon, or for a short one that then grows block by
+        # block, or read from one deep block alone: the same bits at every order
+        model = AP(2.0)
+        points = [(1, 1), (2, 1), (2048, 1), (2049, 1), (3000, 700), (10_000, 300)]
+        specfun._hermite_blocks.clear()
+        long_first = gibbs._discovery_fn(model, 10_001)
+        want = [long_first(n, k) for n, k in points]
+        specfun._hermite_blocks.clear()
+        short_first = gibbs._discovery_fn(model, 2)
+        assert [short_first(n, k) for n, k in points] == want
+        specfun._hermite_blocks.clear()
+        B = specfun.HERMITE_BLOCK
+        i = 2 * 10_000 - 300 - 1
+        assert specfun.hermite_ratio_block(2.0 / math.sqrt(2.0), i // B)[i % B] == want[-1]
+
+
 class TestPriorKnPmf:
     def test_point_mass_n1(self):
         for model in TEST_MODELS:
@@ -152,6 +179,17 @@ class TestPriorKnPmf:
             for p in set_partitions(range(5)):
                 by_k[len(p) - 1] += eppf_of(model, [len(b) for b in p])
             assert pmf == pytest.approx(by_k, rel=1e-9)
+
+    def test_ap_matches_scalar_log_V(self):
+        # the AP log V vector comes from one anchor and ratio-table sums; orders
+        # 2 - 2n .. 1 - n cross the first block boundary at -4096
+        model, n = AP(1.7), 2_100
+        row = gibbs._coeff_table(0.5, 0.0, gibbs.DEFAULT_TABLE_CAP).log_row(n)[1:]
+        want = np.exp(np.array([gibbs.log_V(model, n, k) for k in range(1, n + 1)]) + row)
+        got = gibbs.prior_Kn_pmf(model, n)
+        live = want > 1e-250
+        assert np.abs(got[live] / want[live] - 1).max() < 1e-9
+        assert got[~live].max() < 1e-240
 
     def test_cap(self):
         with pytest.raises(TableSizeError):
@@ -186,6 +224,27 @@ class TestPosteriorKmPmf:
     def test_normalized(self, model):
         pmf = gibbs.posterior_Km_pmf(model, 8, 4, 6)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
+
+    def test_ap_matches_scalar_log_V(self):
+        # log V_{n+m,k+j} - log V_{n,k} from ratio-table sums alone; orders
+        # -3909 .. -5109 cross the first block boundary at -4096
+        model, n, k, m = AP(2.0), 2_000, 90, 600
+        row = gibbs._coeff_table(0.5, n - 0.5 * k, m).log_row(m)
+        logv = np.array([gibbs.log_V(model, n + m, k + j) for j in range(m + 1)])
+        want = np.exp(logv - gibbs.log_V(model, n, k) + row)
+        got = gibbs.posterior_Km_pmf(model, n, k, m)
+        live = want > 1e-250
+        assert np.abs(got[live] / want[live] - 1).max() < 1e-9
+        assert got[~live].max() < 1e-240
+
+    def test_table_cache_stays_flat(self):
+        # non-central tables are keyed on the data (n - sigma k) and not cached
+        gibbs.prior_Kn_pmf(AP(2.0), 30)
+        size = len(gibbs._table_cache)
+        for n, k in [(40, 5), (41, 6), (90, 20), (200, 31)]:
+            for model in (AP(2.0), DP(3.0), DM(-1.0, 60)):
+                gibbs.posterior_Km_pmf(model, n, k, 25)
+        assert len(gibbs._table_cache) == size
 
     def test_mc_fallback(self):
         exact = gibbs.posterior_Km_pmf(DP(2.0), 5, 3, 4)

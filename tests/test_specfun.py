@@ -35,11 +35,25 @@ class TestLogRising:
         direct = np.log(a + np.arange(n)).sum()
         assert specfun.log_rising(a, n) == pytest.approx(direct, rel=1e-10)
 
+    def test_array_far_above_n(self):
+        # an array is evaluated elementwise like scalars; above a = 1e3 both use the
+        # Stirling series, exact against the log1p sum where gammaln would cancel
+        a = np.array([0.5, 751.23, 999.0, 1001.0, 1e6, 1e12, 1e15, 1e17])
+        for n in (0, 1, 50, 1000):
+            got = specfun.log_rising(a, n)
+            assert got.shape == a.shape
+            for ai, gi in zip(a, got):
+                assert gi == specfun.log_rising(float(ai), n)
+                want = math.fsum(math.log(ai) + math.log1p(j / ai) for j in range(n))
+                assert gi == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.log_rising(0.0, 3)
         with pytest.raises(DomainError):
             specfun.log_rising(-1.0, 3)
+        with pytest.raises(DomainError):
+            specfun.log_rising(np.array([1.0, 0.0]), 3)
 
 
 class TestDigamma:
@@ -105,18 +119,58 @@ class TestLogHermite:
         val = specfun.log_hermite(4_962 + 1 - 2 * 553_949, math.sqrt(2) * 751.0)
         assert np.isfinite(val)
 
-    def test_batch_matches_scalar(self):
-        orders = -np.arange(1, 400, dtype=float)
-        for t in (0.1, 1.0, 7.0):
-            batch = specfun.log_hermite_batch(orders, t)
-            scalar = np.array([specfun.log_hermite(v, t) for v in orders])
-            assert np.abs(batch - scalar).max() < 1e-9
-
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.log_hermite(0.0, 1.0)
         with pytest.raises(DomainError):
             specfun.log_hermite(-1.0, 0.0)
+
+
+def _ratio_table(t, n_orders):
+    """t h_nu / h_{nu+1} for nu = -1 .. -n_orders (index -nu - 1)."""
+    B = specfun.HERMITE_BLOCK
+    blocks = [specfun.hermite_ratio_block(t, b) for b in range((n_orders - 1) // B + 1)]
+    return np.concatenate(blocks)[:n_orders]
+
+
+class TestHermiteRatioTable:
+    def test_matches_scalar(self):
+        # log h_nu = sum_{mu=nu}^{-1} log(p_mu / t) from h_0 = 1, against quadrature
+        orders = -np.arange(1, 400, dtype=float)
+        for t in (0.1, 1.0, 7.0):
+            table = np.cumsum(np.log(_ratio_table(t, 399)) - math.log(t))
+            scalar = np.array([specfun.log_hermite(v, t) for v in orders])
+            assert np.abs(table - scalar).max() < 1e-9
+
+    def test_deep_orders(self):
+        n_orders = 400_000
+        for t in (0.05, 1.41, 10.0):
+            p = _ratio_table(t, n_orders)
+            for nu in (-1, -2, -399, -4095, -4096, -4097, -65_537, -200_000, -400_000):
+                want = math.log(t) + (specfun.log_hermite(nu, t)
+                                      - (specfun.log_hermite(nu + 1, t) if nu < -1 else 0.0))
+                assert abs(math.log(p[-nu - 1]) - want) <= 1e-9
+            # h_0 = 1: climbing every ratio from h_{-4e5} closes at log h_0 = 0, up to
+            # the anchor's own rounding (float spacing 4.7e-10 at |log h| ~ 2.4e6)
+            climb = math.fsum(math.log(t) - np.log(p))
+            assert specfun.log_hermite(-n_orders, t) + climb == pytest.approx(0.0, abs=3e-9)
+
+    def test_cache_bounded(self):
+        specfun._hermite_blocks.clear()
+        bound = specfun._HERMITE_CACHE_BLOCKS
+        for i in range(150):
+            t = 0.05 + 0.1 * i
+            for b in range(4):
+                specfun.hermite_ratio_block(t, b)
+            assert len(specfun._hermite_blocks) <= bound
+        assert len(specfun._hermite_blocks) == bound  # 600 blocks asked for, the LRU kept the bound
+        assert (t, 3) in specfun._hermite_blocks and (0.05, 0) not in specfun._hermite_blocks
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.hermite_ratio_block(0.0, 0)
+        with pytest.raises(DomainError):
+            specfun.hermite_ratio_block(1.0, -1)
 
 
 class TestCoefficientTables:
