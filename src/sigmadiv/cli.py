@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import apinfer, dpinfer, estimators, gibbs, taxo
 from .datamodel import (ingest_abundance_csv, ingest_taxonomy_csv,
                         stream_to_partition, write_abundance_csv, write_taxonomy_csv)
-from .errors import DomainError, ParseError, SigmadivError
+from .errors import DomainError, ParseError
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -49,14 +49,9 @@ def _config_line(args: argparse.Namespace, resolved: Dict) -> str:
 def _write_table(outdir: str, name: str, columns: Sequence[str], rows: List[Sequence],
                  fmt: str, config: str, value_fmt: str = _SUMMARY_FMT) -> str:
     if fmt == "json":
-        path = os.path.join(outdir, f"{name}.json")
-        payload = {"_config": json.loads(config),
-                   "rows": [{c: (float(v) if isinstance(v, (float, np.floating)) else v)
-                             for c, v in zip(columns, row)} for row in rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return path
+        return _write_json(outdir, name, {
+            "rows": [{c: (float(v) if isinstance(v, (float, np.floating)) else v)
+                      for c, v in zip(columns, row)} for row in rows]}, config)
     path = os.path.join(outdir, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {config}\n")
@@ -68,8 +63,7 @@ def _write_table(outdir: str, name: str, columns: Sequence[str], rows: List[Sequ
 
 def _write_json(outdir: str, name: str, payload: Dict, config: str) -> str:
     path = os.path.join(outdir, f"{name}.json")
-    payload = dict(payload)
-    payload["_config"] = json.loads(config)
+    payload = dict(payload, _config=json.loads(config))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -102,13 +96,17 @@ def _model_from_args(args, n: Optional[int] = None, k: Optional[int] = None) -> 
     return gibbs.AldousPitman(gamma=args.gamma)
 
 
-def _sg_prior(args, n: int) -> dpinfer.StirlingGammaSpec:
+def _sg_prior(args, n: Optional[int] = None) -> Tuple[dpinfer.StirlingGammaSpec, Dict]:
+    """The --sg A B NREF prior and its config entry.  The default is anchored at the
+    observed n with location min(5000, n) and a = 1; SG(0.3, 0.1, 100) without n."""
     if args.sg is not None:
         a, b, n_ref = args.sg
-        return dpinfer.StirlingGammaSpec(a=a, b=b, n_ref=int(n_ref))
-    # default: location min(5000, n) with a = 1, anchored at the observed n
-    b = max(0.0002, 1.0 / n)
-    return dpinfer.StirlingGammaSpec(a=1.0, b=b, n_ref=n)
+    elif n is None:
+        a, b, n_ref = 0.3, 0.1, 100
+    else:
+        a, b, n_ref = 1.0, max(0.0002, 1.0 / n), n
+    prior = dpinfer.StirlingGammaSpec(a=a, b=b, n_ref=int(n_ref))
+    return prior, {"resolved_prior": f"sg({prior.a},{prior.b},{prior.n_ref})"}
 
 
 def _load_stats(args) -> tuple:
@@ -121,19 +119,17 @@ def _load_stats(args) -> tuple:
     return None, args.n, args.k
 
 
-def _maybe_write_data_summary(args, outdir, config, data=None, tree=None) -> None:
-    if args.format != "json":
-        return
-    if data is not None:
-        _write_json(outdir, "data_summary", data.to_json(), config)
-    if tree is not None:
-        _write_json(outdir, "data_summary", tree.to_json(), config)
+def _start_outputs(args, resolved: Dict, data) -> Tuple[str, str]:
+    """Make --output-dir, write data_summary.json under --format json; (dir, config)."""
+    config = _config_line(args, resolved)
+    os.makedirs(args.output_dir, exist_ok=True)
+    if args.format == "json" and data is not None:
+        _write_json(args.output_dir, "data_summary", data.to_json(), config)
+    return args.output_dir, config
 
 
 def cmd_fit(args) -> int:
     data, n, k = _load_stats(args)
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
     estimates = {"n": n, "k": k}
     for fn in (estimators.fisher_alpha, estimators.mle_alpha):
         est = fn(n, k)
@@ -141,23 +137,18 @@ def cmd_fit(args) -> int:
                                  "residual": float(est.residual),
                                  "iterations": est.iterations}
     if args.family == "dp":
-        prior = _sg_prior(args, n)
-        resolved = {"resolved_prior": f"sg({prior.a},{prior.b},{prior.n_ref})"}
-        config = _config_line(args, resolved)
+        prior, resolved = _sg_prior(args, n)
+        outdir, config = _start_outputs(args, resolved, data)
         post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
         draws = dpinfer.sg_posterior_sample(post, args.draws, args.seed)
         param = "alpha"
-    elif args.family == "ap":
+    else:
         a_g, b_g = args.gamma_prior if args.gamma_prior else (1.0, 1.0)
-        config = _config_line(args, {"resolved_prior": f"gamma({a_g},{b_g})"})
+        outdir, config = _start_outputs(
+            args, {"resolved_prior": f"gamma({a_g},{b_g})"}, data)
         draws = apinfer.iid_two_step_sample(n, k, a_g, b_g, args.draws, args.seed,
                                             rho=args.rho)
         param = "gamma"
-    else:
-        raise DomainError("fit supports the dp and ap families; Bayesian inference "
-                          "for the dm richness bound needs a discrete prior and is "
-                          "not part of this command")
-    _maybe_write_data_summary(args, outdir, config, data=data)
     _write_json(outdir, "point_estimates", estimates, config)
     _write_table(outdir, "draws", ["draw", param],
                  [(i, v) for i, v in enumerate(draws.values)], args.format, config,
@@ -169,19 +160,14 @@ def cmd_fit(args) -> int:
 def _grid_sizes(n: int, points: int) -> np.ndarray:
     if n <= points:
         return np.arange(1, n + 1)
-    grid = np.unique(np.round(np.geomspace(1, n, points)).astype(np.int64))
-    return grid
+    return np.unique(np.round(np.geomspace(1, n, points)).astype(np.int64))
 
 
 def cmd_validate(args) -> int:
     data = ingest_abundance_csv(args.input)
     n, k = data.n, data.k
     model = _model_from_args(args, n, k)
-    resolved = {"resolved_model": repr(model)}
-    config = _config_line(args, resolved)
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    _maybe_write_data_summary(args, outdir, config, data=data)
+    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
 
     sizes = _grid_sizes(n, args.grid_points)
     classical = estimators.classical_rarefaction(data, sizes)
@@ -226,11 +212,8 @@ def cmd_validate(args) -> int:
 
 def cmd_richness(args) -> int:
     data, n, k = _load_stats(args)
-    prior = _sg_prior(args, n)
-    config = _config_line(args, {"resolved_prior": f"sg({prior.a},{prior.b},{prior.n_ref})"})
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    _maybe_write_data_summary(args, outdir, config, data=data)
+    prior, resolved = _sg_prior(args, n)
+    outdir, config = _start_outputs(args, resolved, data)
     post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
     pred = dpinfer.richness_posterior(post, args.nhat, args.draws, args.seed)
     _write_table(outdir, "richness_draws", ["draw", "K_N"],
@@ -243,10 +226,7 @@ def cmd_richness(args) -> int:
 def cmd_extrapolate(args) -> int:
     data, n, k = _load_stats(args)
     model = _model_from_args(args, n, k)
-    config = _config_line(args, {"resolved_model": repr(model)})
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    _maybe_write_data_summary(args, outdir, config, data=data)
+    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
     curve = gibbs.extrapolation(model, n, k, args.m, replicates=args.replicates,
                                 rng_seed=args.seed)
     rows = [(c.size, c.value, c.se if c.se is not None else "") for c in curve]
@@ -257,24 +237,16 @@ def cmd_extrapolate(args) -> int:
 
 def cmd_taxonomic(args) -> int:
     tree = ingest_taxonomy_csv(args.input, args.levels)
-    if args.sg is not None:
-        a, b, n_ref = args.sg
-        sg = dpinfer.StirlingGammaSpec(a=a, b=b, n_ref=int(n_ref))
-    else:
-        sg = dpinfer.StirlingGammaSpec(a=0.3, b=0.1, n_ref=100)
-    level_priors: List[taxo.LevelPrior] = [taxo.DPLevelPrior(sg=sg)]
-    for _ in range(2, args.levels):
-        level_priors.append(taxo.DPLevelPrior(sg=sg))
+    sg, resolved = _sg_prior(args)
+    # ingest_taxonomy_csv has checked levels >= 2
+    level_priors: List[taxo.LevelPrior] = [taxo.DPLevelPrior(sg=sg)] * (args.levels - 1)
     level_priors.append(taxo.APLevelPrior(hyper_mu=tuple(args.hyper_mu),
                                           hyper_sd=args.hyper_sd,
                                           rho=args.rho))
     spec = taxo.TaxonomicModelSpec(levels=tuple(level_priors))
     mcmc = taxo.MCMCSettings(iters=args.mcmc_iters, burn_in=args.burn_in,
                              seed=args.seed, threads=args.threads)
-    config = _config_line(args, {"resolved_prior": f"sg({sg.a},{sg.b},{sg.n_ref})"})
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    _maybe_write_data_summary(args, outdir, config, tree=tree)
+    outdir, config = _start_outputs(args, resolved, tree)
     fit = taxo.fit_taxonomic(spec, tree, mcmc)
 
     payload: Dict = {"level1": _draws_list(fit.level1.values)}
@@ -323,8 +295,7 @@ def cmd_simulate(args) -> int:
         levels = _parse_levels_spec(args.levels_spec)
         config = _config_line(args, {})
         tree = taxo.nested_urn_sample(levels, args.n, args.seed)
-        path = os.path.join(outdir, "simulated_taxonomy.csv")
-        write_taxonomy_csv(tree, path)
+        write_taxonomy_csv(tree, os.path.join(outdir, "simulated_taxonomy.csv"))
         if args.format == "json":
             _write_json(outdir, "simulated_taxonomy", tree.to_json(), config)
         return 0
@@ -342,72 +313,83 @@ def cmd_simulate(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags its cmd_* reads."""
     parser = argparse.ArgumentParser(
         prog="sigmadiv",
         description="Gibbs-type species sampling: diversity inference, richness "
                     "prediction, accumulation curves and taxonomic models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=True):
-        p.add_argument("--input", required=False, help="input CSV path")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--output-dir", required=True)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--family", choices=["dm", "dp", "ap"], default="dp")
-        p.add_argument("--sigma", type=float, default=-1.0, help="dm discount (< 0)")
-        p.add_argument("--bound-h", type=int, help="dm taxon bound H")
-        p.add_argument("--alpha", type=float, help="dp precision")
-        p.add_argument("--gamma", type=float, help="ap diversity")
-        p.add_argument("--sg", type=float, nargs=3, metavar=("A", "B", "NREF"),
-                       help="Stirling-gamma prior")
-        p.add_argument("--gamma-prior", type=float, nargs=2, metavar=("A", "B"))
-        p.add_argument("--mcmc-iters", type=int, default=10_000)
-        p.add_argument("--burn-in", type=int, default=1_000)
-        p.add_argument("--replicates", type=int, default=1_000)
+        p.set_defaults(func=func)
+        return p
+
+    def data(p):
+        p.add_argument("--input", help="input CSV path")
         p.add_argument("--n", type=int, help="sample size (alternative to --input)")
         p.add_argument("--k", type=int, help="distinct count (alternative to --input)")
 
-    p = sub.add_parser("fit", help="point estimates plus a diversity posterior")
-    common(p)
-    p.add_argument("--draws", type=int, default=10_000)
-    p.set_defaults(func=cmd_fit)
+    def model(p):
+        p.add_argument("--family", choices=["dm", "dp", "ap"], default="dp")
+        p.add_argument("--alpha", type=float, help="dp precision")
+        p.add_argument("--sigma", type=float, default=-1.0, help="dm discount (< 0)")
+        p.add_argument("--bound-h", type=int, help="dm taxon bound H")
+        p.add_argument("--gamma", type=float, help="ap diversity")
 
-    p = sub.add_parser("validate", help="rarefaction, frequency-count and RAD checks")
-    common(p)
+    def priors(p, rho=1.0):
+        p.add_argument("--sg", type=float, nargs=3, metavar=("A", "B", "NREF"),
+                       help="Stirling-gamma prior")
+        p.add_argument("--rho", type=float, default=rho, help="coarsening level")
+
+    p = command("fit", cmd_fit, "point estimates plus a diversity posterior")
+    data(p)
+    priors(p)
+    p.add_argument("--family", choices=["dp", "ap"], default="dp")
+    p.add_argument("--gamma-prior", type=float, nargs=2, metavar=("A", "B"))
+    p.add_argument("--draws", type=int, default=10_000)
+
+    p = command("validate", cmd_validate, "rarefaction, frequency-count and RAD checks")
+    p.add_argument("--input", required=True, help="input CSV path")
+    model(p)
+    p.add_argument("--replicates", type=int, default=1_000)
     p.add_argument("--grid-points", type=int, default=250)
     p.add_argument("--r-max", type=int, default=100)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("richness", help="posterior of the total richness K_N")
-    common(p)
+    p = command("richness", cmd_richness, "posterior of the total richness K_N")
+    data(p)
+    priors(p)
     p.add_argument("--nhat", type=float, required=True)
     p.add_argument("--draws", type=int, default=10_000)
-    p.set_defaults(func=cmd_richness)
 
-    p = sub.add_parser("extrapolate", help="out-of-sample accumulation curve")
-    common(p)
+    p = command("extrapolate", cmd_extrapolate, "out-of-sample accumulation curve")
+    data(p)
+    model(p)
+    p.add_argument("--replicates", type=int, default=1_000)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_extrapolate)
 
-    p = sub.add_parser("taxonomic", help="hierarchical fit of a taxonomy CSV")
-    common(p)
+    p = command("taxonomic", cmd_taxonomic, "hierarchical fit of a taxonomy CSV")
+    p.add_argument("--input", required=True, help="taxonomy CSV path")
+    priors(p, rho=0.25)
+    p.add_argument("--threads", type=int, default=1, help="branch fits in a thread pool")
+    p.add_argument("--mcmc-iters", type=int, default=10_000)
+    p.add_argument("--burn-in", type=int, default=1_000)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--hyper-mu", type=float, nargs=2, default=[0.0, 0.0])
     p.add_argument("--hyper-sd", type=float, default=10.0)
-    p.set_defaults(func=cmd_taxonomic, rho=0.25)
 
-    p = sub.add_parser("simulate", help="draw a synthetic dataset from an urn")
-    common(p)
+    p = command("simulate", cmd_simulate, "draw a synthetic dataset from an urn")
+    p.add_argument("--n", type=int, required=True, help="sample size")
+    model(p)
     p.add_argument("--levels-spec", help="nested spec, e.g. 'dp:30;dp:3;ap:0.8'")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -416,9 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except SigmadivError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

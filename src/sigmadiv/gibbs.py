@@ -97,6 +97,8 @@ def log_V(model: GibbsModel, n: int, k: int) -> float:
     """Log of the Gibbs partition weight V_{n,k}; -inf where the weight is 0."""
     _check_nk(n, k)
     if isinstance(model, DirichletProcess):
+        if model.alpha > specfun.STIRLING_FROM:  # k log alpha - log (alpha)_n cancels
+            return (k - n) * math.log(model.alpha) - specfun.log_rising_excess(model.alpha, n)
         return k * math.log(model.alpha) - specfun.log_rising(model.alpha, n)
     if isinstance(model, DirichletMultinomial):
         if k > model.H:

@@ -22,8 +22,9 @@ __all__ = [
     "LogValue",
     "CoefficientTable",
     "log_rising",
+    "log_rising_excess",
+    "STIRLING_FROM",
     "digamma",
-    "log_binom",
     "log_hermite",
     "HERMITE_BLOCK",
     "hermite_ratio_block",
@@ -34,14 +35,14 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
 
 
-_STIRLING_FROM = 1e3  # a above which log (a)_n uses the Stirling series
+STIRLING_FROM = 1e3  # a above which log (a)_n uses the Stirling series
 
 
 def log_rising(a, n: int):
     """log of the rising factorial (a)_n = a (a+1) ... (a+n-1), a > 0, elementwise.
 
     gammaln(a + n) - gammaln(a) cancels for a >> n (it is pure rounding noise
-    once a + n == a in float), so above _STIRLING_FROM it is replaced by the
+    once a + n == a in float), so above STIRLING_FROM it is replaced by the
     difference of Stirling series,
     (a - 1/2) log1p(n/a) + n log(a + n) - n + S(a + n) - S(a)
     with S(z) = 1/(12 z) - 1/(360 z^3); there the only cancellation is of
@@ -50,14 +51,14 @@ def log_rising(a, n: int):
     """
     if n < 0:
         raise DomainError(f"log_rising requires n >= 0, got n={n}")
-    if not isinstance(a, np.ndarray) and 0.0 < a <= _STIRLING_FROM:  # common scalar case
+    if not isinstance(a, np.ndarray) and 0.0 < a <= STIRLING_FROM:  # common scalar case
         return float(sps.gammaln(a + n) - sps.gammaln(a))
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0.0):
         raise DomainError(f"log_rising requires a > 0, got a={a}")
-    big = a > _STIRLING_FROM
+    big = a > STIRLING_FROM
     with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(big, a, _STIRLING_FROM)
+        z = np.where(big, a, STIRLING_FROM)
         zn = z + n
         stirling = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
                     + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
@@ -67,6 +68,30 @@ def log_rising(a, n: int):
     return float(out) if out.ndim == 0 else out
 
 
+def log_rising_excess(a: float, n: int) -> float:
+    """log((a)_n / a^n) = sum_{j<n} log1p(j/a), for a scalar a > STIRLING_FROM.
+
+    log_rising(a, n) - n log a cancels to the float spacing of n log a when a >> n.
+    With x = n/a this is n g(x) + (n - 1/2) log1p(x) + S(a + n) - S(a), where
+    g(x) = log1p(x)/x - 1 = -u + (1 - u) sum_{j>=1} u^{2j}/(2j+1), u = x/(2 + x)
+    (the atanh series of log1p, free of cancellation; used for x <= 1).
+    """
+    if n < 2:
+        return 0.0
+    x = n / a
+    if x > 1.0:
+        g = math.log1p(x) / x - 1.0
+    else:
+        u = x / (2.0 + x)
+        s, p, d = 0.0, u * u, 3.0
+        while p > 1e-17 * d * s:  # add terms p/d until they no longer count
+            s, p, d = s + p / d, p * u * u, d + 2.0
+        g = -u + (1.0 - u) * s
+    zn = a + n  # S(zn) - S(a) rounds to ~eps/a, against a result >= 1/a
+    ds = (1.0 / zn - 1.0 / a) / 12.0 - (zn ** -3 - a ** -3) / 360.0
+    return n * g + (n - 0.5) * math.log1p(x) + ds
+
+
 def digamma(x):
     """Digamma function, restricted to positive arguments."""
     x = np.asarray(x, dtype=float)
@@ -74,13 +99,6 @@ def digamma(x):
         raise DomainError("digamma requires x > 0")
     out = sps.digamma(x)
     return float(out) if out.ndim == 0 else out
-
-
-def log_binom(n: float, r: float) -> float:
-    """log of the binomial coefficient C(n, r); -inf outside 0 <= r <= n."""
-    if r < 0 or r > n:
-        return -np.inf
-    return float(sps.gammaln(n + 1) - sps.gammaln(r + 1) - sps.gammaln(n - r + 1))
 
 
 def _hermite_integrand(order: float, t: float):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from sigmadiv import cli, gibbs
 from sigmadiv.datamodel import ingest_abundance_csv
 
 TINY = "taxon,count\na,30\nb,12\nc,5\nd,2\ne,1\nf,1\ng,1\n"
+TREE = ("level1,level2,level3,count\nf1,g1,s1,20\nf1,g1,s2,5\nf1,g2,s3,3\n"
+        "f2,g3,s4,8\nf2,g3,s5,1\nf3,g4,s6,2\n")
 
 
 @pytest.fixture()
@@ -62,8 +65,10 @@ class TestFit:
                    "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
 
     def test_dm_family_rejected(self, tiny_csv, tmp_path):
-        assert run("fit", "--input", tiny_csv, "--seed", 1, "--family", "dm",
-                   "--bound-h", 10, "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--input", tiny_csv, "--seed", 1, "--family", "dm",
+                "--output-dir", tmp_path / "x")
+        assert exc.value.code == 2
 
     def test_parse_error_exit(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -266,3 +271,81 @@ class TestJsonMirror:
                            "freq_counts": {"1": 3, "2": 1, "5": 1, "12": 1, "30": 1}}
         draws = json.loads((out / "draws.json").read_text())
         assert len(draws["rows"]) == 200
+
+
+# Flags beyond --output-dir/--format/--seed, per subcommand, covering every branch
+# of its command; each argv set runs in csv and in json format.
+CONTRACT_RUNS = {
+    "fit": [["--input", "{csv}", "--sg", 1, 0.02, 52, "--rho", 0.5, "--draws", 50],
+            ["--n", 52, "--k", 7, "--family", "ap", "--gamma-prior", 1, 1,
+             "--draws", 50]],
+    "validate": [["--input", "{csv}", "--family", "dp", "--alpha", 2, "--replicates", 2,
+                  "--grid-points", 10, "--r-max", 5],
+                 ["--input", "{csv}", "--family", "dm", "--bound-h", 10, "--sigma", -1,
+                  "--replicates", 2],
+                 ["--input", "{csv}", "--family", "ap", "--gamma", 1, "--replicates", 2]],
+    "richness": [["--input", "{csv}", "--nhat", 500, "--draws", 50],
+                 ["--n", 52, "--k", 7, "--sg", 1, 0.02, 52, "--rho", 0.5,
+                  "--nhat", 500, "--draws", 50]],
+    "extrapolate": [["--input", "{csv}", "--alpha", 2, "--m", 3],
+                    ["--n", 52, "--k", 7, "--family", "dm", "--bound-h", 10,
+                     "--sigma", -1, "--m", 3],
+                    ["--n", 52, "--k", 7, "--family", "ap", "--gamma", 1, "--m", 3,
+                     "--replicates", 2]],
+    "taxonomic": [["--input", "{tree}", "--levels", 3, "--sg", 0.3, 0.1, 100,
+                   "--rho", 0.25, "--mcmc-iters", 40, "--burn-in", 10, "--threads", 1,
+                   "--hyper-mu", 0, 0, "--hyper-sd", 10]],
+    "simulate": [["--n", 30, "--family", "dp", "--alpha", 2],
+                 ["--n", 30, "--family", "dm", "--bound-h", 4, "--sigma", -1],
+                 ["--n", 30, "--family", "ap", "--gamma", 1],
+                 ["--n", 30, "--levels-spec", "dp:3;dp:2;ap:0.8"]],
+}
+
+
+def _dests(command):
+    """The namespace attributes the subcommand's parser can set."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _attributes_read(argv):
+    """Parse argv, run its command, and return the parsed attributes the command read."""
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = cli._build_parser().parse_args([str(a) for a in argv], namespace=Recorder())
+    read.clear()  # drop the parser's own lookups
+    assert args.func(args) == 0
+    return read
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+    def test_every_flag_is_read(self, command, tiny_csv, tmp_path):
+        tree = tmp_path / "tree.csv"
+        tree.write_text(TREE, encoding="utf-8")
+        read = set()
+        for i, flags in enumerate(CONTRACT_RUNS[command]):
+            for fmt in ("csv", "json"):
+                argv = [str(f).format(csv=tiny_csv, tree=tree) for f in flags]
+                read |= _attributes_read([command, *argv, "--seed", 3, "--format", fmt,
+                                          "--output-dir", tmp_path / f"{i}{fmt}"])
+        assert _dests(command) - read == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["taxonomic"],
+        ["simulate", "--family", "dp", "--alpha", 2],
+        ["richness", "--n", 52, "--k", 7, "--nhat", 500, "--family", "ap", "--gamma", 3],
+        ["fit", "--n", 52, "--k", 7, "--threads", 2],
+    ], ids=["validate-no-input", "taxonomic-no-input", "simulate-no-n",
+            "richness-family", "fit-threads"])
+    def test_missing_or_foreign_flag_is_parse_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", 1, "--output-dir", tmp_path / "x")
+        assert exc.value.code == 2

@@ -123,12 +123,13 @@ class TestSampleCoverage:
         got = estimators.sample_coverage(gibbs.DirichletProcess(alpha), n, k)
         assert got == pytest.approx(n / (n + alpha), rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1e6, 1e15])
+    @pytest.mark.parametrize("alpha", [1e6, 1e15, 1e16, 1e100])
     def test_dp_alpha_far_above_n(self, alpha):
-        # 1 - alpha / (alpha + n); the log V difference it comes from is resolved to
-        # the 2.3e-13 float spacing of 50 log alpha
+        # 1 - alpha / (alpha + n), from a log V difference far below the float
+        # spacing (2.3e-13) of 50 log alpha
         got = estimators.sample_coverage(gibbs.DirichletProcess(alpha), 50, 50)
         assert got == pytest.approx(50 / (alpha + 50), abs=5e-13)
+        assert got == pytest.approx(50 / (alpha + 50), rel=1e-12, abs=0.0)
 
     def test_ap_consistency_with_predictive(self):
         model = gibbs.AldousPitman(1.0)

@@ -39,14 +39,15 @@ class TestLogV:
     def test_dm_support_bound(self):
         assert gibbs.log_V(DM(-1.0, 3), 5, 4) == -np.inf
 
-    @pytest.mark.parametrize("alpha", [1e6, 1e12, 1e15])
+    @pytest.mark.parametrize("alpha", [1e6, 1e12, 1e15, 1e16, 1e100])
     def test_dp_alpha_far_above_n(self, alpha):
-        # V_{n,n} = prod_j alpha / (alpha + j) <= 1; the two ~1.7e3 logs it is the
-        # difference of are spaced 2.3e-13 apart in float
+        # V_{n,n} = prod_j alpha / (alpha + j) <= 1; k log alpha and log (alpha)_n are
+        # ~1.7e3 logs spaced 2.3e-13 apart in float, so their difference cannot be taken
         got = gibbs.log_V(DP(alpha), 50, 50)
+        exact = -math.fsum(math.log1p(j / alpha) for j in range(50))
         assert got <= 0.0
-        assert got == pytest.approx(-math.fsum(math.log1p(j / alpha) for j in range(50)),
-                                    abs=5e-13)
+        assert got == pytest.approx(exact, abs=5e-13)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
