@@ -13,13 +13,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import apinfer, dpinfer, estimators, gibbs, taxo
-from .datamodel import (ingest_abundance_csv, ingest_taxonomy_csv,
-                        stream_to_partition, write_abundance_csv, write_taxonomy_csv)
+from .datamodel import (PartitionData, ingest_abundance_csv, ingest_taxonomy_csv,
+                        write_abundance_csv, write_taxonomy_csv)
 from .errors import DomainError, ParseError
 
 EXIT_PARSE = 2
@@ -46,7 +46,7 @@ def _config_line(args: argparse.Namespace, resolved: Dict) -> str:
     return json.dumps(cfg, sort_keys=True, default=str)
 
 
-def _write_table(outdir: str, name: str, columns: Sequence[str], rows: List[Sequence],
+def _write_table(outdir: str, name: str, columns: Sequence[str], rows: Iterable[Sequence],
                  fmt: str, config: str, value_fmt: str = _SUMMARY_FMT) -> str:
     if fmt == "json":
         return _write_json(outdir, name, {
@@ -112,6 +112,8 @@ def _sg_prior(args, n: Optional[int] = None) -> Tuple[dpinfer.StirlingGammaSpec,
 def _load_stats(args) -> tuple:
     """(PartitionData | None, n, k) from --input or --n/--k."""
     if args.input:
+        if args.n is not None or args.k is not None:
+            raise DomainError("give either --input or --n/--k, not both")
         data = ingest_abundance_csv(args.input)
         return data, data.n, data.k
     if args.n is None or args.k is None:
@@ -137,12 +139,16 @@ def cmd_fit(args) -> int:
                                  "residual": float(est.residual),
                                  "iterations": est.iterations}
     if args.family == "dp":
+        if args.gamma_prior is not None:
+            raise DomainError("--gamma-prior is the ap prior; the dp prior is --sg")
         prior, resolved = _sg_prior(args, n)
         outdir, config = _start_outputs(args, resolved, data)
         post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
         draws = dpinfer.sg_posterior_sample(post, args.draws, args.seed)
         param = "alpha"
     else:
+        if args.sg is not None:
+            raise DomainError("--sg is the dp prior; the ap prior is --gamma-prior")
         a_g, b_g = args.gamma_prior if args.gamma_prior else (1.0, 1.0)
         outdir, config = _start_outputs(
             args, {"resolved_prior": f"gamma({a_g},{b_g})"}, data)
@@ -171,9 +177,9 @@ def cmd_validate(args) -> int:
 
     sizes = _grid_sizes(n, args.grid_points)
     classical = estimators.classical_rarefaction(data, sizes)
-    curve = gibbs.rarefaction(model, n, replicates=args.replicates, rng_seed=args.seed)
-    model_vals = np.array([c.value for c in curve])[sizes - 1]
-    rows = [(int(i), c, m) for i, c, m in zip(sizes, classical, model_vals)]
+    curve = gibbs.rarefaction(model, n, replicates=args.replicates, rng_seed=args.seed,
+                              sizes=sizes)
+    rows = [(c.size, cl, c.value) for c, cl in zip(curve, classical)]
     _write_table(outdir, "rarefaction", ["size", "classical", "model"], rows,
                  args.format, config)
 
@@ -189,8 +195,7 @@ def cmd_validate(args) -> int:
     acc = np.zeros(0)
     acc2 = np.zeros(0)
     for _ in range(args.replicates):
-        sim = stream_to_partition(gibbs.urn_sample(model, n, rng.integers(2**63)))
-        ranked = np.array(sim.abundances, dtype=float)
+        ranked = np.sort(np.bincount(gibbs.urn_sample(model, n, rng)))[::-1].astype(float)
         if ranked.size > acc.size:
             acc = np.pad(acc, (0, ranked.size - acc.size))
             acc2 = np.pad(acc2, (0, ranked.size - acc2.size))
@@ -289,6 +294,8 @@ def _parse_levels_spec(spec: str) -> List[taxo.LevelModel]:
 
 
 def cmd_simulate(args) -> int:
+    if args.levels_spec and (args.alpha, args.bound_h, args.gamma) != (None, None, None):
+        raise DomainError("--alpha, --bound-h and --gamma do not apply with --levels-spec")
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     if args.levels_spec:
@@ -302,10 +309,10 @@ def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     config = _config_line(args, {"resolved_model": repr(model)})
     stream = gibbs.urn_sample(model, args.n, args.seed)
-    data = stream_to_partition(stream)
+    data = PartitionData.from_abundances(np.bincount(stream))
     write_abundance_csv(data, os.path.join(outdir, "simulated_abundance.csv"))
     running = np.maximum.accumulate(stream) + 1
-    rows = [(i + 1, int(kv)) for i, kv in enumerate(running)]
+    rows = enumerate(running.tolist(), start=1)
     _write_table(outdir, "accumulation", ["size", "distinct"], rows, args.format, config)
     if args.format == "json":
         _write_json(outdir, "data_summary", data.to_json(), config)

@@ -207,60 +207,78 @@ def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
 
 
-class _Urn:
-    """Sequential sampler of taxon labels from the predictive law.
+# Urn draws are processed in blocks of this many, so the temporaries of one
+# urn stay a few MB at any n; only a handful of n-length arrays are kept.
+_URN_BLOCK = 1 << 16
 
-    Old-taxon selection with weight n_j - sigma is done in O(1) amortized:
-    a uniformly chosen individual proposes its own taxon (mass n_j), and a
-    sigma-dependent correction is applied by rejection (sigma > 0) or by an
-    extra uniform-taxon mixture component (sigma < 0).
+
+def _discovery_flags(model: GibbsModel, u: np.ndarray) -> np.ndarray:
+    """flags[i]: draw i of one urn discovers a new taxon, reading uniform u[i].
+
+    Draw 0 always discovers.  DP flags are independent Bernoulli(alpha /
+    (alpha + i)); DM and AP flags depend on the count so far, so they take
+    one scalar pass.
     """
-
-    def __init__(self, model: GibbsModel, rng: np.random.Generator):
-        self.model = model
-        self.rng = rng
-        self._p_new = _discovery_fn(model, 0)
-        self.counts: List[int] = []
-        self.individuals: List[int] = []
-        self.n = 0
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    def step(self) -> int:
-        model, rng = self.model, self.rng
-        n, k = self.n, self.k
-        if n == 0 or rng.random() < self._p_new(n, k):
-            label = k
-            self.counts.append(0)
-        else:
-            sigma = model.discount
-            if sigma == 0.0:
-                label = self.individuals[rng.integers(n)]
-            elif sigma < 0.0:
-                s = abs(sigma)
-                if rng.random() < n / (n + k * s):
-                    label = self.individuals[rng.integers(n)]
-                else:
-                    label = int(rng.integers(k))
-            else:
-                while True:  # accept individual's taxon w.p. (n_j - sigma)/n_j >= 1/2
-                    label = self.individuals[rng.integers(n)]
-                    if rng.random() < 1.0 - sigma / self.counts[label]:
-                        break
-        self.counts[label] += 1
-        self.individuals.append(label)
-        self.n += 1
-        return label
+    n = len(u)
+    if isinstance(model, DirichletProcess):
+        p = np.arange(n, dtype=float)
+        p += model.alpha
+        np.divide(model.alpha, p, out=p)
+        return u < p
+    p_new = _discovery_fn(model, n)
+    new = [0]
+    for lo in range(1, n, _URN_BLOCK):
+        for i, ui in enumerate(u[lo:lo + _URN_BLOCK].tolist(), start=lo):
+            if ui < p_new(i, len(new)):
+                new.append(i)
+    flags = np.zeros(n, dtype=bool)
+    flags[new] = True
+    return flags
 
 
-def urn_sample(model: GibbsModel, n_steps: int, rng_seed: int) -> np.ndarray:
+def _urn_labels(flags: np.ndarray, sigma: float, rng: np.random.Generator,
+                starts: np.ndarray) -> np.ndarray:
+    """Taxon labels of urns laid end to end (urn u starts at starts[u]), given their flags.
+
+    A draw that reuses a taxon, with k taxa and m = i - k reusing draws before
+    it in its urn, picks taxon j with weight n_j - sigma = (n_j - 1) + (1 - sigma):
+    it copies a uniform earlier reusing draw w.p. m / (m + (1 - sigma) k), and
+    otherwise a uniform founding draw.  Every draw's founder then follows by
+    pointer jumping; its label is the founder's rank among all founders.
+    """
+    taxa = flags.cumsum()  # founders up to and including each draw
+    n_taxa = int(taxa[-1])
+    pool = (~flags).argsort(kind="stable")  # founders, then reusing draws, in draw order
+    first_taxa = taxa[starts] - 1  # founders of earlier urns, per urn
+    first_reuses = starts - first_taxa  # reusing draws of earlier urns, per urn
+    parent = np.arange(flags.size)
+    for lo in range(n_taxa, flags.size, _URN_BLOCK):
+        reuse = pool[lo:lo + _URN_BLOCK]
+        urn = starts.searchsorted(reuse, "right") - 1
+        first_taxon, first_reuse = first_taxa[urn], first_reuses[urn]
+        k = taxa[reuse] - first_taxon
+        m = reuse - taxa[reuse] - first_reuse
+        v = rng.random((2, reuse.size))
+        copy = v[0] * (m + (1.0 - sigma) * k) < m
+        pick = (v[1] * np.where(copy, m, k)).astype(np.int64)  # v < 1, so pick < m or < k
+        pick += np.where(copy, n_taxa + first_reuse, first_taxon)
+        parent[reuse] = pool[pick]
+    del pool
+    # pointer jumping: the forest is O(log n) deep, so this takes O(log log n) passes
+    while not flags[parent].all():
+        parent = parent[parent]
+    taxa -= 1
+    return taxa[parent]
+
+
+def urn_sample(model: GibbsModel, n_steps: int,
+               rng_seed: Union[int, np.random.Generator]) -> np.ndarray:
     """Draw a stream of n_steps taxon labels (ints in discovery order)."""
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    urn = _Urn(model, np.random.default_rng(rng_seed))
-    return np.array([urn.step() for _ in range(n_steps)], dtype=np.int64)
+    rng = np.random.default_rng(rng_seed)
+    flags = _discovery_flags(model, rng.random(n_steps))
+    return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
 
 
 # Central coefficient tables cached per (kind, sigma); readers share tables,
@@ -385,15 +403,17 @@ def _mc_curve(model: GibbsModel, start_n: int, start_k: int, m: int,
     return mean, np.sqrt(var / replicates)
 
 
-def rarefaction(model: GibbsModel, n: int, replicates: int = 1000,
-                rng_seed: int = 0) -> List[CurvePoint]:
-    """Expected accumulation curve E(K_1), ..., E(K_n).
+def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int = 0,
+                sizes: Optional[Sequence[int]] = None) -> List[CurvePoint]:
+    """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n).
 
     Closed form for DM and DP; Monte Carlo (with standard-error band) for AP.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    sizes = np.arange(1, n + 1)
+    sizes = np.arange(1, n + 1) if sizes is None else np.asarray(sizes, dtype=np.int64)
+    if sizes.size and (sizes.min() < 1 or sizes.max() > n):
+        raise DomainError(f"sizes must lie in [1, {n}]")
     if isinstance(model, DirichletProcess):
         vals = model.alpha * (sps.digamma(model.alpha + sizes) - sps.digamma(model.alpha))
         return [CurvePoint(int(i), float(v)) for i, v in zip(sizes, vals)]
@@ -401,7 +421,7 @@ def rarefaction(model: GibbsModel, n: int, replicates: int = 1000,
         vals = _dm_rarefaction(model, sizes)
         return [CurvePoint(int(i), float(v)) for i, v in zip(sizes, vals)]
     mean, se = _mc_curve(model, 0, 0, n, replicates, np.random.default_rng(rng_seed))
-    return [CurvePoint(int(i), float(v), float(s)) for i, v, s in zip(sizes, mean, se)]
+    return [CurvePoint(int(i), float(mean[i - 1]), float(se[i - 1])) for i in sizes]
 
 
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
@@ -431,8 +451,8 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
                          rng_seed: int = 0) -> np.ndarray:
     """E(M_{r,n}) for r = 1..r_max: expected number of taxa seen exactly r times.
 
-    Closed form for the DP; for other families the urn scheme is averaged
-    over `replicates` simulated samples of size n.
+    Closed form for the DP; for other families the taxon sizes of
+    `replicates` urn samples of size n are averaged.
     """
     if not 1 <= r_max <= n:
         raise DomainError("need 1 <= r_max <= n")
@@ -443,14 +463,11 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
                  + sps.gammaln(n + 1) - sps.gammaln(n - r + 1) - np.log(r))
         return np.exp(log_e)
     rng = np.random.default_rng(rng_seed)
-    acc = np.zeros(r_max)
+    acc = np.zeros(r_max + 2)
     for _ in range(replicates):
-        urn = _Urn(model, rng)
-        for _ in range(n):
-            urn.step()
-        counts = np.bincount(np.minimum(np.array(urn.counts), r_max + 1), minlength=r_max + 2)
-        acc += counts[1:r_max + 1]
-    return acc / replicates
+        sizes = np.bincount(urn_sample(model, n, rng))
+        acc += np.bincount(np.minimum(sizes, r_max + 1), minlength=r_max + 2)
+    return acc[1:r_max + 1] / replicates
 
 
 @dataclass(frozen=True)
@@ -483,9 +500,6 @@ def diversity_indices(model: GibbsModel, shannon_sample_size: int = 4000,
     rng = np.random.default_rng(rng_seed)
     vals = np.empty(replicates)
     for rep in range(replicates):
-        urn = _Urn(model, rng)
-        for _ in range(shannon_sample_size):
-            urn.step()
-        p = np.array(urn.counts, dtype=float) / urn.n
+        p = np.bincount(urn_sample(model, shannon_sample_size, rng)) / shannon_sample_size
         vals[rep] = -np.sum(p * np.log(p))
     return DiversityIndices(simpson, float(vals.mean()), True)

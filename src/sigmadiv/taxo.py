@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.special as sps
@@ -84,48 +85,48 @@ class LevelModel:
 
 
 def nested_urn_sample(levels: Sequence[LevelModel], n_steps: int,
-                      rng_seed: int) -> TaxonomicDataset:
+                      rng_seed: Union[int, np.random.Generator]) -> TaxonomicDataset:
     """Simulate n_steps label tuples from the nested predictive scheme.
 
-    A new taxon discovered at some level forces fresh children at every
-    deeper level, which happens automatically because a new parent starts an
-    empty urn whose first draw is surely new.
+    Level by level: the individuals under one parent taxon form an
+    independent urn whose length is the parent's count, so a new parent
+    always gets a fresh child.  Branch diversities cycle over the parents in
+    order of first appearance in the stream, and labels l{level}_{counter}
+    are numbered by first appearance.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     if len(levels) < 1:
         raise DomainError("at least one level is required")
     rng = np.random.default_rng(rng_seed)
-    L = len(levels)
-    urns: List[Dict[str, gibbs._Urn]] = [dict() for _ in range(L)]
-    discovered: List[int] = [0] * L  # per-level branch counter (for cycling values)
-    labels: List[Dict[Tuple[str, int], str]] = [dict() for _ in range(L)]
-    counters = [0] * L
-    dataset = TaxonomicDataset(levels=L, top={})
-
-    def branch_urn(level: int, parent_key: str) -> gibbs._Urn:
-        urn = urns[level].get(parent_key)
-        if urn is None:
-            value = levels[level].value_for_branch(discovered[level])
-            discovered[level] += 1
-            urn = gibbs._Urn(levels[level].model_for(value), rng)
-            urns[level][parent_key] = urn
-        return urn
-
-    for _ in range(n_steps):
-        parent_key = ""
-        node_map = dataset.top
-        for level in range(L):
-            child = branch_urn(level, parent_key).step()
-            key = (parent_key, child)
-            if key not in labels[level]:
-                counters[level] += 1
-                labels[level][key] = f"l{level + 1}_{counters[level]:05d}"
-            lab = labels[level][key]
-            node = node_map.setdefault(lab, TaxonNode(label=lab))
-            node.count += 1
-            node_map = node.children
-            parent_key = f"{parent_key}/{child}"
+    taxon = np.zeros(n_steps, dtype=np.int64)  # each individual's taxon at the level above
+    dataset = TaxonomicDataset(levels=len(levels), top={})
+    nodes = [TaxonNode(label="", children=dataset.top)]  # the root, parent of level 1
+    for depth, level in enumerate(levels, start=1):
+        order = taxon.argsort(kind="stable")  # grouped by parent, in stream order
+        sizes = np.bincount(taxon)
+        starts = sizes.cumsum() - sizes
+        u = rng.random(n_steps)
+        flags = np.ones(n_steps, dtype=bool)
+        for b, (s, c) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            if c > 1:  # a lone individual founds its taxon without a draw
+                model = level.model_for(level.value_for_branch(b))
+                flags[s:s + c] = gibbs._discovery_flags(model, u[s:s + c])
+        sigma = level.model_for(level.value_for_branch(0)).discount
+        labels = gibbs._urn_labels(flags, sigma, rng, starts)
+        # a taxon's founder is its first individual, so founders in stream
+        # order number the taxa by first appearance
+        first = order[flags]
+        by_first = first.argsort()
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        parent_of = taxon[first[by_first]].tolist()
+        taxon[order] = rank[labels]
+        above, nodes = nodes, []
+        for r, (p, c) in enumerate(zip(parent_of, np.bincount(taxon).tolist()), start=1):
+            node = TaxonNode(label=f"l{depth}_{r:05d}", count=c)
+            above[p].children[node.label] = node
+            nodes.append(node)
     dataset.validate()
     return dataset
 

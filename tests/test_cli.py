@@ -349,3 +349,20 @@ class TestFlagContract:
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--seed", 1, "--output-dir", tmp_path / "x")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["extrapolate", "--input", "{csv}", "--n", 999, "--k", 3, "--alpha", 2, "--m", 3],
+        ["fit", "--input", "{csv}", "--k", 3],
+        ["fit", "--n", 52, "--k", 7, "--family", "ap", "--sg", 5, 5, 5],
+        ["fit", "--n", 52, "--k", 7, "--gamma-prior", 1, 1],
+        ["simulate", "--n", 30, "--levels-spec", "dp:3;ap:0.8", "--gamma", 2],
+        ["simulate", "--n", 30, "--levels-spec", "dp:3;dm:4", "--bound-h", 4],
+        ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2", "--alpha", 2],
+    ], ids=["extrapolate-input-and-nk", "fit-input-and-k", "fit-ap-sg", "fit-dp-gamma-prior",
+            "simulate-nested-gamma", "simulate-nested-bound-h", "simulate-nested-alpha"])
+    def test_flag_the_branch_ignores_is_domain_error(self, argv, tiny_csv, tmp_path):
+        # each flag is read by some branch of its subcommand, but not by the one taken
+        out = tmp_path / "x"
+        argv = [str(a).format(csv=tiny_csv) for a in argv]
+        assert run(*argv, "--seed", 1, "--output-dir", out) == cli.EXIT_DOMAIN
+        assert not out.exists()

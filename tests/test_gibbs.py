@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
+from scipy.stats import chi2
 
 from sigmadiv import gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
@@ -136,9 +137,74 @@ class TestUrn:
         assert abs(ks.mean() - expected) < 3 * ks.std() / math.sqrt(reps)
 
     def test_deterministic(self):
-        a = gibbs.urn_sample(AP(1.0), 50, rng_seed=42)
-        b = gibbs.urn_sample(AP(1.0), 50, rng_seed=42)
-        assert (a == b).all()
+        for model in (DP(2.0), DM(-1.0, 5), AP(1.0)):
+            a = gibbs.urn_sample(model, 500, rng_seed=42)
+            b = gibbs.urn_sample(model, 500, rng_seed=42)
+            c = gibbs.urn_sample(model, 500, np.random.default_rng(42))
+            assert (a == b).all() and (a == c).all()
+
+    @pytest.mark.parametrize("model", [DP(2.0), DM(-1.0, 5), AP(1.0)])
+    def test_labels_in_discovery_order(self, model):
+        labels = gibbs.urn_sample(model, 2_000, rng_seed=1)
+        new = np.diff(np.maximum.accumulate(labels), prepend=-1)
+        assert labels[0] == 0 and set(new.tolist()) <= {0, 1}
+
+    def test_dm_never_exceeds_bound(self):
+        for seed in range(5):
+            labels = gibbs.urn_sample(DM(-5.0, 40), 10_000, rng_seed=seed)
+            assert labels.max() == 39  # all H = 40 taxa are found, and never a 41st
+
+    @pytest.mark.parametrize("block", [gibbs._URN_BLOCK, 2], ids=["one-block", "blocks-of-2"])
+    @pytest.mark.parametrize("model, n", [(DP(1.3), 5), (DM(-0.7, 3), 6), (AP(0.9), 5)],
+                             ids=["dp", "dm", "ap"])
+    def test_partition_law_by_enumeration(self, model, n, block, monkeypatch):
+        monkeypatch.setattr(gibbs, "_URN_BLOCK", block)
+        rng = np.random.default_rng(2024)
+        assert_partition_law(model, n, lambda: gibbs.urn_sample(model, n, rng))
+
+    def test_urns_laid_end_to_end(self, monkeypatch):
+        # three urns in one call, cut into blocks across their borders: every
+        # draw stays in its own urn, and the last urn has the law of a lone one
+        monkeypatch.setattr(gibbs, "_URN_BLOCK", 3)
+        model, sizes = AP(0.9), [4, 1, 5]
+        starts = np.array([0, 4, 5])
+        rng = np.random.default_rng(7)
+
+        def last_urn():
+            flags = np.concatenate([gibbs._discovery_flags(model, rng.random(c))
+                                    for c in sizes])
+            labels = gibbs._urn_labels(flags, model.discount, rng, starts)
+            founders = np.cumsum(flags)
+            assert (labels < founders).all()  # a founder at or before the draw ...
+            urn = np.searchsorted(starts, np.arange(10), "right")
+            assert (urn[np.flatnonzero(flags)[labels]] == urn).all()  # ... in its urn
+            return labels[5:] - labels[5]
+
+        assert_partition_law(model, sizes[-1], last_urn)
+
+
+def assert_partition_law(model, n, draw, reps=20_000):
+    """Chi-square of `reps` label streams of n draws against the exact EPPF.
+
+    Labels in discovery order spell each set partition of the draws uniquely.
+    """
+    exact = {}
+    for blocks in set_partitions(range(n)):
+        code = [0] * n
+        for b, block in enumerate(sorted(blocks, key=min)):
+            for i in block:
+                code[i] = b
+        sizes = [len(block) for block in blocks]
+        if isinstance(model, DP):
+            exact[tuple(code)] = math.exp(dp_log_eppf(model.alpha, sizes))
+        else:
+            exact[tuple(code)] = eppf_of(model, sizes)
+    assert sum(exact.values()) == pytest.approx(1.0, rel=1e-9)
+    freq = Counter(tuple(draw().tolist()) for _ in range(reps))
+    assert set(freq) <= {c for c, p in exact.items() if p > 0}
+    cells = [(freq[c], reps * p) for c, p in exact.items() if p > 0]
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    assert stat < chi2.isf(1e-3, len(cells) - 1)
 
 
 class TestDiscoveryFn:
@@ -259,6 +325,15 @@ class TestCurves:
         for model in TEST_MODELS:
             assert gibbs.rarefaction(model, 1, replicates=200)[0].value == pytest.approx(
                 1.0, abs=0.01)
+
+    @pytest.mark.parametrize("model", TEST_MODELS)
+    def test_sizes_pick_points_of_full_curve(self, model):
+        sizes = [1, 7, 30, 200]
+        full = gibbs.rarefaction(model, 200, replicates=50, rng_seed=4)
+        some = gibbs.rarefaction(model, 200, replicates=50, rng_seed=4, sizes=sizes)
+        assert some == [full[i - 1] for i in sizes]
+        with pytest.raises(DomainError):
+            gibbs.rarefaction(model, 200, sizes=[0, 5])
 
     def test_dp_amazon_endpoint(self, amazon_stats):
         n, k = amazon_stats

@@ -62,6 +62,18 @@ class TestNestedUrn:
             se = ks.std() / math.sqrt(len(ks))
             assert abs(ks.mean() - expected) < max(4 * se, 0.05)
 
+    def test_branch_values_cycle_in_order_of_first_appearance(self):
+        # H = 1 for the 1st, 3rd, ... family to appear: each has one genus;
+        # H = 10^4 for the others: a family seen twice has two genera w.p. ~1
+        levels = [taxo.LevelModel("dp", 5.0),
+                  taxo.LevelModel("dm", (1, 10_000), sigma=-1.0)]
+        tree = taxo.nested_urn_sample(levels, 400, rng_seed=5)
+        labels = list(tree.top)  # insertion order is first appearance
+        assert labels == [f"l1_{i:05d}" for i in range(1, len(labels) + 1)]
+        assert all(len(tree.top[lab].children) == 1 for lab in labels[::2])
+        rich = [tree.top[lab] for lab in labels[1::2] if tree.top[lab].count >= 20]
+        assert rich and all(len(node.children) > 1 for node in rich)
+
     def test_cycling_diversities(self):
         levels = [taxo.LevelModel("dp", 4.0), taxo.LevelModel("dp", (0.2, 5.0))]
         tree = taxo.nested_urn_sample(levels, 400, rng_seed=4)
