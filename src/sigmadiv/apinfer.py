@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.special as sps
 
 from . import gibbs, specfun
 from .draws import PosteriorDraws, trapezoid_cdf
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,13 @@ def log_augmented_likelihood(state: APAugmentedState, abundances: Sequence[int])
         raise DomainError("abundances inconsistent with (n, k)")
     u, g = state.u, state.gamma
     core = ((n - k / 2.0 - 0.5) * math.log(2.0)
-            - sps.gammaln(2 * n - k - 1)
+            - specfun.gammaln(2 * n - k - 1)
             + (k - 1) * math.log(g / 2.0)
             + (2 * n - k - 2) * math.log(u)
             - 0.5 * u * u
             - g / _SQRT2 * u)
-    core += sum(specfun.log_rising(0.5, nj - 1) for nj in abundances if nj > 1)
+    # log (1/2)_{n_j - 1} = log Gamma(n_j - 1/2) - log Gamma(1/2)
+    core += sum(specfun.gammaln(nj - 0.5) - _LOG_SQRT_PI for nj in abundances if nj > 1)
     return state.rho * core
 
 
@@ -311,7 +312,7 @@ def py_prior_density(gamma, theta: float):
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 0.0):
         raise DomainError("gamma must be positive")
-    out = np.exp(-theta * math.log(4.0) - sps.gammaln(theta + 0.5)
+    out = np.exp(-theta * math.log(4.0) - specfun.gammaln(theta + 0.5)
                  + 2.0 * theta * np.log(gamma) - gamma * gamma / 4.0)
     return float(out) if out.ndim == 0 else out
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,16 +29,39 @@ EXIT_INTERNAL = 5
 
 _DRAW_FMT = "%.17g"
 _SUMMARY_FMT = "%.6g"
+_CSV_CHUNK = 1 << 14  # rows formatted and written per step
 
 
-def _fmt(value, fmt: str) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return fmt % value
-    return str(value)
+def _spec(tp: type, fmt: str) -> Optional[str]:
+    """The %-format of a CSV cell of type tp: ints as digits, floats (numpy's float64
+    included) with fmt, anything else by str; None for bools, written true/false."""
+    if issubclass(tp, (bool, np.bool_)):
+        return None
+    if issubclass(tp, (int, np.integer)):
+        return "%d"
+    if issubclass(tp, float):
+        return fmt
+    return "%s"
+
+
+def _cell(value, fmt: str) -> str:
+    spec = _spec(type(value), fmt)
+    return ("true" if value else "false") if spec is None else spec % (value,)
+
+
+def _csv_lines(rows: List[Sequence], fmt: str) -> str:
+    """The CSV lines of rows, formatted a row at a time by one %-template: a column of
+    one type keeps its values, any other (bools, mixed types) is formatted cell by cell."""
+    cols = list(zip(*rows, strict=True))
+    specs = []
+    for i, col in enumerate(cols):
+        kinds = set(map(type, col))
+        spec = _spec(kinds.pop(), fmt) if len(kinds) == 1 else None
+        if spec is None:
+            cols[i] = [_cell(v, fmt) for v in col]
+            spec = "%s"
+        specs.append(spec)
+    return "".join(map((",".join(specs) + "\n").__mod__, zip(*cols)))
 
 
 def _config_line(args: argparse.Namespace, resolved: Dict) -> str:
@@ -56,8 +80,9 @@ def _write_table(outdir: str, name: str, columns: Sequence[str], rows: Iterable[
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {config}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v, value_fmt) for v in row) + "\n")
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CSV_CHUNK)):
+            fh.write(_csv_lines(chunk, value_fmt))
     return path
 
 
@@ -294,8 +319,10 @@ def _parse_levels_spec(spec: str) -> List[taxo.LevelModel]:
 
 
 def cmd_simulate(args) -> int:
-    if args.levels_spec and (args.alpha, args.bound_h, args.gamma) != (None, None, None):
-        raise DomainError("--alpha, --bound-h and --gamma do not apply with --levels-spec")
+    model_flags = (args.family, args.sigma, args.alpha, args.bound_h, args.gamma)
+    if args.levels_spec and model_flags != (None,) * len(model_flags):
+        raise DomainError("--family, --sigma, --alpha, --bound-h and --gamma do not apply "
+                          "with --levels-spec")
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     if args.levels_spec:
@@ -306,6 +333,10 @@ def cmd_simulate(args) -> int:
         if args.format == "json":
             _write_json(outdir, "simulated_taxonomy", tree.to_json(), config)
         return 0
+    if args.family is None:
+        args.family = "dp"
+    if args.sigma is None:
+        args.sigma = -1.0
     model = _model_from_args(args)
     config = _config_line(args, {"resolved_model": repr(model)})
     stream = gibbs.urn_sample(model, args.n, args.seed)
@@ -340,10 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="sample size (alternative to --input)")
         p.add_argument("--k", type=int, help="distinct count (alternative to --input)")
 
-    def model(p):
-        p.add_argument("--family", choices=["dm", "dp", "ap"], default="dp")
+    def model(p, family="dp", sigma=-1.0):
+        p.add_argument("--family", choices=["dm", "dp", "ap"], default=family,
+                       help="model family (default dp)")
         p.add_argument("--alpha", type=float, help="dp precision")
-        p.add_argument("--sigma", type=float, default=-1.0, help="dm discount (< 0)")
+        p.add_argument("--sigma", type=float, default=sigma,
+                       help="dm discount (< 0, default -1)")
         p.add_argument("--bound-h", type=int, help="dm taxon bound H")
         p.add_argument("--gamma", type=float, help="ap diversity")
 
@@ -390,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", cmd_simulate, "draw a synthetic dataset from an urn")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    model(p)
+    model(p, family=None, sigma=None)  # resolved by the flat branch, foreign to --levels-spec
     p.add_argument("--levels-spec", help="nested spec, e.g. 'dp:30;dp:3;ap:0.8'")
     return parser
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.special as sps
 
 from . import specfun
 from .draws import PosteriorDraws, trapezoid_cdf
@@ -158,8 +157,11 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     Starts from a Cornish-Fisher guess and walks the exact CDF
     (P(X <= j) = gammaincc(j + 1, lam)), so it inverts the true distribution
-    and is monotone in lam for fixed u.
+    and is monotone in lam for fixed u.  scipy.special is imported here, not at
+    module level, so that only richness prediction pays for loading it.
     """
+    import scipy.special as sps
+
     z = np.sqrt(2.0) * sps.erfinv(2.0 * u - 1.0)
     j = np.maximum(np.round(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
     cdf = sps.gammaincc(j + 1.0, lam)
@@ -193,7 +195,7 @@ def _discovery_mean(alpha: np.ndarray, n: int, N: np.ndarray) -> np.ndarray:
     zn, zN = z + n, z + N
     series = np.log1p((N - n) / zn) + 0.5 * (1.0 / zn - 1.0 / zN) + (zn ** -2 - zN ** -2) / 12.0
     small = np.where(big, 1.0, alpha)
-    direct = sps.digamma(small + N) - sps.digamma(small + n)
+    direct = specfun.digamma(small + N) - specfun.digamma(small + n)
     return alpha * np.where(big, series, direct)
 
 
@@ -246,7 +248,7 @@ def diversity_transforms(alpha_draws: np.ndarray) -> Dict[str, float]:
     if alpha.size == 0:
         raise DomainError("alpha_draws must be nonempty")
     simpson = float(np.mean(1.0 / (1.0 + alpha)))
-    shannon = float(np.mean(sps.digamma(alpha + 1.0) - sps.digamma(1.0)))
+    shannon = float(np.mean(specfun.digamma(alpha + 1.0) - specfun.digamma(1.0)))
     return {"simpson_mean": simpson, "shannon_mean": shannon}
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.special as sps
 
-from . import gibbs
+from . import gibbs, specfun
 from .datamodel import PartitionData
 from .errors import DomainError, NoFiniteSolutionError
 
@@ -86,11 +85,11 @@ def mle_alpha(n: int, k: int) -> AlphaEstimate:
             f"k = 1 with n = {n}: the likelihood is maximized at the boundary alpha -> 0")
 
     def f(a: float) -> float:
-        return a * (sps.digamma(a + n) - sps.digamma(a)) - k
+        return a * (specfun.digamma(a + n) - specfun.digamma(a)) - k
 
     def fprime(a: float) -> float:
-        return (sps.digamma(a + n) - sps.digamma(a)
-                + a * (sps.polygamma(1, a + n) - sps.polygamma(1, a)))
+        return (specfun.digamma(a + n) - specfun.digamma(a)
+                + a * (specfun.trigamma(a + n) - specfun.trigamma(a)))
 
     return _solve_increasing(f, fprime, "ml")
 
@@ -110,14 +109,14 @@ def classical_rarefaction(data: PartitionData,
     if sizes.size and (sizes.min() < 1 or sizes.max() > n):
         raise DomainError("sizes must lie in 1..n")
     out = np.empty(sizes.shape, dtype=float)
-    lgn = sps.gammaln(n + 1)
-    abund = np.array(data.abundances, dtype=float)
-    for idx, i in enumerate(sizes):
-        log_denom = lgn - sps.gammaln(i + 1) - sps.gammaln(n - i + 1)
-        top = n - abund
+    g = specfun.gammaln
+    lgn = g(n + 1)
+    top = n - np.array(data.abundances, dtype=float)
+    lg_top = g(top + 1)
+    for idx, i in enumerate(sizes.tolist()):
+        log_denom = lgn - g(i + 1) - g(n - i + 1)
         ok = top >= i
-        log_num = (sps.gammaln(top[ok] + 1) - sps.gammaln(top[ok] - i + 1)
-                   - sps.gammaln(i + 1))
+        log_num = lg_top[ok] - g(top[ok] - i + 1) - g(i + 1)
         out[idx] = k - np.exp(log_num - log_denom).sum()
     return out
 

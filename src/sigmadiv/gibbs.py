@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.special as sps
 
 from . import specfun
 from .datamodel import PartitionData
@@ -378,8 +377,8 @@ def _dm_rarefaction(model: DirichletMultinomial, sizes: np.ndarray) -> np.ndarra
     H = model.H
     if H == 1:
         return np.ones_like(sizes, dtype=float)
-    log_num = sps.gammaln(H * s - s + sizes) - sps.gammaln(H * s - s)
-    log_den = sps.gammaln(H * s + sizes) - sps.gammaln(H * s)
+    log_num = specfun.gammaln(H * s - s + sizes) - specfun.gammaln(H * s - s)
+    log_den = specfun.gammaln(H * s + sizes) - specfun.gammaln(H * s)
     return -H * np.expm1(log_num - log_den)
 
 
@@ -415,7 +414,7 @@ def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int
     if sizes.size and (sizes.min() < 1 or sizes.max() > n):
         raise DomainError(f"sizes must lie in [1, {n}]")
     if isinstance(model, DirichletProcess):
-        vals = model.alpha * (sps.digamma(model.alpha + sizes) - sps.digamma(model.alpha))
+        vals = model.alpha * (specfun.digamma(model.alpha + sizes) - specfun.digamma(model.alpha))
         return [CurvePoint(int(i), float(v)) for i, v in zip(sizes, vals)]
     if isinstance(model, DirichletMultinomial):
         vals = _dm_rarefaction(model, sizes)
@@ -432,15 +431,16 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
         raise DomainError("m must be >= 1")
     sizes = np.arange(1, m + 1)
     if isinstance(model, DirichletProcess):
-        vals = k + model.alpha * (sps.digamma(model.alpha + n + sizes)
-                                  - sps.digamma(model.alpha + n))
+        vals = k + model.alpha * (specfun.digamma(model.alpha + n + sizes)
+                                  - specfun.digamma(model.alpha + n))
         return [CurvePoint(int(n + i), float(v)) for i, v in zip(sizes, vals)]
     if isinstance(model, DirichletMultinomial):
         s = abs(model.sigma)
         if k > model.H:
             raise DomainError("k exceeds H")
-        log_ratio = (sps.gammaln(n + model.H * s - s + sizes) - sps.gammaln(n + model.H * s - s)
-                     - sps.gammaln(n + model.H * s + sizes) + sps.gammaln(n + model.H * s))
+        g = specfun.gammaln
+        log_ratio = (g(n + model.H * s - s + sizes) - g(n + model.H * s - s)
+                     - g(n + model.H * s + sizes) + g(n + model.H * s))
         vals = model.H - (model.H - k) * np.exp(log_ratio)
         return [CurvePoint(int(n + i), float(v)) for i, v in zip(sizes, vals)]
     mean, se = _mc_curve(model, n, k, m, replicates, np.random.default_rng(rng_seed))
@@ -459,8 +459,8 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
     if isinstance(model, DirichletProcess):
         a = model.alpha
         r = np.arange(1, r_max + 1, dtype=float)
-        log_e = (math.log(a) + sps.gammaln(a + n - r) - sps.gammaln(a + n)
-                 + sps.gammaln(n + 1) - sps.gammaln(n - r + 1) - np.log(r))
+        g = specfun.gammaln
+        log_e = (math.log(a) + g(a + n - r) - g(a + n) + g(n + 1) - g(n - r + 1) - np.log(r))
         return np.exp(log_e)
     rng = np.random.default_rng(rng_seed)
     acc = np.zeros(r_max + 2)
@@ -489,14 +489,14 @@ def diversity_indices(model: GibbsModel, shannon_sample_size: int = 4000,
     if isinstance(model, DirichletProcess):
         a = model.alpha
         return DiversityIndices(1.0 / (1.0 + a),
-                                float(sps.digamma(a + 1.0) - sps.digamma(1.0)),
+                                specfun.digamma(a + 1.0) - specfun.digamma(1.0),
                                 False)
     if isinstance(model, DirichletMultinomial):
         simpson = 1.0 / (1.0 + model.H * abs(model.sigma))
     else:
         # E(e^{-gamma sqrt(V)}), V ~ Exp(1), equals 1 - gamma sqrt(pi)/2 erfcx(gamma/2)
         g = model.gamma
-        simpson = float(1.0 - g * math.sqrt(math.pi) / 2.0 * sps.erfcx(g / 2.0))
+        simpson = 1.0 - g * math.sqrt(math.pi) / 2.0 * specfun.erfcx(g / 2.0)
     rng = np.random.default_rng(rng_seed)
     vals = np.empty(replicates)
     for rep in range(replicates):

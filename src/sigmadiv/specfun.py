@@ -14,25 +14,194 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import DomainError, TableSizeError
 
 __all__ = [
     "LogValue",
     "CoefficientTable",
+    "gammaln",
+    "digamma",
+    "trigamma",
+    "erfcx",
+    "logsumexp",
     "log_rising",
     "log_rising_excess",
     "STIRLING_FROM",
-    "digamma",
     "log_hermite",
     "HERMITE_BLOCK",
     "hermite_ratio_block",
     "build_coefficients",
 ]
 
-# 512-node Gauss-Legendre rule, shared by every log_hermite call.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
+# Arguments below _SHIFT climb to z = x + m in [_SHIFT, _SHIFT + 1) by the recurrences
+# Gamma(x + 1) = x Gamma(x), psi(x + 1) = psi(x) + 1/x, psi'(x + 1) = psi'(x) - 1/x^2,
+# where the asymptotic series (A&S 6.1.40, 6.3.18, 6.4.12) hold to a few ulps.  A float
+# runs the same float operations as an array entry, logs included (np.log), so the two
+# agree bit for bit; only gammaln's float path differs (math.lgamma, for speed in loops).
+_SHIFT = 8.0
+_HALF_LOG_2PI_M1 = 0.5 * math.log(2.0 * math.pi) - 0.5
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2j
+_LOG_GAMMA_SERIES = tuple(b / (2 * j * (2 * j - 1)) for j, b in enumerate(_BERNOULLI, 1))
+_DIGAMMA_SERIES = tuple(b / (2 * j) for j, b in enumerate(_BERNOULLI, 1))
+
+
+def _horner(r2, coefs):
+    """sum_j coefs[j] r2^j for a float or an array r2 (by Horner, in place on arrays)."""
+    acc = coefs[-1] * r2
+    acc += coefs[-2]
+    for c in coefs[-3::-1]:
+        acc *= r2
+        acc += c
+    return acc
+
+
+def _climb(x: np.ndarray, op, term=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(z, r) for an array x: z = x + m, m >= 0 the least with x + m >= _SHIFT, and r the
+    fold by op (np.add or np.multiply) of term(x + j) (x + j if term is None) over j < m,
+    in order of j (op's identity where m = 0)."""
+    low = x < _SHIFT
+    if not low.any():
+        return x, np.full_like(x, op.identity)
+    xl = x if low.all() else x[low]
+    acc = np.full_like(xl, op.identity)
+    m = np.zeros_like(xl)
+    for j in range(int(_SHIFT)):
+        step = xl + j
+        below = step < _SHIFT
+        op(acc, step if term is None else term(step), out=acc, where=below)
+        m += below
+    if xl is x:
+        return x + m, acc
+    z, r = x.copy(), np.full_like(x, op.identity)
+    z[low], r[low] = xl + m, acc
+    return z, r
+
+
+def _steps(x: float) -> List[float]:
+    """The steps of _climb for a float: x, x + 1, ..., x + m - 1."""
+    if x >= _SHIFT:
+        return []
+    return [x + j for j in range(int(_SHIFT)) if x + j < _SHIFT]
+
+
+def _log_gamma(x):
+    """log Gamma(x), x >= 0, of a float or an array by the Stirling series
+    (z - 1/2)(log z - 1) + log(2 pi)/2 - 1/2 + sum_{j<=8} B_2j / (2j (2j-1) z^(2j-1))
+    less log(x (x+1) ... (x+m-1)); within 1e-14 max(1, |log Gamma|) on [1e-6, 1e8]."""
+    if isinstance(x, np.ndarray):
+        z, prod = _climb(x, np.multiply)
+        drop, log_z = np.log(prod), np.log(z)
+    else:
+        steps = _steps(x)
+        z, drop = x + len(steps), (float(np.log(math.prod(steps))) if steps else 0.0)
+        log_z = float(np.log(z))
+    r = 1.0 / z
+    out = log_z - 1.0  # (z - 1/2)(log z - 1) + log(2 pi)/2 - 1/2 + tail - drop, in place
+    out *= z - 0.5
+    out += _HALF_LOG_2PI_M1
+    out += r * _horner(r * r, _LOG_GAMMA_SERIES)
+    out -= drop
+    return out
+
+
+def gammaln(x):
+    """log Gamma(x) for x >= 0 (+inf at 0), elementwise; a scalar gives a float.
+
+    A scalar goes through math.lgamma (exact at 1 and 2), an array through the
+    Stirling series of _log_gamma.
+    """
+    if not isinstance(x, np.ndarray):
+        if x < 0.0:
+            raise DomainError(f"gammaln requires x >= 0, got {x}")
+        return math.lgamma(x) if x > 0.0 else math.inf
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise DomainError("gammaln requires x >= 0")
+    with np.errstate(divide="ignore"):
+        out = _log_gamma(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def digamma(x):
+    """Digamma function psi(x) of a float or an array, restricted to x > 0.
+
+    log z - 1/(2z) - sum_{j<=8} B_2j / (2j z^2j) less 1/x + ... + 1/(x+m-1);
+    within 2e-15 max(1, |psi|) on [1e-6, 1e8].
+    """
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise DomainError("digamma requires x > 0")
+        z, shift = _climb(x, np.add, np.reciprocal)
+        log_z = np.log(z)
+    else:
+        if not x > 0.0:
+            raise DomainError("digamma requires x > 0")
+        steps = _steps(x)
+        z, shift = x + len(steps), sum(1.0 / v for v in steps)
+        log_z = float(np.log(z))
+    r2 = 1.0 / (z * z)
+    out = log_z - 0.5 / z - r2 * _horner(r2, _DIGAMMA_SERIES) - shift
+    return out if getattr(out, "ndim", 0) else float(out)
+
+
+def trigamma(x):
+    """Trigamma function psi'(x) of a float or an array, restricted to x > 0.
+
+    1/z + 1/(2 z^2) + sum_{j<=8} B_2j / z^(2j+1) plus 1/x^2 + ... + 1/(x+m-1)^2;
+    within 3e-15 relative on [1e-6, 1e8].
+    """
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise DomainError("trigamma requires x > 0")
+        z, shift = _climb(x, np.add, lambda v: 1.0 / (v * v))
+    else:
+        if not x > 0.0:
+            raise DomainError("trigamma requires x > 0")
+        steps = _steps(x)
+        z, shift = x + len(steps), sum(1.0 / (v * v) for v in steps)
+    r = 1.0 / z
+    out = r * (1.0 + r * (0.5 + r * _horner(r * r, _BERNOULLI))) + shift
+    return out if getattr(out, "ndim", 0) else float(out)
+
+
+def erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x) for a scalar x >= 0.
+
+    Below 26, where erfc is still a normal float, x^2 is split exactly as hi + lo
+    (Dekker) so that e^{x^2} carries no rounding of x^2; above, the asymptotic
+    series 1/(x sqrt(pi)) sum_j (-1)^j (2j-1)!! / (2x^2)^j.  Relative error ~1e-15.
+    """
+    if x < 0.0:
+        raise DomainError(f"erfcx requires x >= 0, got {x}")
+    if x < 26.0:
+        hi = x * x
+        c = 134217729.0 * x  # Veltkamp split: xh, xl of 26 bits, so their products are exact
+        xh = c - (c - x)
+        xl = x - xh
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        return math.exp(hi) * math.erfc(x) * (1.0 + lo)
+    s, term, j, q = 1.0, 1.0, 1, 0.5 / (x * x)
+    while abs(term) > 1e-17:
+        term *= -(2 * j - 1) * q
+        s += term
+        j += 1
+    return s / (x * math.sqrt(math.pi))
+
+
+def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log sum_i b_i e^{a_i} for 1-D arrays a and b > 0.
+
+    The largest term is taken out, as in log1p(rest / b_max) + log b_max + a_max.
+    """
+    i = int(np.argmax(a))
+    top = float(a[i])
+    w = b * np.exp(a - top)
+    head = float(w[i])
+    w[i] = 0.0
+    return math.log1p(float(w.sum()) / head) + math.log(head) + top
 
 
 STIRLING_FROM = 1e3  # a above which log (a)_n uses the Stirling series
@@ -47,24 +216,29 @@ def log_rising(a, n: int):
     (a - 1/2) log1p(n/a) + n log(a + n) - n + S(a + n) - S(a)
     with S(z) = 1/(12 z) - 1/(360 z^3); there the only cancellation is of
     size n and the truncation error is below 1e-18.  A scalar a gives a float,
-    an array a an array.
+    an array a an array, and each entry of an array equals the scalar value bit
+    for bit: below STIRLING_FROM both take _log_gamma, not math.lgamma.
     """
     if n < 0:
         raise DomainError(f"log_rising requires n >= 0, got n={n}")
-    if not isinstance(a, np.ndarray) and 0.0 < a <= STIRLING_FROM:  # common scalar case
-        return float(sps.gammaln(a + n) - sps.gammaln(a))
+    if np.ndim(a) == 0 and 0.0 < a <= STIRLING_FROM:  # common scalar case, 0-d arrays too
+        a = float(a)
+        return float(_log_gamma(a + n) - _log_gamma(a))
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0.0):
         raise DomainError(f"log_rising requires a > 0, got a={a}")
+    out = np.empty_like(a)
     big = a > STIRLING_FROM
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(big, a, STIRLING_FROM)
+    small = ...  # every entry, unless some are big
+    if big.any():
+        z = a[big]
         zn = z + n
-        stirling = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
+        out[big] = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
                     + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
-        small = np.where(big, 1.0, a)
-        direct = sps.gammaln(small + n) - sps.gammaln(small)
-    out = np.where(big, stirling, direct)
+        small = ~big
+    a = a[small]
+    if a.size:
+        out[small] = _log_gamma(a + n) - _log_gamma(a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -92,24 +266,29 @@ def log_rising_excess(a: float, n: int) -> float:
     return n * g + (n - 0.5) * math.log1p(x) + ds
 
 
-def digamma(x):
-    """Digamma function, restricted to positive arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("digamma requires x > 0")
-    out = sps.digamma(x)
-    return float(out) if out.ndim == 0 else out
+HERMITE_BLOCK = 4096  # orders per block of the Hermite ratio table
+_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~67 MB of Python floats
+
+_hermite_blocks: "OrderedDict[Tuple[float, int], List[float]]" = OrderedDict()
+_hermite_lock = threading.Lock()
+_gauss_legendre = ()  # (nodes, weights) of the 512-node rule, built on first use
 
 
 def _hermite_integrand(order: float, t: float):
-    """Quadrature nodes u, log-integrand log_f and half-width of the rule for h_order(t).
+    """Nodes u, log-integrand log_f, rule weights and half-width of the rule for h_order(t).
 
     The integrand u^m e^{-u^2/2 - t u}, m = -order - 1, is log-concave.  Its
     mode u* solves m/u - u - t = 0, and since the log-integrand has curvature
     <= -1 everywhere, the region where it exceeds (max - 60) lies within
-    u* +/- sqrt(120); the exact endpoints are bisected and the 512-node rule
-    is placed between them.
+    u* +/- sqrt(120); the exact endpoints are bisected and the 512-node
+    Gauss-Legendre rule, shared by every call, is placed between them.
     """
+    global _gauss_legendre
+    if not _gauss_legendre:
+        with _hermite_lock:
+            if not _gauss_legendre:
+                _gauss_legendre = np.polynomial.legendre.leggauss(512)
+    nodes, weights = _gauss_legendre
     m = -order - 1.0
 
     if m > 0.0:
@@ -140,8 +319,8 @@ def _hermite_integrand(order: float, t: float):
     lo = 0.0 if u_star - span <= 0.0 else bisect(u_star - span, u_star, True)
 
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    u = center + half * _GL_NODES
-    return u, m * np.log(u) - 0.5 * u * u - t * u, half
+    u = center + half * nodes
+    return u, m * np.log(u) - 0.5 * u * u - t * u, weights, half
 
 
 def log_hermite(order: float, t: float) -> float:
@@ -158,16 +337,8 @@ def log_hermite(order: float, t: float) -> float:
         raise DomainError(f"log_hermite requires order < 0, got {order}")
     if t <= 0.0:
         raise DomainError(f"log_hermite requires t > 0, got t={t}")
-    _, log_f, half = _hermite_integrand(order, t)
-    log_integral = sps.logsumexp(log_f, b=_GL_WEIGHTS * half)
-    return float(log_integral - sps.gammaln(-order))
-
-
-HERMITE_BLOCK = 4096  # orders per block of the Hermite ratio table
-_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~67 MB of Python floats
-
-_hermite_blocks: "OrderedDict[Tuple[float, int], List[float]]" = OrderedDict()
-_hermite_lock = threading.Lock()
+    _, log_f, weights, half = _hermite_integrand(order, t)
+    return logsumexp(log_f, weights * half) - gammaln(-order)
 
 
 def hermite_ratio_block(t: float, block: int) -> List[float]:
@@ -220,8 +391,8 @@ def _log_hermite_ratio(order: int, t: float) -> float:
     two log_hermite values would keep the rounding of each (~5e-10 at
     |order| = 4e5).
     """
-    u, log_f, _ = _hermite_integrand(order, t)
-    w = _GL_WEIGHTS * np.exp(log_f - log_f.max())
+    u, log_f, weights, _ = _hermite_integrand(order, t)
+    w = weights * np.exp(log_f - log_f.max())
     return math.log(float(np.dot(w, 1.0 / u)) / float(w.sum())) + math.log(-order - 1.0)
 
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.special as sps
 
-from . import apinfer, gibbs
+from . import apinfer, gibbs, specfun
 from .datamodel import TaxonNode, TaxonomicDataset
 from .dpinfer import CoarsenedPosterior, StirlingGammaSpec, sg_posterior_sample
 from .draws import PosteriorDraws
@@ -266,7 +265,7 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
 
     def hyper_logpost(la_: float, lb_: float, gam_: np.ndarray) -> float:
         a_, b_ = math.exp(la_), math.exp(lb_)
-        like = (len(gam_) * (a_ * lb_ - sps.gammaln(a_))
+        like = (len(gam_) * (a_ * lb_ - specfun.gammaln(a_))
                 + (a_ - 1.0) * np.log(gam_).sum() - b_ * gam_.sum())
         return float(like - ((la_ - mu[0]) ** 2 + (lb_ - mu[1]) ** 2) / (2.0 * sd2))
 

@@ -91,6 +91,39 @@ class TestImport:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_commands_but_richness_never_load_scipy(self, tiny_csv, tmp_path):
+        # one cold interpreter runs every subcommand but richness (the Poisson
+        # quantile imports scipy.special) on tiny inputs
+        tree = tmp_path / "tree.csv"
+        tree.write_text(TREE, encoding="utf-8")
+        runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
+                ["simulate", "--n", 40, "--levels-spec", "dp:3;dp:2;ap:0.8"],
+                ["fit", "--input", tiny_csv, "--family", "dp", "--draws", 50],
+                ["fit", "--input", tiny_csv, "--family", "ap", "--draws", 50],
+                ["extrapolate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
+                 "--m", 5, "--replicates", 3],
+                ["extrapolate", "--input", tiny_csv, "--m", 5],
+                ["validate", "--input", tiny_csv, "--family", "dm", "--bound-h", 10,
+                 "--replicates", 3],
+                ["validate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
+                 "--replicates", 3],
+                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10]]
+        argvs = [[str(a) for a in argv] + ["--seed", "1", "--output-dir",
+                                           str(tmp_path / f"out{i}")]
+                 for i, argv in enumerate(runs)]
+        code = ("import json, sys\n"
+                "import sigmadiv.cli\n"
+                "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "print(json.dumps([codes, scipy]))")
+        src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True).stdout
+        codes, scipy_modules = json.loads(out.strip().splitlines()[-1])
+        assert codes == [0] * len(runs)
+        assert scipy_modules == []
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tiny_csv, tmp_path):
@@ -214,6 +247,14 @@ class TestSimulate:
         ks = [int(r[1]) for r in rows]
         assert ks[0] == 1 and ks == sorted(ks)
 
+    def test_flat_config_resolves_family_and_sigma(self, tmp_path):
+        out = tmp_path / "simcfg"
+        assert run("simulate", "--alpha", 3, "--n", 20, "--seed", 8, "--output-dir", out) == 0
+        with open(out / "accumulation.csv", encoding="utf-8") as fh:
+            config = json.loads(fh.readline()[len("# config: "):])
+        assert config["family"] == "dp" and config["sigma"] == -1.0
+        assert config["resolved_model"] == "DirichletProcess(alpha=3.0)"
+
     def test_dp_amazon_scale_terminal_k(self, tmp_path):
         # E(K_n | alpha-hat) = k by the ML first-order condition; SD ~ sqrt(k)
         out = tmp_path / "big"
@@ -259,6 +300,62 @@ class TestAmazonScale:
         summary = json.loads((out / "richness_summary.json").read_text())
         assert summary["quantiles"]["1"] == pytest.approx(7_752, rel=0.03)
         assert summary["quantiles"]["99"] == pytest.approx(29_058, rel=0.03)
+
+
+def _per_cell_write_table(outdir, name, columns, rows, fmt, config, value_fmt):
+    """The table writer as it was before rows were formatted in bulk: one cell at a time."""
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, float):
+            return value_fmt % value
+        return str(value)
+
+    if fmt == "json":
+        return cli._write_json(outdir, name, {
+            "rows": [{c: (float(v) if isinstance(v, (float, np.floating)) else v)
+                      for c, v in zip(columns, row)} for row in rows]}, config)
+    path = os.path.join(outdir, f"{name}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config: {config}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+    return path
+
+
+class TestWriteTable:
+    COLUMNS = ["i", "x", "mixed", "flag", "label"]
+
+    def _rows(self, json_safe):
+        rng = np.random.default_rng(5)
+        rows = []
+        for i in range(23):
+            x = float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+            mixed = [i, x, np.float64(x), np.float32(x), True, "", "n/a",
+                     np.int64(-i), np.bool_(i % 2), np.uint8(i)][i % 10]
+            if json_safe and isinstance(mixed, (np.integer, np.bool_)):
+                mixed = int(mixed)
+            flag = bool(i % 3) if json_safe else np.bool_(i % 3)
+            rows.append((i if json_safe else np.int64(i), np.float64(x), mixed, flag,
+                         f"l{i:03d}"))
+        return rows
+
+    @pytest.mark.parametrize("value_fmt", [cli._DRAW_FMT, cli._SUMMARY_FMT])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_as_per_cell_writer(self, fmt, value_fmt, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 4)  # chunks end mid-table and on its last row
+        rows = self._rows(json_safe=fmt == "json")
+        config = json.dumps({"command": "test"})
+        for n_rows in (0, 1, 4, 8, 23):
+            old = _per_cell_write_table(str(tmp_path), "old", self.COLUMNS, rows[:n_rows],
+                                        fmt, config, value_fmt)
+            new = cli._write_table(str(tmp_path), "new", self.COLUMNS, iter(rows[:n_rows]),
+                                   fmt, config, value_fmt)
+            with open(old, "rb") as a, open(new, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestJsonMirror:
@@ -358,8 +455,11 @@ class TestFlagContract:
         ["simulate", "--n", 30, "--levels-spec", "dp:3;ap:0.8", "--gamma", 2],
         ["simulate", "--n", 30, "--levels-spec", "dp:3;dm:4", "--bound-h", 4],
         ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2", "--alpha", 2],
+        ["simulate", "--levels-spec", "dp:3;dp:2", "--n", 30, "--family", "ap", "--sigma", -2],
+        ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2", "--sigma", -1],
     ], ids=["extrapolate-input-and-nk", "fit-input-and-k", "fit-ap-sg", "fit-dp-gamma-prior",
-            "simulate-nested-gamma", "simulate-nested-bound-h", "simulate-nested-alpha"])
+            "simulate-nested-gamma", "simulate-nested-bound-h", "simulate-nested-alpha",
+            "simulate-nested-family-sigma", "simulate-nested-default-sigma"])
     def test_flag_the_branch_ignores_is_domain_error(self, argv, tiny_csv, tmp_path):
         # each flag is read by some branch of its subcommand, but not by the one taken
         out = tmp_path / "x"

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pbdv
@@ -72,6 +76,81 @@ class TestDigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.digamma(0.0)
+
+
+# log-spaced reals and the integers up to 6e5 (the largest n the CLI sees is 553,949)
+SPECIAL_X = np.concatenate([np.geomspace(1e-6, 1e8, 20_001), np.arange(1.0, 600_001.0)])
+
+
+def _scaled_error(got, ref):
+    return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+class TestSpecialFunctionsAgainstScipy:
+    def test_gammaln(self):
+        assert _scaled_error(specfun.gammaln(SPECIAL_X), sps.gammaln(SPECIAL_X)) < 1e-14
+
+    def test_digamma(self):
+        assert _scaled_error(specfun.digamma(SPECIAL_X), sps.digamma(SPECIAL_X)) < 1e-14
+
+    def test_trigamma(self):
+        ref = sps.polygamma(1, SPECIAL_X)
+        assert np.max(np.abs(specfun.trigamma(SPECIAL_X) / ref - 1.0)) < 1e-13
+
+    def test_erfcx(self):
+        x = np.concatenate([np.linspace(0.0, 1e3, 20_001), np.geomspace(1e-8, 1e3, 2_001)])
+        got = np.array([specfun.erfcx(v) for v in x.tolist()])
+        assert np.max(np.abs(got / sps.erfcx(x) - 1.0)) < 1e-14
+
+    def test_logsumexp_with_weights(self):
+        # 1e-15 absolute up to |result| = 1, beyond that 1e-15 relative: a result
+        # near -42 has a float spacing of 7e-15
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 7, 512, 600):
+            for _ in range(50):
+                a = rng.uniform(-50.0, 0.0, size)
+                b = rng.uniform(0.0, 1.0, size)
+                ref = sps.logsumexp(a, b=b)
+                assert abs(specfun.logsumexp(a, b) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma"])
+    def test_scalar_and_array_paths_agree(self, name):
+        fn = getattr(specfun, name)
+        x = np.concatenate([np.geomspace(1e-6, 1e8, 2_001), np.arange(1.0, 40.0),
+                            np.arange(7.5, 8.5, 0.01)])
+        scalars = np.array([fn(v) for v in x.tolist()])
+        assert _scaled_error(scalars, fn(x)) < 1e-14
+        assert all(type(fn(v)) is float for v in (0.5, 3, 1e6))
+
+    def test_zero_and_negative_arguments(self):
+        # digamma(0.0) itself: TestDigamma.test_domain
+        with pytest.raises(DomainError):
+            specfun.digamma(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            specfun.trigamma(0.0)
+        with pytest.raises(DomainError):
+            specfun.gammaln(-0.5)
+        with pytest.raises(DomainError):
+            specfun.erfcx(-1.0)
+        # log Gamma has a pole at 0: +inf, as scipy gives, so the taxonomic hyper
+        # log-posterior still reads -inf when its shape exp(log a) underflows to 0
+        assert specfun.gammaln(0.0) == sps.gammaln(0.0) == math.inf
+        assert specfun.gammaln(np.array([0.0, 1.0]))[0] == math.inf
+
+    def test_exact_points(self):
+        assert specfun.gammaln(1.0) == 0.0 and specfun.gammaln(2.0) == 0.0
+        assert specfun.digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-15)
+        assert specfun.trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
+        assert specfun.erfcx(0.0) == 1.0
+
+    def test_gauss_legendre_rule_built_on_first_use(self):
+        src = os.path.dirname(os.path.dirname(specfun.__file__))
+        code = ("from sigmadiv import specfun; assert specfun._gauss_legendre == (); "
+                "specfun.log_hermite(-3.0, 1.0); nodes, weights = specfun._gauss_legendre; "
+                "import numpy as np; ref = np.polynomial.legendre.leggauss(512); "
+                "assert (nodes == ref[0]).all() and (weights == ref[1]).all()")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestLogHermite:
