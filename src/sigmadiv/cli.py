@@ -194,7 +194,13 @@ def _grid_sizes(n: int, points: int) -> np.ndarray:
     return np.unique(np.round(np.geomspace(1, n, points)).astype(np.int64))
 
 
+def _check_replicates(args) -> None:
+    if args.replicates < 1:
+        raise DomainError(f"--replicates must be >= 1, got {args.replicates}")
+
+
 def cmd_validate(args) -> int:
+    _check_replicates(args)
     data = ingest_abundance_csv(args.input)
     n, k = data.n, data.k
     model = _model_from_args(args, n, k)
@@ -254,6 +260,7 @@ def cmd_richness(args) -> int:
 
 
 def cmd_extrapolate(args) -> int:
+    _check_replicates(args)
     data, n, k = _load_stats(args)
     model = _model_from_args(args, n, k)
     outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)

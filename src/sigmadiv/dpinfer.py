@@ -74,8 +74,10 @@ class CoarsenedPosterior:
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         p = self.prior
-        lr_n = specfun.log_rising(alpha, self.n)
-        lr_ref = lr_n if p.n_ref == self.n else specfun.log_rising(alpha, p.n_ref)
+        if p.n_ref == self.n:
+            lr_n = lr_ref = specfun.log_rising(alpha, self.n)
+        else:
+            lr_n, lr_ref = specfun.log_rising_each(alpha, (self.n, p.n_ref))
         return (p.a + self.rho * self.k - 1.0) * np.log(alpha) - self.rho * lr_n - p.b * lr_ref
 
 

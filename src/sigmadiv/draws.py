@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -29,11 +28,15 @@ def effective_sample_size(x: np.ndarray, max_lag: int = 200) -> float:
     x = np.asarray(x, dtype=float)
     n = x.size
     s = 0.0
-    for lag in range(1, min(max_lag, n - 1)):
-        rho = autocorrelation(x, lag)
-        if rho <= 0.0:
-            break
-        s += rho
+    lags = range(1, min(max_lag, n - 1))
+    if lags:
+        d = x - x.mean()  # centred and normed once for every lag, as in autocorrelation()
+        denom = float(np.dot(d, d))
+        for lag in lags:
+            rho = float(np.dot(d[:-lag], d[lag:]) / denom) if denom else 0.0
+            if rho <= 0.0:
+                break
+            s += rho
     return n / (1.0 + 2.0 * s)
 
 
@@ -51,21 +54,27 @@ def summarize_draws(values: np.ndarray) -> Dict[str, float]:
     return out
 
 
-@dataclass
 class PosteriorDraws:
-    """Labeled posterior sample with the coarsening level it was drawn under."""
+    """Labeled posterior sample with the coarsening level it was drawn under.
 
-    name: str
-    values: np.ndarray
-    rho: float
-    seed: Optional[int] = None
-    thin: int = 1
-    ess: float = field(default=0.0)
+    ess is the effective sample size: given by samplers of iid draws, else
+    computed from the values on first read.
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.ess == 0.0:
-            self.ess = effective_sample_size(self.values)
+    def __init__(self, name: str, values: np.ndarray, rho: float,
+                 seed: Optional[int] = None, thin: int = 1, ess: Optional[float] = None):
+        self.name = name
+        self.values = np.asarray(values)
+        self.rho = rho
+        self.seed = seed
+        self.thin = thin
+        self._ess = ess
+
+    @property
+    def ess(self) -> float:
+        if self._ess is None:
+            self._ess = effective_sample_size(self.values)
+        return self._ess
 
     def summary(self) -> Dict[str, float]:
         return summarize_draws(self.values)

@@ -153,13 +153,15 @@ def predictive(model: GibbsModel, n: int, k: int,
     return PredictiveSplit(p_new=p_new, reuse_weights=weights)
 
 
-def _discovery_fn(model: GibbsModel, n_max: int):
-    """p_new(n, k), the discovery probability after n draws and k taxa (n >= 1).
+def _discovery_fn(model: GibbsModel, n_max: int, n0: int = 1, k0: int = 1):
+    """p_new(n, k), the discovery probability after n draws and k taxa, at the
+    states n < n_max of paths of K from K_{n0} = k0 (by default, every state).
 
     DM and DP use their closed forms.  For AP, p_new(n, k) = t h_{k-2n}(t) /
-    h_{k+1-2n}(t) is entry 2n - k - 1 of the Hermite ratio table, read from a
-    flat list the closure holds: orders reached by horizons n < n_max are
-    loaded at once, deeper ones block by block as the caller goes there.
+    h_{k+1-2n}(t) is entry 2n - k - 1 of the Hermite ratio table.  A step adds
+    2 to 2n and at most 1 to k, so the paths read entries from 2 n0 - k0 - 1 up
+    to 2 n_max - 4; the closure holds those as one float64 array.  n may be an
+    integer array, and for AP k too.
     """
     if isinstance(model, DirichletProcess):
         alpha = model.alpha
@@ -167,31 +169,23 @@ def _discovery_fn(model: GibbsModel, n_max: int):
     if isinstance(model, DirichletMultinomial):
         H, s = model.H, abs(model.sigma)
         return lambda n, k: (H - k) * s / (H * s + n) if k < H else 0.0
-    t = model.gamma / math.sqrt(2.0)
-    B = specfun.HERMITE_BLOCK
-    ratios = specfun.hermite_ratio_block(t, 0)
-
-    def grow(i: int) -> None:
-        nonlocal ratios
-        if len(ratios) <= i and len(ratios) == B:  # the cache's own block 0: copy, never mutate
-            ratios = list(ratios)
-        while len(ratios) <= i:
-            ratios.extend(specfun.hermite_ratio_block(t, len(ratios) // B))
-
-    def p_new(n: int, k: int) -> float:
-        try:
-            return ratios[2 * n - k - 1]
-        except IndexError:
-            grow(2 * n - k - 1)
-            return ratios[2 * n - k - 1]
-
-    grow(2 * n_max - 4)  # the deepest entry read at n < n_max (k >= 1)
-    return p_new
+    lowest = 2 * n0 - k0 - 1
+    ratios = _ap_ratios(model.gamma / math.sqrt(2.0), max(2 * n_max - 3, lowest + 1), lowest)
+    return lambda n, k: ratios[2 * n - k - 1 - lowest]
 
 
 def _p_new(model: GibbsModel, n: int, k: int) -> float:
     """One discovery probability; loops build _discovery_fn once instead."""
-    return _discovery_fn(model, 0)(n, k)
+    return float(_discovery_fn(model, n + 1, n, k)(n, k))
+
+
+def _ap_ratios(t: float, stop: int, start: int = 0) -> np.ndarray:
+    """Entries start .. stop - 1 of the Hermite ratio table at t, from its cached blocks."""
+    B = specfun.HERMITE_BLOCK
+    first, last = start // B, max(stop - 1, start) // B
+    blocks = [specfun.hermite_ratio_block(t, b) for b in range(first, last + 1)]
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return table[start - first * B:stop - first * B]
 
 
 def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
@@ -199,10 +193,7 @@ def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
 
     Cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t).
     """
-    B = specfun.HERMITE_BLOCK
-    first, last = -top // B, max(-top + count - 1, -top) // B
-    table = np.concatenate([specfun.hermite_ratio_block(t, b) for b in range(first, last + 1)])
-    p = table[-top - first * B:-top - first * B + count]
+    p = _ap_ratios(t, -top + count, -top)
     return np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
 
 
@@ -210,28 +201,68 @@ def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
 # urn stay a few MB at any n; only a handful of n-length arrays are kept.
 _URN_BLOCK = 1 << 16
 
+# A path of K is thinned in windows of at most _PATH_WINDOW draws; the AP bound
+# on p_new holds for _PATH_STRIDE discoveries, after which a new window starts.
+# Below _PATH_SHORT draws the bound costs more (fixed numpy overhead) than the
+# walk, so every draw of such a window is a candidate.
+_PATH_WINDOW = 1 << 12
+_PATH_STRIDE = 128
+_PATH_SHORT = 32
+
+
+def _path_flags(model: GibbsModel, n: int, k: int, u: np.ndarray, p_new=None) -> np.ndarray:
+    """Discovery flags of one path of K from K_n = k (n >= 1): the draw after
+    n + i observations reads uniform u[i] and discovers iff u[i] < p_new(n + i, K).
+
+    DP's p_new does not depend on K, so its flags are one comparison.  DM and AP
+    are thinned (Lewis & Shedler 1979).  Over a window of draws, one bound holds
+    for p_new at every count the path reaches there: DM's p_new at the window's
+    first count, since it falls as K grows; AP's at that count plus
+    _PATH_STRIDE, since it rises (clamped to the path's first table entry, the
+    largest it reads), and the window ends at the _PATH_STRIDE-th discovery.
+    A draw with u[i] >= bound cannot discover; the others are walked in order
+    with the exact p_new, so the flags are those of the draw-by-draw rule, bit
+    for bit.  A caller that runs many paths from (n, k) passes p_new =
+    _discovery_fn(model, n + len(u), n, k), built once.
+    """
+    m = len(u)
+    if p_new is None:
+        p_new = _discovery_fn(model, n + m, n, k)
+    if isinstance(model, DirichletProcess):
+        return u < p_new(np.arange(n, n + m), k)
+    ap = isinstance(model, AldousPitman)
+    top = 2 * n - k  # at step s, count 2s - top reads the path's first AP table entry
+    new = []  # the steps n + i that discover
+    lo = 0
+    while lo < m:
+        hi = min(lo + _PATH_WINDOW, m)
+        if hi - lo < _PATH_SHORT:
+            candidates, values = range(n + lo, n + hi), u[lo:hi].tolist()
+        else:
+            steps = np.arange(n + lo, n + hi)
+            bound = p_new(steps, np.minimum(k + _PATH_STRIDE, 2 * steps - top) if ap else k)
+            picked = np.flatnonzero(u[lo:hi] < bound) + lo
+            candidates, values = (picked + n).tolist(), u[picked].tolist()
+        last = k + _PATH_STRIDE  # the count that ends the window
+        for s, us in zip(candidates, values):
+            if us < p_new(s, k):
+                new.append(s)
+                k += 1
+                if k == last:
+                    break
+        lo = s - n + 1 if k == last else hi
+    flags = np.zeros(m, dtype=bool)
+    flags[np.array(new, dtype=np.int64) - n] = True
+    return flags
+
 
 def _discovery_flags(model: GibbsModel, u: np.ndarray) -> np.ndarray:
     """flags[i]: draw i of one urn discovers a new taxon, reading uniform u[i].
 
-    Draw 0 always discovers.  DP flags are independent Bernoulli(alpha /
-    (alpha + i)); DM and AP flags depend on the count so far, so they take
-    one scalar pass.
+    Draw 0 always discovers (u[0] is not read); the rest are one path of K from K_1 = 1.
     """
-    n = len(u)
-    if isinstance(model, DirichletProcess):
-        p = np.arange(n, dtype=float)
-        p += model.alpha
-        np.divide(model.alpha, p, out=p)
-        return u < p
-    p_new = _discovery_fn(model, n)
-    new = [0]
-    for lo in range(1, n, _URN_BLOCK):
-        for i, ui in enumerate(u[lo:lo + _URN_BLOCK].tolist(), start=lo):
-            if ui < p_new(i, len(new)):
-                new.append(i)
-    flags = np.zeros(n, dtype=bool)
-    flags[new] = True
+    flags = np.ones(len(u), dtype=bool)
+    flags[1:] = _path_flags(model, 1, 1, u[1:])
     return flags
 
 
@@ -336,15 +367,14 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
     if m < 1:
         raise DomainError("m must be >= 1")
     if m > table_cap:
+        if mc_replicates < 1:
+            raise DomainError(f"mc_replicates must be >= 1 for m > table_cap, "
+                              f"got {mc_replicates}")
         rng = np.random.default_rng(rng_seed)
-        p_new = _discovery_fn(model, n + m)
+        p_new = _discovery_fn(model, n + m, n, k)
         pmf = np.zeros(m + 1)
         for _ in range(mc_replicates):
-            kk = k
-            for i in range(m):
-                if rng.random() < p_new(n + i, kk):
-                    kk += 1
-            pmf[kk - k] += 1.0
+            pmf[np.count_nonzero(_path_flags(model, n, k, rng.random(m), p_new))] += 1.0
         return pmf / pmf.sum()
     sigma = model.discount
     shift = n - sigma * k
@@ -382,19 +412,26 @@ def _dm_rarefaction(model: DirichletMultinomial, sizes: np.ndarray) -> np.ndarra
     return -H * np.expm1(log_num - log_den)
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise DomainError(f"replicates must be >= 1, got {replicates}")
+
+
 def _mc_curve(model: GibbsModel, start_n: int, start_k: int, m: int,
               replicates: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and standard error of K over m further urn steps."""
-    p_new = _discovery_fn(model, start_n + m)
+    _check_replicates(replicates)
+    if start_n:
+        n, k, lead = start_n, start_k, []
+    else:  # draw 0 discovers without reading a uniform; the path starts at K_1 = 1
+        n, k, lead = 1, 1, [1]
+    steps = m - len(lead)
+    p_new = _discovery_fn(model, n + steps, n, k)
     acc = np.zeros(m)
     acc2 = np.zeros(m)
     for _ in range(replicates):
-        k = start_k
-        ks = np.empty(m)
-        for i in range(m):
-            if start_n + i == 0 or rng.random() < p_new(start_n + i, k):
-                k += 1
-            ks[i] = k
+        flags = _path_flags(model, n, k, rng.random(steps), p_new)
+        ks = np.concatenate((lead, k + flags.cumsum()))
         acc += ks
         acc2 += ks * ks
     mean = acc / replicates
@@ -462,6 +499,7 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
         g = specfun.gammaln
         log_e = (math.log(a) + g(a + n - r) - g(a + n) + g(n + 1) - g(n - r + 1) - np.log(r))
         return np.exp(log_e)
+    _check_replicates(replicates)
     rng = np.random.default_rng(rng_seed)
     acc = np.zeros(r_max + 2)
     for _ in range(replicates):
@@ -497,6 +535,7 @@ def diversity_indices(model: GibbsModel, shannon_sample_size: int = 4000,
         # E(e^{-gamma sqrt(V)}), V ~ Exp(1), equals 1 - gamma sqrt(pi)/2 erfcx(gamma/2)
         g = model.gamma
         simpson = 1.0 - g * math.sqrt(math.pi) / 2.0 * specfun.erfcx(g / 2.0)
+    _check_replicates(replicates)
     rng = np.random.default_rng(rng_seed)
     vals = np.empty(replicates)
     for rep in range(replicates):

@@ -11,7 +11,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "erfcx",
     "logsumexp",
     "log_rising",
+    "log_rising_each",
     "log_rising_excess",
     "STIRLING_FROM",
     "log_hermite",
@@ -224,22 +225,35 @@ def log_rising(a, n: int):
     if np.ndim(a) == 0 and 0.0 < a <= STIRLING_FROM:  # common scalar case, 0-d arrays too
         a = float(a)
         return float(_log_gamma(a + n) - _log_gamma(a))
+    out, = log_rising_each(a, (n,))
+    return float(out) if out.ndim == 0 else out
+
+
+def log_rising_each(a, ns: Sequence[int]) -> List[np.ndarray]:
+    """[log (a)_n for n in ns] for an array a > 0, each bit for bit log_rising(a, n).
+
+    The log Gamma(a) that every n below STIRLING_FROM subtracts is computed once.
+    """
+    if any(n < 0 for n in ns):
+        raise DomainError(f"log_rising requires n >= 0, got n={ns}")
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0.0):
         raise DomainError(f"log_rising requires a > 0, got a={a}")
-    out = np.empty_like(a)
     big = a > STIRLING_FROM
-    small = ...  # every entry, unless some are big
-    if big.any():
-        z = a[big]
-        zn = z + n
-        out[big] = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
-                    + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
-        small = ~big
-    a = a[small]
-    if a.size:
-        out[small] = _log_gamma(a + n) - _log_gamma(a)
-    return float(out) if out.ndim == 0 else out
+    small = ~big if big.any() else ...  # every entry, unless some are big
+    z, a = a[big], a[small]
+    log_gamma_a = _log_gamma(a) if a.size else a
+    outs = []
+    for n in ns:
+        out = np.empty(big.shape)
+        if z.size:
+            zn = z + n
+            out[big] = ((z - 0.5) * np.log1p(n / z) + n * np.log(zn) - n
+                        + (1.0 / zn - 1.0 / z) / 12.0 - (zn ** -3 - z ** -3) / 360.0)
+        if a.size:
+            out[small] = _log_gamma(a + n) - log_gamma_a
+        outs.append(out)
+    return outs
 
 
 def log_rising_excess(a: float, n: int) -> float:
@@ -267,9 +281,9 @@ def log_rising_excess(a: float, n: int) -> float:
 
 
 HERMITE_BLOCK = 4096  # orders per block of the Hermite ratio table
-_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~67 MB of Python floats
+_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~17 MB of float64
 
-_hermite_blocks: "OrderedDict[Tuple[float, int], List[float]]" = OrderedDict()
+_hermite_blocks: "OrderedDict[Tuple[float, int], np.ndarray]" = OrderedDict()
 _hermite_lock = threading.Lock()
 _gauss_legendre = ()  # (nodes, weights) of the 512-node rule, built on first use
 
@@ -341,7 +355,7 @@ def log_hermite(order: float, t: float) -> float:
     return logsumexp(log_f, weights * half) - gammaln(-order)
 
 
-def hermite_ratio_block(t: float, block: int) -> List[float]:
+def hermite_ratio_block(t: float, block: int) -> np.ndarray:
     """One block of the Hermite ratio table t h_nu(t) / h_{nu+1}(t), nu < 0.
 
     Entry i of block b is the ratio at order nu = -(b B + i + 1), B =
@@ -355,8 +369,8 @@ def hermite_ratio_block(t: float, block: int) -> List[float]:
     q_nu scaled by 1 - t / q_nu, between 0 and 1).  Each block is seeded at
     its own bottom order by one quadrature of the ratio and climbed to its
     top, so a value depends only on (t, order), never on which blocks were
-    built before.  The returned list is shared with the cache: do not mutate
-    it.  Blocks are kept in an LRU of at most _HERMITE_CACHE_BLOCKS.
+    built before.  The returned float64 array is shared with the cache, so it
+    is read-only.  Blocks are kept in an LRU of at most _HERMITE_CACHE_BLOCKS.
     """
     if t <= 0.0 or block < 0:
         raise DomainError(f"hermite_ratio_block needs t > 0 and block >= 0, got {t}, {block}")
@@ -374,6 +388,8 @@ def hermite_ratio_block(t: float, block: int) -> List[float]:
     for i in range(B - 2, -1, -1):
         q = t + (top + i) / q
         ratios[i] = t / q
+    ratios = np.array(ratios)
+    ratios.flags.writeable = False
     with _hermite_lock:
         _hermite_blocks[key] = ratios
         _hermite_blocks.move_to_end(key)

@@ -218,6 +218,20 @@ class TestExtrapolate:
         assert len(rows) == 3 and int(rows[0][0]) == 101
 
 
+@pytest.mark.parametrize("argv", [
+    ["extrapolate", "--family", "ap", "--gamma", 2, "--n", 100, "--k", 20, "--m", 5,
+     "--replicates", 0],
+    ["extrapolate", "--family", "ap", "--gamma", 2, "--n", 100, "--k", 20, "--m", 5,
+     "--replicates", -3],
+    ["validate", "--input", "{csv}", "--family", "dm", "--bound-h", 10, "--replicates", 0],
+], ids=["extrapolate-0", "extrapolate-negative", "validate-0"])
+def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
+    out = tmp_path / "x"
+    argv = [str(a).format(csv=tiny_csv) for a in argv]
+    assert run(*argv, "--seed", 1, "--output-dir", out) == cli.EXIT_DOMAIN
+    assert not out.exists()
+
+
 class TestTaxonomic:
     def test_fit_toy_tree(self, tmp_path):
         sim_dir = tmp_path / "nsim"

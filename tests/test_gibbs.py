@@ -209,20 +209,88 @@ def assert_partition_law(model, n, draw, reps=20_000):
 
 class TestDiscoveryFn:
     def test_values_independent_of_horizon(self):
-        # built for a long horizon, or for a short one that then grows block by
-        # block, or read from one deep block alone: the same bits at every order
+        # built for a long horizon, or for each point's own short one on a cache
+        # that grows block by block, or read from one deep block alone: the same
+        # bits at every order
         model = AP(2.0)
         points = [(1, 1), (2, 1), (2048, 1), (2049, 1), (3000, 700), (10_000, 300)]
         specfun._hermite_blocks.clear()
         long_first = gibbs._discovery_fn(model, 10_001)
         want = [long_first(n, k) for n, k in points]
         specfun._hermite_blocks.clear()
-        short_first = gibbs._discovery_fn(model, 2)
-        assert [short_first(n, k) for n, k in points] == want
+        assert [gibbs._discovery_fn(model, n + 1)(n, k) for n, k in points] == want
         specfun._hermite_blocks.clear()
         B = specfun.HERMITE_BLOCK
         i = 2 * 10_000 - 300 - 1
         assert specfun.hermite_ratio_block(2.0 / math.sqrt(2.0), i // B)[i % B] == want[-1]
+
+
+def _flags_draw_by_draw(model, n, k, u):
+    """Reference for gibbs._path_flags: u[i] < p_new(n + i, K), then K += flag."""
+    p_new = gibbs._discovery_fn(model, n + len(u))
+    flags = np.zeros(len(u), dtype=bool)
+    for i, ui in enumerate(u.tolist()):
+        if ui < p_new(n + i, k):
+            flags[i] = True
+            k += 1
+    return flags
+
+
+class TestPathFlags:
+    @pytest.mark.parametrize("model, n, k, m", [
+        (DP(2.0), 1, 1, 9_000),
+        (DP(300.0), 50, 20, 5_000),
+        (DM(-5.0, 40), 1, 1, 10_000),  # K reaches H = 40 and stops
+        (DM(-1.0, 3), 30, 3, 50),  # starts at K = H
+        (DM(-0.3, 20_000), 1, 1, 9_000),  # many discoveries: the bound is renewed
+        (AP(20.0), 1, 1, 9_000),  # p_new near 1: each window ends at its stride
+        (AP(2.0), 1, 1, 9_000),  # orders cross block seams and window boundaries
+        (AP(0.3), 2_000, 5, 3_000),
+        (AP(6.0), 1_500, 300, 1_500),  # entries 2n - k - 1 from 2699 past 4096
+    ], ids=["dp", "dp-large-alpha", "dm-reaches-h", "dm-at-h", "dm-wide", "ap-fast",
+            "ap-from-one", "ap-slow", "ap-block-seam"])
+    def test_matches_draw_by_draw(self, model, n, k, m):
+        for seed in range(3):
+            u = np.random.default_rng(seed).random(m)
+            got = gibbs._path_flags(model, n, k, u)
+            assert got.dtype == bool and got.shape == (m,)
+            assert (got == _flags_draw_by_draw(model, n, k, u)).all()
+
+    @given(family=st.sampled_from(["dp", "dm", "ap"]), value=st.floats(0.05, 30.0),
+           n=st.integers(1, 6_000), k_frac=st.floats(0.0, 1.0), m=st.integers(0, 700),
+           window=st.integers(1, 300), stride=st.integers(1, 20), short=st.integers(0, 40),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_any_window_and_stride(self, family, value, n, k_frac, m, window, stride, short,
+                                   seed):
+        model = {"dp": DP(value), "dm": DM(-value, max(1, round(20 * value))),
+                 "ap": AP(value)}[family]
+        k = 1 + round(k_frac * (n - 1))
+        if family == "dm":
+            k = min(k, model.H)
+        u = np.random.default_rng(seed).random(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gibbs, "_PATH_WINDOW", window)
+            mp.setattr(gibbs, "_PATH_STRIDE", stride)
+            mp.setattr(gibbs, "_PATH_SHORT", short)
+            got = gibbs._path_flags(model, n, k, u)
+        assert (got == _flags_draw_by_draw(model, n, k, u)).all()
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 5.0, 20.0])
+    def test_ap_table_non_increasing(self, t):
+        # the premise of the AP bound: p_new(n, k) = entry 2n - k - 1 never falls
+        # as k grows, so the entry at k + stride bounds every count up to it
+        table = gibbs._ap_ratios(t, 1 << 18)
+        assert table.size == 1 << 18
+        assert (np.diff(table) <= 0.0).all()
+
+    def test_cached_blocks_read_only(self):
+        block = specfun.hermite_ratio_block(1.0, 0)
+        view = gibbs._ap_ratios(1.0, 100, 10)  # inside one block: a view of the cache
+        for table in (block, view):
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+        assert view[0] == block[10]
 
 
 class TestPriorKnPmf:
@@ -313,6 +381,14 @@ class TestPosteriorKmPmf:
                 gibbs.posterior_Km_pmf(model, n, k, 25)
         assert len(gibbs._table_cache) == size
 
+    def test_fewer_than_one_replicate(self):
+        # the Monte Carlo branch needs a replicate; the exact one reads none
+        for r in (0, -3):
+            with pytest.raises(DomainError):
+                gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 50, table_cap=10, mc_replicates=r)
+        exact = gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 50, mc_replicates=0)
+        assert exact.sum() == pytest.approx(1.0, abs=1e-8)
+
     def test_mc_fallback(self):
         exact = gibbs.posterior_Km_pmf(DP(2.0), 5, 3, 4)
         mc = gibbs.posterior_Km_pmf(DP(2.0), 5, 3, 4, table_cap=2,
@@ -378,6 +454,19 @@ class TestCurves:
             finals[r] = kk
         closed = gibbs.extrapolation(model, n, k, m)[-1].value
         assert abs(finals.mean() - closed) < 3 * finals.std() / math.sqrt(reps)
+
+
+class TestReplicates:
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_urn_averages_need_a_replicate(self, replicates):
+        calls = [lambda: gibbs.rarefaction(AP(2.0), 50, replicates=replicates),
+                 lambda: gibbs.extrapolation(AP(2.0), 100, 20, 5, replicates=replicates),
+                 lambda: gibbs.expected_freq_counts(DM(-1.0, 5), 20, 3, replicates=replicates),
+                 lambda: gibbs.diversity_indices(AP(1.0), 100, replicates=replicates),
+                 lambda: gibbs.diversity_indices(DM(-1.0, 5), 100, replicates=replicates)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestFreqCounts:

@@ -51,7 +51,18 @@ class TestLogRising:
                 want = math.fsum(math.log(ai) + math.log1p(j / ai) for j in range(n))
                 assert gi == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    def test_each_equals_log_rising(self):
+        # one log Gamma(a) for several n: every entry as the scalar log_rising,
+        # on a grid that straddles STIRLING_FROM
+        a = np.concatenate([np.geomspace(1e-3, 1e6, 400), [specfun.STIRLING_FROM]])
+        ns = (40, 0, 52, 553_949)
+        for n, got in zip(ns, specfun.log_rising_each(a, ns)):
+            assert got.shape == a.shape
+            assert got.tolist() == [specfun.log_rising(float(ai), n) for ai in a]
+
     def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.log_rising_each(np.array([1.0]), (3, -1))
         with pytest.raises(DomainError):
             specfun.log_rising(0.0, 3)
         with pytest.raises(DomainError):
