@@ -18,7 +18,7 @@ class ParseError(SigmadivError, ValueError):
 
 
 class TableSizeError(SigmadivError, ValueError):
-    """A coefficient table larger than the configured cap was requested."""
+    """An exact pmf longer than the cap was requested."""
 
 
 class SamplerError(SigmadivError, RuntimeError):

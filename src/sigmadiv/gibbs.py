@@ -9,9 +9,8 @@ them through log_V(n, k), the log partition weights.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +91,13 @@ def _check_nk(n: int, k: int) -> None:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _check_state(model: GibbsModel, n: int, k: int) -> None:
+    """Refuse (n, k) unless the model's paths of K reach it."""
+    _check_nk(n, k)
+    if isinstance(model, DirichletMultinomial) and k > model.H:
+        raise DomainError("k exceeds H")
+
+
 def log_V(model: GibbsModel, n: int, k: int) -> float:
     """Log of the Gibbs partition weight V_{n,k}; -inf where the weight is 0."""
     _check_nk(n, k)
@@ -142,14 +148,14 @@ class PredictiveSplit:
 
 def predictive(model: GibbsModel, n: int, k: int,
                abundances: Sequence[int]) -> PredictiveSplit:
+    _check_state(model, n, k)
     abundances = np.asarray(abundances, dtype=float)
     if len(abundances) != k or abundances.sum() != n:
         raise DomainError("abundances inconsistent with (n, k)")
-    base = log_V(model, n, k)
-    new = log_V(model, n + 1, k + 1) if k + 1 <= n + 1 else -np.inf
-    p_new = float(np.exp(new - base))
-    reuse_scale = float(np.exp(log_V(model, n + 1, k) - base))
-    weights = (abundances - model.discount) * reuse_scale
+    # V_{n,k} = (n - sigma k) V_{n+1,k} + V_{n+1,k+1}, so the reuse scale
+    # V_{n+1,k} / V_{n,k} is (1 - p_new) / (n - sigma k)
+    p_new = _p_new(model, n, k)
+    weights = (abundances - model.discount) * ((1.0 - p_new) / (n - model.discount * k))
     return PredictiveSplit(p_new=p_new, reuse_weights=weights)
 
 
@@ -188,13 +194,29 @@ def _ap_ratios(t: float, stop: int, start: int = 0) -> np.ndarray:
     return table[start - first * B:stop - first * B]
 
 
-def _ap_log_h_drop(t: float, top: int, count: int) -> np.ndarray:
-    """log h_nu(t) - log h_top(t) for nu = top, top - 1, ..., top - count (top <= 0).
-
-    Cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t).
-    """
-    p = _ap_ratios(t, -top + count, -top)
-    return np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
+def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
+    """log V_{n+m,k+j} - log V_{n,k} for j = 0..m; -inf where k + j exceeds DM's H."""
+    j = np.arange(m + 1)
+    if isinstance(model, DirichletProcess):
+        a = model.alpha
+        if a > specfun.STIRLING_FROM:  # m log a cancels out of log (a+n)_m; take it out exactly
+            return ((j - m) * math.log(a)
+                    - (m * math.log1p(n / a) + specfun.log_rising_excess(a + n, m)))
+        return j * math.log(a) - specfun.log_rising(a + n, m)
+    if isinstance(model, DirichletMultinomial):
+        s, H = abs(model.sigma), model.H
+        with np.errstate(divide="ignore"):  # log 0 from the (H+1)-th taxon on
+            log_taxa = np.log(np.maximum(H - np.arange(k, k + m), 0.0))
+        return (j * math.log(s) + np.concatenate(([0.0], np.cumsum(log_taxa)))
+                - specfun.log_rising(H * s + n, m))
+    # the Hermite order k + j + 1 - 2(n+m) sits 2m - j below the base order
+    # top = k + 1 - 2n <= 0; log h_nu - log h_top for nu = top, top - 1, ...
+    # are cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t)
+    t = model.gamma / math.sqrt(2.0)
+    p = _ap_ratios(t, 2 * n - k - 1 + 2 * m, 2 * n - k - 1)
+    drop = np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
+    return ((m - j / 2.0) * math.log(2.0) + j * math.log(model.gamma / 2.0)
+            + drop[2 * m - j])
 
 
 # Urn draws are processed in blocks of this many, so the temporaries of one
@@ -311,47 +333,21 @@ def urn_sample(model: GibbsModel, n_steps: int,
     return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
 
 
-# Central coefficient tables cached per (kind, sigma); readers share tables,
-# construction is serialized.
-_table_cache: Dict[Tuple, specfun.CoefficientTable] = {}
-_table_lock = threading.Lock()
-
 DEFAULT_TABLE_CAP = 10_000
 
 
-def _coeff_table(sigma: float, shift: float, cap: int) -> specfun.CoefficientTable:
-    if sigma == 0.0:
-        kind = "noncentral_stirling1" if shift else "stirling1"
-    else:
-        kind = "noncentral_gen_factorial" if shift else "gen_factorial"
-    if shift:  # keyed on the data through n - sigma*k, so a cache would only grow
-        return specfun.build_coefficients(kind, sigma=sigma, shift=shift, n_max=cap)
-    key = (kind, sigma)
-    with _table_lock:
-        table = _table_cache.get(key)
-        if table is None or table.n_max < cap:
-            table = specfun.build_coefficients(kind, sigma=sigma, n_max=cap)
-            _table_cache[key] = table
-    return table
-
-
 def prior_Kn_pmf(model: GibbsModel, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
-    """P(K_n = k) for k = 1..n: V_{n,k} times the sigma-scaled factorial coefficient."""
+    """P(K_n = k) for k = 1..n: the law of the new taxa among n - 1 draws after K_1 = 1.
+
+    V_{1,1} = 1, so this is posterior_Km_pmf(model, 1, 1, n - 1).
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > table_cap:
         raise TableSizeError(f"n={n} exceeds table cap {table_cap}")
-    row = _coeff_table(model.discount, 0.0, table_cap).log_row(n)[1:]
-    if isinstance(model, AldousPitman):
-        # orders k + 1 - 2n run from 1 - n (k = n) down: one anchor, then the ratio table
-        t = model.gamma / math.sqrt(2.0)
-        anchor = specfun.log_hermite(1 - n, t) if n > 1 else 0.0
-        ks = np.arange(1, n + 1)
-        logv = ((n - ks / 2.0 - 0.5) * math.log(2.0) + (ks - 1) * math.log(model.gamma / 2.0)
-                + anchor + _ap_log_h_drop(t, 1 - n, n - 1)[::-1])
-    else:
-        logv = np.array([log_V(model, n, k) for k in range(1, n + 1)])
-    return np.exp(logv + row)
+    if n == 1:
+        return np.array([1.0])
+    return posterior_Km_pmf(model, 1, 1, n - 1, table_cap)
 
 
 def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
@@ -359,11 +355,12 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
                      mc_replicates: int = 20_000, rng_seed: int = 0) -> np.ndarray:
     """P(K^{(n)}_m = j | K_n = k) for j = 0..m, the law of newly discovered taxa.
 
-    Exact via non-central coefficient tables for m within the table cap;
-    horizons beyond the cap fall back to a Monte Carlo histogram of urn
-    continuations.
+    For m up to table_cap it is exact: V_{n+m,k+j} / V_{n,k} times row m of the
+    non-central coefficients at shift n - sigma k.  A longer horizon is a Monte
+    Carlo histogram of mc_replicates paths of K from K_n = k, seeded by
+    rng_seed.  A state that no path reaches (k > H for DM) is a domain error.
     """
-    _check_nk(n, k)
+    _check_state(model, n, k)
     if m < 1:
         raise DomainError("m must be >= 1")
     if m > table_cap:
@@ -377,20 +374,8 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
             pmf[np.count_nonzero(_path_flags(model, n, k, rng.random(m), p_new))] += 1.0
         return pmf / pmf.sum()
     sigma = model.discount
-    shift = n - sigma * k
-    row = _coeff_table(sigma, shift, table_cap).log_row(m)
-    if isinstance(model, AldousPitman):
-        # log V_{n+m,k+j} - log V_{n,k}: the order k + j + 1 - 2(n+m) sits 2m - j
-        # below the base order k + 1 - 2n, so the Hermite part is a ratio-table sum
-        j = np.arange(m + 1)
-        t = model.gamma / math.sqrt(2.0)
-        drop = _ap_log_h_drop(t, k + 1 - 2 * n, 2 * m)
-        return np.exp((m - j / 2.0) * math.log(2.0) + j * math.log(model.gamma / 2.0)
-                      + drop[2 * m - j] + row)
-    base = log_V(model, n, k)
-    logv = np.array([log_V(model, n + m, k + j) if k + j <= n + m else -np.inf
-                     for j in range(m + 1)])
-    return np.exp(logv - base + row)
+    row = specfun.CoefficientTable(sigma, n - sigma * k).log_row(m)
+    return np.exp(_log_V_ratio(model, n, k, m) + row)
 
 
 @dataclass(frozen=True)
@@ -463,7 +448,7 @@ def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
                   rng_seed: int = 0) -> List[CurvePoint]:
     """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k)."""
-    _check_nk(n, k)
+    _check_state(model, n, k)
     if m < 1:
         raise DomainError("m must be >= 1")
     sizes = np.arange(1, m + 1)
@@ -473,8 +458,6 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
         return [CurvePoint(int(n + i), float(v)) for i, v in zip(sizes, vals)]
     if isinstance(model, DirichletMultinomial):
         s = abs(model.sigma)
-        if k > model.H:
-            raise DomainError("k exceeds H")
         g = specfun.gammaln
         log_ratio = (g(n + model.H * s - s + sizes) - g(n + model.H * s - s)
                      - g(n + model.H * s + sizes) + g(n + model.H * s))

@@ -10,15 +10,14 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, TableSizeError
+from .errors import DomainError
 
 __all__ = [
-    "LogValue",
     "CoefficientTable",
     "gammaln",
     "digamma",
@@ -32,7 +31,6 @@ __all__ = [
     "log_hermite",
     "HERMITE_BLOCK",
     "hermite_ratio_block",
-    "build_coefficients",
 ]
 
 # Arguments below _SHIFT climb to z = x + m in [_SHIFT, _SHIFT + 1) by the recurrences
@@ -413,116 +411,42 @@ def _log_hermite_ratio(order: int, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class LogValue:
-    """A real number stored as sign and log magnitude.
-
-    sign == 0 encodes an exact zero, in which case log_magnitude is -inf.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogValue":
-        if x == 0.0:
-            return cls(-np.inf, 0)
-        return cls(float(np.log(abs(x))), 1 if x > 0 else -1)
-
-    def value(self) -> float:
-        return 0.0 if self.sign == 0 else self.sign * float(np.exp(self.log_magnitude))
-
-
-_KINDS = ("gen_factorial", "stirling1", "noncentral_gen_factorial", "noncentral_stirling1")
-
-# Rows are retained up to this index; larger rows are recomputed by rolling
-# the recursion forward without retention ((n_max=1e4)^2/2 floats would not fit).
-_RETAIN_ROWS = 4096
-
-
-@dataclass
 class CoefficientTable:
-    """Triangular table of (non-central) generalized factorial coefficients.
+    """Rows of the sigma-scaled non-central generalized factorial coefficients.
 
-    Entries are stored in the sigma-scaled form E(n, k) = C(n, k; sigma) / sigma^k
-    (its sigma -> 0 limit is the signless Stirling number of the first kind),
-    which is strictly positive for every sigma < 1, so only log magnitudes are
-    kept.  The scaled entries obey the single forward recursion
+    Entry (m, j) is E(m, j) = C(m, j; sigma, shift) / sigma^j (its sigma -> 0
+    limit is the non-central signless Stirling number of the first kind),
+    strictly positive for sigma < 1 and shift > 0, so only log magnitudes are
+    kept.  The entries obey the forward recursion
 
-        E(n+1, k) = (n + shift - sigma*k) * E(n, k) + E(n, k-1),   E(0, 0) = 1,
+        E(m+1, j) = (m + shift - sigma*j) * E(m, j) + E(m, j-1),   E(0, 0) = 1.
 
-    with shift = 0 for the central kinds.  Row n holds k = 0..n; entry (1, 1)
-    equals 1 for every kind.
+    With shift = n - sigma*k, row m weighs the new taxa among m draws after n
+    draws and k taxa.  With shift = 1 - sigma, E(m, j) is the central
+    coefficient at (m + 1, j + 1), whose row weighs K_{m+1} under the prior.
     """
 
-    kind: str
     sigma: float
     shift: float
-    n_max: int
-    _rows: list = field(default_factory=list, repr=False)
-    _big_row: tuple = field(default=None, repr=False)  # (n, row) cache beyond retention
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def log_row(self, n: int) -> np.ndarray:
-        """Log magnitudes of scaled entries (k = 0..n) of row n."""
-        if n < 0:
+    def __post_init__(self):
+        if not self.sigma < 1.0:
+            raise DomainError(f"coefficient tables need sigma < 1, got {self.sigma}")
+        if not self.shift > 0.0:
+            raise DomainError(f"coefficient tables need shift > 0, got {self.shift}")
+
+    def log_row(self, m: int) -> np.ndarray:
+        """log E(m, j) for j = 0..m, rolled forward from row 0 in two row buffers."""
+        if m < 0:
             raise DomainError("row index must be >= 0")
-        if n > self.n_max:
-            raise TableSizeError(f"row {n} exceeds table cap n_max={self.n_max}")
-        with self._lock:
-            if n < len(self._rows):
-                return self._rows[n]
-            if n <= _RETAIN_ROWS:
-                while len(self._rows) <= n:
-                    self._rows.append(self._next_row(self._rows[-1], len(self._rows) - 1))
-                return self._rows[n]
-            if self._big_row is not None and self._big_row[0] == n:
-                return self._big_row[1]
-            while len(self._rows) <= _RETAIN_ROWS:
-                self._rows.append(self._next_row(self._rows[-1], len(self._rows) - 1))
-            row = self._rows[-1]
-            for i in range(len(self._rows) - 1, n):
-                row = self._next_row(row, i)
-            self._big_row = (n, row)
-            return row
-
-    def log_value(self, n: int, k: int) -> LogValue:
-        if k < 0 or k > n:
-            return LogValue(-np.inf, 0)
-        mag = float(self.log_row(n)[k])
-        return LogValue(mag, 0 if mag == -np.inf else 1)
-
-    def _next_row(self, row: np.ndarray, n: int) -> np.ndarray:
-        k = np.arange(n + 2, dtype=float)
-        coef = n + self.shift - self.sigma * k
-        with np.errstate(divide="ignore"):
-            log_coef = np.where(coef > 0.0, np.log(np.maximum(coef, 1e-300)), -np.inf)
-        stay = np.concatenate([row, [-np.inf]]) + log_coef
-        grow = np.concatenate([[-np.inf], row])
-        return np.logaddexp(stay, grow)
-
-
-def build_coefficients(kind: str, sigma: float = 0.0, shift: float = 0.0,
-                       n_max: int = 10_000) -> CoefficientTable:
-    """Build a coefficient table of the given kind (entries filled lazily).
-
-    kinds: gen_factorial(sigma), stirling1, noncentral_gen_factorial(sigma, shift),
-    noncentral_stirling1(shift).  The central kinds require shift == 0; the
-    stirling kinds fix sigma = 0.  sigma may be any value < 1 except 0 for the
-    gen_factorial kinds (negative sigma covers Dirichlet-multinomial laws).
-    """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown coefficient kind {kind!r}")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if kind.endswith("stirling1"):
-        sigma = 0.0
-    elif sigma == 0.0 or sigma >= 1.0:
-        raise DomainError(f"gen_factorial kinds need sigma < 1, sigma != 0; got {sigma}")
-    if kind.startswith("noncentral"):
-        if shift <= 0.0:
-            raise DomainError("noncentral kinds need shift > 0")
-    elif shift != 0.0:
-        raise DomainError("central kinds take no shift")
-    table = CoefficientTable(kind=kind, sigma=sigma, shift=shift, n_max=n_max)
-    table._rows.append(np.array([0.0]))  # E(0, 0) = 1
-    return table
+        row = np.full(m + 1, -np.inf)
+        row[0] = 0.0
+        nxt = row.copy()
+        sigma_j = self.sigma * np.arange(m + 1, dtype=float)
+        for i in range(m):  # row i (entries 0..i) -> row i + 1 in nxt
+            log_coef = np.log(i + self.shift - sigma_j[:i + 1])
+            nxt[0] = row[0] + log_coef[0]
+            np.logaddexp(row[1:i + 1] + log_coef[1:], row[:i], out=nxt[1:i + 1])
+            nxt[i + 1] = row[i]
+            row, nxt = nxt, row
+        return row

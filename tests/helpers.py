@@ -59,6 +59,20 @@ def scaled_coeff_table_exact(sigma: Fraction, shift: Fraction, n_max: int):
     return rows
 
 
+def log_coeff_row(sigma: float, shift: float, n: int) -> np.ndarray:
+    """Row n (k = 0..n) of log C(n, k; sigma) / sigma^k with shift `shift`, -inf at zeros.
+
+    The recursion of scaled_coeff_table_exact run in float log space, one
+    log-sum-exp per entry; shift 0 gives the central row.
+    """
+    row = np.array([0.0])
+    for i in range(n):
+        with np.errstate(divide="ignore"):
+            log_c = np.log(np.maximum(i + shift - sigma * np.arange(i + 1), 0.0))
+        row = np.logaddexp(np.append(row + log_c, -np.inf), np.insert(row, 0, -np.inf))
+    return row
+
+
 def noncentral_by_convolution(sigma: Fraction, shift: Fraction, m: int, j: int):
     """Binomial-convolution identity oracle for the scaled non-central coefficients:
 

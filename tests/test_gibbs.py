@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from sigmadiv import gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
 from sigmadiv.errors import DomainError, TableSizeError
 
-from helpers import dp_log_eppf, set_partitions
+from helpers import (dp_log_eppf, log_coeff_row, scaled_coeff_table_exact, set_partitions,
+                     stirling1_by_cycles)
 
 DM = gibbs.DirichletMultinomial
 DP = gibbs.DirichletProcess
@@ -117,6 +119,10 @@ class TestPredictive:
     def test_inconsistent_abundances(self):
         with pytest.raises(DomainError):
             gibbs.predictive(DP(1.0), 5, 2, [2, 1])
+
+    def test_dm_k_above_H(self):
+        with pytest.raises(DomainError, match="k exceeds H"):
+            gibbs.predictive(DM(-1.0, 5), 10, 7, [4, 1, 1, 1, 1, 1, 1])
 
 
 class TestUrn:
@@ -315,11 +321,29 @@ class TestPriorKnPmf:
                 by_k[len(p) - 1] += eppf_of(model, [len(b) for b in p])
             assert pmf == pytest.approx(by_k, rel=1e-9)
 
+    def test_dp_matches_stirling_numbers(self):
+        # P(K_n = k) = alpha^k |s(n, k)| / (alpha)_n
+        alpha = 1.3
+        for n in range(1, 7):
+            pmf = gibbs.prior_Kn_pmf(DP(alpha), n)
+            want = [alpha ** k * stirling1_by_cycles(n, k) / math.prod(alpha + i for i in range(n))
+                    for k in range(1, n + 1)]
+            assert pmf == pytest.approx(want, rel=1e-12)
+
+    def test_ap_matches_exact_coefficients(self):
+        # P(K_n = k) = V_{n,k} C(n, k; 1/2) / (1/2)^k, the table exact in rationals
+        model = AP(1.7)
+        exact = scaled_coeff_table_exact(Fraction(1, 2), Fraction(0), 20)
+        for n in (5, 12, 20):
+            want = [math.exp(gibbs.log_V(model, n, k)) * float(exact[n][k])
+                    for k in range(1, n + 1)]
+            assert gibbs.prior_Kn_pmf(model, n) == pytest.approx(want, rel=1e-11)
+
     def test_ap_matches_scalar_log_V(self):
-        # the AP log V vector comes from one anchor and ratio-table sums; orders
-        # 2 - 2n .. 1 - n cross the first block boundary at -4096
+        # the AP log V vector comes from ratio-table sums; orders 2 - 2n .. 1 - n
+        # cross the first block boundary at -4096
         model, n = AP(1.7), 2_100
-        row = gibbs._coeff_table(0.5, 0.0, gibbs.DEFAULT_TABLE_CAP).log_row(n)[1:]
+        row = log_coeff_row(0.5, 0.0, n)[1:]
         want = np.exp(np.array([gibbs.log_V(model, n, k) for k in range(1, n + 1)]) + row)
         got = gibbs.prior_Kn_pmf(model, n)
         live = want > 1e-250
@@ -364,7 +388,7 @@ class TestPosteriorKmPmf:
         # log V_{n+m,k+j} - log V_{n,k} from ratio-table sums alone; orders
         # -3909 .. -5109 cross the first block boundary at -4096
         model, n, k, m = AP(2.0), 2_000, 90, 600
-        row = gibbs._coeff_table(0.5, n - 0.5 * k, m).log_row(m)
+        row = log_coeff_row(0.5, n - 0.5 * k, m)
         logv = np.array([gibbs.log_V(model, n + m, k + j) for j in range(m + 1)])
         want = np.exp(logv - gibbs.log_V(model, n, k) + row)
         got = gibbs.posterior_Km_pmf(model, n, k, m)
@@ -372,14 +396,12 @@ class TestPosteriorKmPmf:
         assert np.abs(got[live] / want[live] - 1).max() < 1e-9
         assert got[~live].max() < 1e-240
 
-    def test_table_cache_stays_flat(self):
-        # non-central tables are keyed on the data (n - sigma k) and not cached
-        gibbs.prior_Kn_pmf(AP(2.0), 30)
-        size = len(gibbs._table_cache)
-        for n, k in [(40, 5), (41, 6), (90, 20), (200, 31)]:
-            for model in (AP(2.0), DP(3.0), DM(-1.0, 60)):
-                gibbs.posterior_Km_pmf(model, n, k, 25)
-        assert len(gibbs._table_cache) == size
+    def test_dm_k_above_H(self):
+        # no path of K reaches k > H; both the exact and the Monte Carlo branch refuse it
+        with pytest.raises(DomainError, match="k exceeds H"):
+            gibbs.posterior_Km_pmf(DM(-1.0, 5), 10, 7, 3)
+        with pytest.raises(DomainError, match="k exceeds H"):
+            gibbs.posterior_Km_pmf(DM(-1.0, 5), 10, 7, 30, table_cap=10, mc_replicates=10)
 
     def test_fewer_than_one_replicate(self):
         # the Monte Carlo branch needs a replicate; the exact one reads none

@@ -6,16 +6,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import pbdv
 from scipy.stats import norm
 
 from sigmadiv import specfun
-from sigmadiv.errors import DomainError, TableSizeError
+from sigmadiv.errors import DomainError
 
 from helpers import (hermite_log_upward, noncentral_by_convolution,
-                     scaled_coeff_table_exact, stirling1_by_cycles)
+                     scaled_coeff_table_exact)
 from fractions import Fraction
 
 
@@ -264,91 +262,48 @@ class TestHermiteRatioTable:
 
 
 class TestCoefficientTables:
-    def test_stirling_first_kind_enumeration(self):
-        table = specfun.build_coefficients("stirling1", n_max=12)
-        assert table.log_value(4, 2).value() == pytest.approx(11.0, rel=1e-12)
-        for n in range(1, 7):
-            for k in range(1, n + 1):
-                expected = stirling1_by_cycles(n, k)
-                assert table.log_value(n, k).value() == pytest.approx(expected, rel=1e-10)
-
     def test_base_case_all_kinds(self):
-        tables = [
-            specfun.build_coefficients("stirling1", n_max=4),
-            specfun.build_coefficients("gen_factorial", sigma=0.5, n_max=4),
-            specfun.build_coefficients("gen_factorial", sigma=-1.0, n_max=4),
-            specfun.build_coefficients("noncentral_stirling1", shift=3.0, n_max=4),
-            specfun.build_coefficients("noncentral_gen_factorial", sigma=0.5,
-                                       shift=2.5, n_max=4),
-        ]
-        for table in tables:
-            lv = table.log_value(1, 1)
-            assert lv.sign == 1
-            # entry (1,1): 1 for central kinds, shift-free grow term otherwise
-            if not table.kind.startswith("noncentral"):
-                assert lv.log_magnitude == pytest.approx(0.0, abs=1e-12)
+        for sigma, shift in [(0.0, 1.0), (0.5, 0.5), (-1.0, 2.0), (0.0, 3.0), (0.5, 2.5)]:
+            table = specfun.CoefficientTable(sigma, shift)
+            assert table.log_row(0).tolist() == [0.0]
+            # row 1: E(1, 0) = shift, E(1, 1) = 1
+            assert table.log_row(1) == pytest.approx([math.log(shift), 0.0], abs=1e-15)
 
     def test_gen_factorial_recursion_interior(self):
-        sigma = 0.5
-        table = specfun.build_coefficients("gen_factorial", sigma=sigma, n_max=30)
+        sigma, shift = 0.5, 0.5
+        table = specfun.CoefficientTable(sigma, shift)
         rng = np.random.default_rng(0)
         for _ in range(40):
             n = int(rng.integers(2, 29))
             k = int(rng.integers(1, n + 1))
-            e_next = table.log_value(n + 1, k).value()
-            stay = (n - sigma * k) * table.log_value(n, k).value()
-            grow = table.log_value(n, k - 1).value() if k >= 1 else 0.0
-            assert e_next == pytest.approx(stay + grow, rel=1e-11)
+            row, row_next = np.exp(table.log_row(n)), np.exp(table.log_row(n + 1))
+            stay = (n + shift - sigma * k) * row[k] if k <= n else 0.0
+            assert row_next[k] == pytest.approx(stay + row[k - 1], rel=1e-11)
 
     @pytest.mark.parametrize("sigma,shift", [(Fraction(0), Fraction(7, 2)),
                                              (Fraction(1, 2), Fraction(5, 2)),
                                              (Fraction(-1), Fraction(4))])
     def test_noncentral_matches_convolution_identity(self, sigma, shift):
-        table = specfun.build_coefficients(
-            "noncentral_stirling1" if sigma == 0 else "noncentral_gen_factorial",
-            sigma=float(sigma), shift=float(shift), n_max=25)
+        table = specfun.CoefficientTable(float(sigma), float(shift))
         for m in (1, 3, 8, 14):
+            row = np.exp(table.log_row(m))
             for j in range(0, m + 1):
                 exact = noncentral_by_convolution(sigma, shift, m, j)
-                got = table.log_value(m, j).value()
-                assert got == pytest.approx(float(exact), rel=1e-9)
+                assert row[j] == pytest.approx(float(exact), rel=1e-9)
 
     def test_exact_rational_agreement_central(self):
-        sigma = Fraction(1, 2)
-        exact = scaled_coeff_table_exact(sigma, Fraction(0), 20)
-        table = specfun.build_coefficients("gen_factorial", sigma=0.5, n_max=20)
-        for n in (5, 12, 20):
-            for k in range(1, n + 1):
-                assert table.log_value(n, k).value() == pytest.approx(
-                    float(exact[n][k]), rel=1e-11)
+        # row m at shift 1 - sigma is central row m + 1 without its k = 0 entry
+        for sigma in (Fraction(0), Fraction(1, 2), Fraction(-1)):
+            exact = scaled_coeff_table_exact(sigma, Fraction(0), 21)
+            table = specfun.CoefficientTable(float(sigma), float(1 - sigma))
+            for m in (0, 4, 11, 20):
+                want = [float(e) for e in exact[m + 1][1:]]
+                assert np.exp(table.log_row(m)) == pytest.approx(want, rel=1e-11)
 
-    def test_table_cap(self):
-        table = specfun.build_coefficients("stirling1", n_max=10)
-        with pytest.raises(TableSizeError):
-            table.log_row(11)
-
-    def test_kind_validation(self):
+    def test_constructor_validation(self):
+        for sigma, shift in [(1.0, 1.0), (1.5, 1.0), (0.5, 0.0), (0.0, -2.0),
+                             (math.nan, 1.0), (0.5, math.nan)]:
+            with pytest.raises(DomainError):
+                specfun.CoefficientTable(sigma, shift)
         with pytest.raises(DomainError):
-            specfun.build_coefficients("nope", n_max=5)
-        with pytest.raises(DomainError):
-            specfun.build_coefficients("gen_factorial", sigma=0.0, n_max=5)
-        with pytest.raises(DomainError):
-            specfun.build_coefficients("gen_factorial", sigma=1.5, n_max=5)
-        with pytest.raises(DomainError):
-            specfun.build_coefficients("noncentral_stirling1", shift=0.0, n_max=5)
-        with pytest.raises(DomainError):
-            specfun.build_coefficients("stirling1", shift=1.0, n_max=5)
-
-
-class TestLogValue:
-    @given(st.floats(min_value=-1e6, max_value=1e6,
-                     allow_nan=False, allow_infinity=False))
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, x):
-        lv = specfun.LogValue.from_float(x)
-        assert lv.value() == pytest.approx(x, rel=1e-12, abs=1e-300)
-        assert (lv.sign == 0) == (x == 0.0)
-
-    def test_zero_invariant(self):
-        lv = specfun.LogValue.from_float(0.0)
-        assert lv.sign == 0 and lv.log_magnitude == -np.inf
+            specfun.CoefficientTable(0.5, 1.0).log_row(-1)
