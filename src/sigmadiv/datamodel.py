@@ -139,17 +139,26 @@ class TaxonomicDataset:
                 "tree": [node.to_json() for node in self.top.values()]}
 
 
+def _csv_after_config(fh) -> Tuple[Iterable[List[str]], int]:
+    """A csv reader over fh past one leading `# config:` line (the comment the CLI writes
+    atop its CSV outputs, so they can be read back), and the line number of its header."""
+    if fh.readline().startswith("# config:"):
+        return csv.reader(fh), 2
+    fh.seek(0)
+    return csv.reader(fh), 1
+
+
 def ingest_abundance_csv(path: str) -> PartitionData:
-    """Read a `taxon,count` CSV into a PartitionData."""
+    """Read a `taxon,count` CSV, after an optional `# config:` line, into a PartitionData."""
     counts: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader, first = _csv_after_config(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
         if [h.strip().lower() for h in header] != ["taxon", "count"]:
-            raise ParseError(f"{path}: line 1: expected header 'taxon,count'")
-        for lineno, row in enumerate(reader, start=2):
+            raise ParseError(f"{path}: line {first}: expected header 'taxon,count'")
+        for lineno, row in enumerate(reader, start=first + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
@@ -180,7 +189,8 @@ def write_abundance_csv(data: PartitionData, path: str) -> None:
 
 
 def ingest_taxonomy_csv(path: str, levels: int) -> TaxonomicDataset:
-    """Read a `level1,...,levelL,count` CSV into a TaxonomicDataset."""
+    """Read a `level1,...,levelL,count` CSV, after an optional `# config:` line, into a
+    TaxonomicDataset."""
     if levels < 2:
         raise DomainError("a taxonomy needs at least 2 levels")
     expected = [f"level{i}" for i in range(1, levels + 1)] + ["count"]
@@ -188,13 +198,13 @@ def ingest_taxonomy_csv(path: str, levels: int) -> TaxonomicDataset:
     parent_of: Dict[Tuple[int, str], str] = {}
     seen_paths = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader, first = _csv_after_config(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
         if [h.strip().lower() for h in header] != expected:
-            raise ParseError(f"{path}: line 1: expected header {','.join(expected)!r}")
-        for lineno, row in enumerate(reader, start=2):
+            raise ParseError(f"{path}: line {first}: expected header {','.join(expected)!r}")
+        for lineno, row in enumerate(reader, start=first + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != levels + 1:

@@ -155,30 +155,38 @@ def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> Po
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Vectorized exact Poisson quantile: smallest j with CDF(j) >= u.
+    """Exact Poisson quantile, elementwise: the smallest j >= 0 with P(X <= j) >= u, u in [0, 1).
 
-    Starts from a Cornish-Fisher guess and walks the exact CDF
-    (P(X <= j) = gammaincc(j + 1, lam)), so it inverts the true distribution
-    and is monotone in lam for fixed u.  scipy.special is imported here, not at
-    module level, so that only richness prediction pays for loading it.
+    A Cornish-Fisher guess lam + sqrt(lam) z + (z^2 - 1)/6, z the normal quantile of u,
+    lands on the answer or next to it.  There the incomplete gamma functions give
+    P(X <= j) = Q(j + 1, lam) and P(X > j) = P(j + 1, lam) once (specfun.gammainc_pq),
+    and the walk moves them by the exact pmf: up while the CDF is below u, then down
+    while the CDF one step lower still reaches u.  Above u = 1/2 it compares the upper
+    tail with 1 - u instead of the CDF with u: near 1 the CDF has no float spacing to
+    spare for a pmf step (at lam = 1e11 a step of 3e-17 is absorbed).  So it inverts
+    the true distribution and is monotone in lam for fixed u.
     """
-    import scipy.special as sps
-
-    z = np.sqrt(2.0) * sps.erfinv(2.0 * u - 1.0)
+    z = specfun.normal_quantile(u)
     j = np.maximum(np.round(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
-    cdf = sps.gammaincc(j + 1.0, lam)
-    for _ in range(1000):
-        low = cdf < u
-        if not low.any():
-            break
-        j = j + low
-        cdf = np.where(low, sps.gammaincc(j + 1.0, lam), cdf)
-    for _ in range(1000):
-        prev = sps.gammaincc(np.maximum(j, 1.0), lam)  # CDF at j-1
-        high = (j > 0) & (prev >= u)
-        if not high.any():
-            break
-        j = j - high
+    j[u <= 0.0] = 0.0  # every CDF value reaches u = 0
+    upper = u > 0.5
+    tail, cdf = specfun.gammainc_pq(j + 1.0, lam)
+    cdf = np.where(upper, -tail, cdf)  # P(X <= j), less 1 where u > 1/2 ...
+    u = np.where(upper, u - 1.0, u)  # ... and u likewise (exact for u >= 1/2)
+    low = cdf < u
+    up = np.flatnonzero(low)
+    while up.size:
+        j[up] += 1.0
+        cdf[up] += specfun.poisson_pmf(j[up], lam[up])
+        up = up[cdf[up] < u[up]]
+    down = np.flatnonzero(~low & (j > 0.0))
+    while down.size:
+        below = cdf[down] - specfun.poisson_pmf(j[down], lam[down])  # at j - 1
+        move = below >= u[down]
+        down = down[move]
+        j[down] -= 1.0
+        cdf[down] = below[move]
+        down = down[j[down] > 0.0]
     return j.astype(np.int64)
 
 

@@ -1,11 +1,12 @@
 """Test-side oracles, kept independent of the library code paths they check."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln, ndtri
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -145,3 +146,14 @@ def dp_log_eppf(alpha, abundances):
     for nj in abundances:
         out += gammaln(nj)
     return out
+
+
+def poisson_quantile_walk(u: float, lam: float) -> int:
+    """Smallest j >= 0 with P(X <= j) >= u for X ~ Poisson(lam), by walking scipy's
+    CDF P(X <= j) = gammaincc(j + 1, lam) from the normal approximation."""
+    j = max(int(round(lam + math.sqrt(lam) * ndtri(u))), 0)
+    while gammaincc(j + 1, lam) < u:
+        j += 1
+    while j > 0 and gammaincc(j, lam) >= u:
+        j -= 1
+    return j

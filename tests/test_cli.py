@@ -91,9 +91,10 @@ class TestImport:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
-    def test_commands_but_richness_never_load_scipy(self, tiny_csv, tmp_path):
-        # one cold interpreter runs every subcommand but richness (the Poisson
-        # quantile imports scipy.special) on tiny inputs
+    def test_no_command_loads_scipy(self, tiny_csv, tmp_path):
+        # one cold interpreter runs every subcommand on tiny inputs: none loads
+        # scipy, and the AP runs build their Gauss-Legendre rule without
+        # numpy.polynomial (whose leggauss is a LAPACK eigensolve)
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
@@ -107,22 +108,27 @@ class TestImport:
                  "--replicates", 3],
                 ["validate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
                  "--replicates", 3],
-                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10]]
+                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10],
+                ["richness", "--input", tiny_csv, "--sg", 1, 0.02, 52, "--nhat", 5000,
+                 "--draws", 200]]
         argvs = [[str(a) for a in argv] + ["--seed", "1", "--output-dir",
                                            str(tmp_path / f"out{i}")]
                  for i, argv in enumerate(runs)]
-        code = ("import json, sys\n"
+        code = ("import json, os, sys\n"
+                "env = dict(os.environ)\n"
                 "import sigmadiv.cli\n"
                 "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-                "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-                "print(json.dumps([codes, scipy]))")
+                "loaded = sorted(m for m in sys.modules\n"
+                "                if m.startswith(('scipy', 'numpy.polynomial')))\n"
+                "print(json.dumps([codes, loaded, dict(os.environ) == env]))")
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                              text=True).stdout
-        codes, scipy_modules = json.loads(out.strip().splitlines()[-1])
+        codes, loaded, env_kept = json.loads(out.strip().splitlines()[-1])
         assert codes == [0] * len(runs)
-        assert scipy_modules == []
+        assert loaded == []
+        assert env_kept
 
 
 class TestDeterminism:

@@ -50,6 +50,16 @@ class TestAbundanceIngestion:
         with pytest.raises(ParseError, match="line 1"):
             datamodel.ingest_abundance_csv(write(tmp_path, "a.csv", "sp,n\na,1\n"))
 
+    def test_skips_a_leading_config_line(self, tmp_path):
+        body = "taxon,count\na,3\nb,1\nc,1\n"
+        config = '# config: {"command": "simulate", "n": 5, "seed": 1}\n'
+        plain = datamodel.ingest_abundance_csv(write(tmp_path, "a.csv", body))
+        assert datamodel.ingest_abundance_csv(write(tmp_path, "b.csv", config + body)) == plain
+        with pytest.raises(ParseError, match="line 6"):  # line numbers count the config line
+            datamodel.ingest_abundance_csv(write(tmp_path, "c.csv", config + body + "d,x\n"))
+        with pytest.raises(ParseError, match="line 2"):  # one config line only
+            datamodel.ingest_abundance_csv(write(tmp_path, "d.csv", config + config + body))
+
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=25))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_idempotent(self, counts):
@@ -127,6 +137,12 @@ class TestTaxonomyIngestion:
         tree = datamodel.ingest_taxonomy_csv(write(tmp_path, "t.csv", FIG2_TOY), 3)
         assert sorted(p.label for p in tree.parents_at_level(2)) == ["fA", "fB"]
         assert len(tree.parents_at_level(3)) == 5
+
+    def test_skips_a_leading_config_line(self, tmp_path):
+        config = '# config: {"command": "simulate", "levels_spec": "dp:4;dp:2;ap:0.8"}\n'
+        plain = datamodel.ingest_taxonomy_csv(write(tmp_path, "t.csv", FIG2_TOY), 3)
+        tree = datamodel.ingest_taxonomy_csv(write(tmp_path, "c.csv", config + FIG2_TOY), 3)
+        assert tree.to_json() == plain.to_json()
 
     def test_roundtrip(self, tmp_path):
         tree = datamodel.ingest_taxonomy_csv(write(tmp_path, "t.csv", FIG2_TOY), 3)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaincc, gammaln
 
 from sigmadiv import dpinfer, gibbs, specfun
 from sigmadiv.errors import DomainError
 
-from helpers import grid_mean_log_kernel, grid_quantiles_log_kernel, trapezoid
+from helpers import (grid_mean_log_kernel, grid_quantiles_log_kernel, poisson_quantile_walk,
+                     trapezoid)
 
 SG = dpinfer.StirlingGammaSpec
 CP = dpinfer.CoarsenedPosterior
@@ -180,6 +181,51 @@ class TestRichness:
         post = CP(prior=SG(1.0, 0.0002, n), n=n, k=k, rho=1.0)
         pred = dpinfer.richness_posterior(post, 3.949e11, 30_000, rng_seed=8)
         assert pred.draws.mean() == pytest.approx(15_051, rel=0.01)
+
+
+class TestPoissonPpf:
+    LAMS = (0.0, 1e-3, 0.5, 30.0, 9.5e3, 1e6, 1e8, 1e11)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_against_scipy_walk(self, lam):
+        us = [0.5, 1e-4, 0.01, 0.99, 1.0 - 1e-4]
+        if lam < 1e6:  # beyond 4.5 sd scipy's gammaincc is off at large lam
+            us += [1e-12, 1e-7, 1.0 - 1e-7, 1.0 - 1e-12]
+        us = np.array(us)
+        got = dpinfer._poisson_ppf(us, np.full(us.size, lam))
+        for u, j in zip(us, got):
+            want = poisson_quantile_walk(u, lam)
+            tie = min(abs(gammaincc(want + 1.0, lam) - u),
+                      abs(gammaincc(max(want, 1.0), lam) - u)) < 1e-12
+            assert j == want or tie, (u, lam, j, want)
+
+    @pytest.mark.parametrize("lam", (9.5e3, 1e8, 1e11))
+    def test_definition_in_the_far_tails(self, lam):
+        # P(X <= j) >= u > P(X <= j - 1), read from gammainc_pq (checked against mpmath
+        # where scipy is off) as P(X > j) = P(j + 1, lam) above 1/2 and as Q below: near
+        # u = 1 the CDF has no float spacing for a pmf step of ~1e-17
+        us = np.array([1e-300, 1e-12, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+        j = dpinfer._poisson_ppf(us, np.full(us.size, lam)).astype(float)
+        p_j, q_j = specfun.gammainc_pq(j + 1.0, lam)
+        p_below, q_below = specfun.gammainc_pq(j, lam)
+        lower = us < 0.5
+        assert (q_j[lower] >= us[lower]).all() and (q_below[lower] < us[lower]).all()
+        upper = ~lower
+        assert (p_j[upper] <= 1.0 - us[upper]).all()
+        assert (p_below[upper] > 1.0 - us[upper]).all()
+
+    def test_monotone_in_lambda(self):
+        lam = np.logspace(-3, 11, 3001)
+        for u in (1e-12, 0.3, 0.5, 0.99, 1.0 - 1e-12):
+            j = dpinfer._poisson_ppf(np.full(lam.size, u), lam)
+            assert (np.diff(j) >= 0).all(), u
+
+    def test_ends(self):
+        # u = 0 gives 0 at any lam (the normal-quantile start is clipped near -37.5 there),
+        # and lam = 0 gives 0 at any u
+        lam = np.array([0.0, 0.0, 2.0, 1e11])
+        u = np.array([0.0, 0.999, 0.0, 0.0])
+        assert dpinfer._poisson_ppf(u, lam).tolist() == [0, 0, 0, 0]
 
 
 class TestDiversityTransforms:

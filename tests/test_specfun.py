@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 from scipy.special import pbdv
-from scipy.stats import norm
+from scipy.stats import norm, poisson
 
 from sigmadiv import specfun
 from sigmadiv.errors import DomainError
@@ -154,12 +154,120 @@ class TestSpecialFunctionsAgainstScipy:
 
     def test_gauss_legendre_rule_built_on_first_use(self):
         src = os.path.dirname(os.path.dirname(specfun.__file__))
-        code = ("from sigmadiv import specfun; assert specfun._gauss_legendre == (); "
+        code = ("import sys; from sigmadiv import specfun; assert specfun._gauss_legendre == (); "
                 "specfun.log_hermite(-3.0, 1.0); nodes, weights = specfun._gauss_legendre; "
-                "import numpy as np; ref = np.polynomial.legendre.leggauss(512); "
+                "assert not any(m.startswith('numpy.polynomial') for m in sys.modules); "
+                "ref = specfun._legendre_rule(512); "
                 "assert (nodes == ref[0]).all() and (weights == ref[1]).all()")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=src))
+
+
+class TestGaussLegendre:
+    nodes, weights = specfun._legendre_rule(512)
+
+    def test_integrates_even_monomials_exactly(self):
+        # 512 nodes integrate every polynomial of degree <= 1023 exactly
+        for k in range(0, 1023, 2):
+            got = math.fsum(self.weights * self.nodes ** k)
+            assert got == pytest.approx(2.0 / (k + 1), rel=1e-14, abs=0.0), k
+
+    def test_symmetric_and_normalised(self):
+        assert (np.diff(self.nodes) > 0.0).all()
+        assert (self.nodes == -self.nodes[::-1]).all()
+        assert (self.weights == self.weights[::-1]).all()
+        assert math.fsum(self.weights) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+
+    def test_matches_leggauss(self):
+        # numpy's leggauss (an eigensolve) is the less accurate of the two: its end
+        # weights are ~1e-10 off the exact ones, where this rule's are within 1e-14
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(512)
+        assert np.abs(self.nodes - ref_nodes).max() <= 1e-15
+        assert np.abs(self.weights / ref_weights - 1.0).max() <= 1e-9
+
+
+# Q(a, x) at points where scipy 1.17's gammaincc is off: for a >= ~1e7 just outside
+# its asymptotic window |x - a| < 4.5 sqrt(a) it gives 0.99999809 at the first
+# (by 1.2e-6).  The values are 40-digit mpmath sums of the series of P = 1 - Q.
+GAMMAINCC_MPMATH = [(1e8, 99954800.0, 0.99999691746663784841),
+                    (1e11, 99998570000.0, 0.99999693821932592334)]
+
+
+class TestGammaincPQ:
+    @pytest.mark.parametrize("a", [*np.logspace(0, 12, 25), 101.0, 150.0])  # Temme from 100
+    def test_against_scipy(self, a):
+        # x/a across [0.5, 2] (both tails) and x within 4.4 sqrt(a) of a (the centre)
+        x = np.concatenate([a * np.linspace(0.5, 2.0, 1501),
+                            a + np.linspace(-4.4, 4.4, 441) * np.sqrt(a)])
+        x = x[x >= 0.0]
+        trusted = (a < 1e6) | (np.abs(x - a) <= 4.4 * np.sqrt(a))  # see GAMMAINCC_MPMATH
+        p, q = specfun.gammainc_pq(a, x)
+        for got, want in ((q, sps.gammaincc(a, x)), (p, sps.gammainc(a, x))):
+            assert np.abs(got - want)[trusted].max() <= 1e-14
+            # relative in the tails: scipy's own error there reaches 1.6e-11 (a = 1e4,
+            # Q = 2.7e-283, where this code is within 1e-13 of 40-digit mpmath)
+            tail = trusted & (want > 1e-300)
+            assert (np.abs(got - want)[tail] <= 5e-11 * want[tail]).all()
+
+    @pytest.mark.parametrize("a, x, want", GAMMAINCC_MPMATH)
+    def test_where_scipy_is_off(self, a, x, want):
+        p, q = specfun.gammainc_pq(a, x)
+        assert q == pytest.approx(want, rel=1e-15)
+        assert p == pytest.approx(1.0 - want, rel=1e-10)
+
+    def test_at_zero_and_small_a(self):
+        assert specfun.gammainc_pq(3.0, 0.0) == (0.0, 1.0)
+        p, q = specfun.gammainc_pq(np.array([1e-3, 1.0, 1e12]), 0.0)
+        assert (p == 0.0).all() and (q == 1.0).all()
+        a = np.array([1e-3, 0.1, 0.5, 0.9])
+        x = np.array([1e-5, 0.05, 2.0, 40.0])
+        p, q = specfun.gammainc_pq(a, x)
+        assert np.allclose(q, sps.gammaincc(a, x), rtol=1e-13, atol=0)
+        assert np.allclose(p, sps.gammainc(a, x), rtol=1e-13, atol=0)
+
+    def test_poisson_pmf_steps_the_cdf(self):
+        # P(X <= k) = Q(k + 1, lam), so Q(k + 1, lam) - Q(k, lam) = P(X = k)
+        for lam in (0.5, 30.0, 9.5e3, 1e8, 1e11):
+            k = np.round(lam + np.linspace(-3, 3, 13) * math.sqrt(lam)) + 1
+            k = np.unique(k[k >= 1])
+            pmf = specfun.poisson_pmf(k, lam)
+            step = specfun.gammainc_pq(k + 1.0, lam)[1] - specfun.gammainc_pq(k, lam)[1]
+            assert np.abs(pmf - step).max() <= 1e-15
+        k = np.arange(60.0)
+        assert np.allclose(specfun.poisson_pmf(k, 7.5), poisson.pmf(k, 7.5), rtol=1e-13, atol=0)
+        assert specfun.poisson_pmf(0.0, 0.0) == 1.0 and specfun.poisson_pmf(3.0, 0.0) == 0.0
+
+    def test_scalar_in_scalar_out(self):
+        p, q = specfun.gammainc_pq(2.0, 1.0)
+        assert isinstance(p, float) and isinstance(q, float)
+        assert q == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert isinstance(specfun.poisson_pmf(2.0, 1.0), float)
+
+    def test_temme_coefficients(self):
+        # c_0 = -1/3 + eta/12 - 2 eta^2/135 + ..., c_1 = -1/540 - eta/288, c_2 = 25/6048
+        rows = specfun._TEMME_ROWS
+        assert rows[0][:3] == pytest.approx([-1 / 3, 1 / 12, -2 / 135], rel=1e-15)
+        assert rows[1][:2] == pytest.approx([-1 / 540, -1 / 288], rel=1e-14)
+        assert rows[2][0] == pytest.approx(25 / 6048, rel=1e-14)
+
+    def test_domain(self):
+        for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1e-9), (np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(DomainError):
+                specfun.gammainc_pq(a, x)
+        with pytest.raises(DomainError):
+            specfun.poisson_pmf(-1.0, 2.0)
+
+
+class TestNormalQuantile:
+    def test_against_ndtri(self):
+        p = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 20_001), np.logspace(-300, -1, 600),
+                            1.0 - np.logspace(-16, -1, 600)])
+        want = sps.ndtri(p)
+        assert (np.abs(specfun.normal_quantile(p) - want) <= 1.2e-9 * np.abs(want)).all()
+
+    def test_ends_are_finite(self):
+        z = specfun.normal_quantile(np.array([0.0, 0.5, 1.0]))
+        assert z[1] == 0.0 and -40.0 < z[0] < -37.0 and z[2] == -z[0]
 
 
 class TestLogHermite:
