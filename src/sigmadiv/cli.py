@@ -105,6 +105,9 @@ def _summary_payload(summary: Dict) -> Dict:
 
 
 def _model_from_args(args, n: Optional[int] = None, k: Optional[int] = None) -> gibbs.GibbsModel:
+    for flag, family in (("alpha", "dp"), ("bound_h", "dm"), ("gamma", "ap")):
+        if getattr(args, flag) is not None and args.family != family:
+            raise DomainError(f"--{flag.replace('_', '-')} applies only to --family {family}")
     if args.family == "dp":
         alpha = args.alpha
         if alpha is None:
@@ -331,9 +334,9 @@ def cmd_simulate(args) -> int:
         raise DomainError("--family, --sigma, --alpha, --bound-h and --gamma do not apply "
                           "with --levels-spec")
     outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
     if args.levels_spec:
         levels = _parse_levels_spec(args.levels_spec)
+        os.makedirs(outdir, exist_ok=True)
         config = _config_line(args, {})
         tree = taxo.nested_urn_sample(levels, args.n, args.seed)
         write_taxonomy_csv(tree, os.path.join(outdir, "simulated_taxonomy.csv"))
@@ -345,6 +348,7 @@ def cmd_simulate(args) -> int:
     if args.sigma is None:
         args.sigma = -1.0
     model = _model_from_args(args)
+    os.makedirs(outdir, exist_ok=True)
     config = _config_line(args, {"resolved_model": repr(model)})
     stream = gibbs.urn_sample(model, args.n, args.seed)
     data = PartitionData.from_abundances(np.bincount(stream))

@@ -3,7 +3,10 @@
 The three base models are Dirichlet-multinomial (discount sigma < 0, finite
 richness H), Dirichlet process (sigma = 0, precision alpha) and Aldous-Pitman
 (sigma = 1/2, square-root diversity gamma).  Everything downstream consumes
-them through log_V(n, k), the log partition weights.
+them through log_V(n, k), the log partition weights.  Every expectation is
+exact where an exact form exists: closed forms for DP and DM, and for AP the
+diversity indices by one quadrature.  Monte Carlo is left for AP's curves and
+frequency counts and the long-horizon fallback of posterior_Km_pmf.
 """
 
 from __future__ import annotations
@@ -447,7 +450,10 @@ def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int
 
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
                   rng_seed: int = 0) -> List[CurvePoint]:
-    """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k)."""
+    """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k).
+
+    Closed form for DM and DP; Monte Carlo (with standard-error band) for AP.
+    """
     _check_state(model, n, k)
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -471,16 +477,26 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
                          rng_seed: int = 0) -> np.ndarray:
     """E(M_{r,n}) for r = 1..r_max: expected number of taxa seen exactly r times.
 
-    Closed form for the DP; for other families the taxon sizes of
-    `replicates` urn samples of size n are averaged.
+    Closed form for DP and DM; for AP, the taxon sizes of `replicates` urn
+    samples of size n (seeded by rng_seed) are averaged.
     """
     if not 1 <= r_max <= n:
         raise DomainError("need 1 <= r_max <= n")
+    r = np.arange(1, r_max + 1, dtype=float)
+    g = specfun.gammaln
     if isinstance(model, DirichletProcess):
         a = model.alpha
-        r = np.arange(1, r_max + 1, dtype=float)
-        g = specfun.gammaln
         log_e = (math.log(a) + g(a + n - r) - g(a + n) + g(n + 1) - g(n - r + 1) - np.log(r))
+        return np.exp(log_e)
+    if isinstance(model, DirichletMultinomial):
+        # a taxon's count is BetaBinomial(n, s, b), b = (H - 1) s, so
+        # E(M_r) = H C(n, r) B(r + s, n - r + b) / B(s, b)
+        s, H = abs(model.sigma), model.H
+        if H == 1:
+            return (r == n).astype(float)
+        b = (H - 1) * s
+        log_e = (math.log(H) + g(n + 1) - g(r + 1) - g(n - r + 1) + g(r + s) - g(s)
+                 + g(n - r + b) - g(b) - g(n + H * s) + g(H * s))
         return np.exp(log_e)
     _check_replicates(replicates)
     rng = np.random.default_rng(rng_seed)
@@ -495,33 +511,34 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
 class DiversityIndices:
     expected_simpson: float
     expected_shannon: float
-    shannon_is_approximate: bool
 
 
-def diversity_indices(model: GibbsModel, shannon_sample_size: int = 4000,
-                      replicates: int = 200, rng_seed: int = 0) -> DiversityIndices:
-    """Prior expectations of the Simpson and Shannon indices.
+def diversity_indices(model: GibbsModel) -> DiversityIndices:
+    """Prior expectations of Simpson's index E(sum p_h^2) and Shannon's E(-sum p_h log p_h).
 
-    Simpson is E(sum pi_h^2) = V_{2,1}, available in closed form for every
-    family (the AP case reduces to a scaled erfcx evaluation).  Shannon is
-    exact for the DP via size-biased weights; for the other families it is a
-    Monte Carlo plug-in over simulated urns and flagged approximate.
+    Simpson's is the probability that the second draw repeats the first, and
+    Shannon's is E(-log P) of the size-biased pick P (Pitman 2006, ch. 3).
+    Closed forms for DP (P ~ Beta(1, alpha)) and DM (P ~ Beta(1 + s, (H - 1) s),
+    s = |sigma|).  For AP, P = Y^2 / (gamma^2/2 + Y^2) with Y ~ N(0, 1); with
+    V = v^2 ~ Exp(1), E(P) = E(e^{-gamma sqrt(V)}) = 2 int_0^inf v e^{-v^2 - gamma v} dv,
+    and E log(1 + gamma^2 / (2 Y^2)) = 2 int_0^inf e^{-v^2} (1 - e^{-gamma v}) / v dv by
+    log(1 + x) = int_0^inf (1 - e^{-xt}) e^{-t} dt / t and E e^{-lam/Y^2} = e^{-sqrt(2 lam)}.
+    Neither integrand cancels.  Both take the shared Gauss-Legendre rule on [0, a],
+    a = min(6.5, 40 / gamma), where e^{-gamma v} decays, and in log v on [a, 6.5],
+    where Shannon's integrand falls like 1/v; e^{-6.5^2} < 1e-18.
     """
     if isinstance(model, DirichletProcess):
         a = model.alpha
-        return DiversityIndices(1.0 / (1.0 + a),
-                                specfun.digamma(a + 1.0) - specfun.digamma(1.0),
-                                False)
+        return DiversityIndices(1.0 / (1.0 + a), specfun.digamma(a + 1.0) - specfun.digamma(1.0))
     if isinstance(model, DirichletMultinomial):
-        simpson = 1.0 / (1.0 + model.H * abs(model.sigma))
-    else:
-        # E(e^{-gamma sqrt(V)}), V ~ Exp(1), equals 1 - gamma sqrt(pi)/2 erfcx(gamma/2)
-        g = model.gamma
-        simpson = 1.0 - g * math.sqrt(math.pi) / 2.0 * specfun.erfcx(g / 2.0)
-    _check_replicates(replicates)
-    rng = np.random.default_rng(rng_seed)
-    vals = np.empty(replicates)
-    for rep in range(replicates):
-        p = np.bincount(urn_sample(model, shannon_sample_size, rng)) / shannon_sample_size
-        vals[rep] = -np.sum(p * np.log(p))
-    return DiversityIndices(simpson, float(vals.mean()), True)
+        s, H = abs(model.sigma), model.H
+        return DiversityIndices((1.0 + s) / (1.0 + H * s),
+                                specfun.digamma(H * s + 1.0) - specfun.digamma(s + 1.0))
+    nodes, weights = specfun.gauss_legendre_rule()
+    g, cut = model.gamma, min(6.5, 40.0 / model.gamma)
+    half, span = 0.5 * cut, 0.5 * math.log(6.5 / cut)
+    top = cut * np.exp(span * (1.0 + nodes))
+    v = np.concatenate((half * (1.0 + nodes), top))
+    w = 2.0 * np.concatenate((half * weights, span * weights * top)) * np.exp(-v * v)
+    return DiversityIndices(float(np.dot(w, v * np.exp(-g * v))),
+                            float(np.dot(w, -np.expm1(-g * v) / v)))

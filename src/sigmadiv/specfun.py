@@ -22,7 +22,6 @@ __all__ = [
     "gammaln",
     "digamma",
     "trigamma",
-    "erfcx",
     "logsumexp",
     "gammainc_pq",
     "poisson_pmf",
@@ -31,6 +30,7 @@ __all__ = [
     "log_rising_each",
     "log_rising_excess",
     "STIRLING_FROM",
+    "gauss_legendre_rule",
     "log_hermite",
     "HERMITE_BLOCK",
     "hermite_ratio_block",
@@ -169,30 +169,6 @@ def trigamma(x):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x) for a scalar x >= 0.
-
-    Below 26, where erfc is still a normal float, x^2 is split exactly as hi + lo
-    (Dekker) so that e^{x^2} carries no rounding of x^2; above, the asymptotic
-    series 1/(x sqrt(pi)) sum_j (-1)^j (2j-1)!! / (2x^2)^j.  Relative error ~1e-15.
-    """
-    if x < 0.0:
-        raise DomainError(f"erfcx requires x >= 0, got {x}")
-    if x < 26.0:
-        hi = x * x
-        c = 134217729.0 * x  # Veltkamp split: xh, xl of 26 bits, so their products are exact
-        xh = c - (c - x)
-        xl = x - xh
-        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
-        return math.exp(hi) * math.erfc(x) * (1.0 + lo)
-    s, term, j, q = 1.0, 1.0, 1, 0.5 / (x * x)
-    while abs(term) > 1e-17:
-        term *= -(2 * j - 1) * q
-        s += term
-        j += 1
-    return s / (x * math.sqrt(math.pi))
-
-
 def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     """log sum_i b_i e^{a_i} for 1-D arrays a and b > 0.
 
@@ -261,24 +237,15 @@ def log_rising_excess(a: float, n: int) -> float:
     """log((a)_n / a^n) = sum_{j<n} log1p(j/a), for a scalar a > STIRLING_FROM.
 
     log_rising(a, n) - n log a cancels to the float spacing of n log a when a >> n.
-    With x = n/a this is n g(x) + (n - 1/2) log1p(x) + S(a + n) - S(a), where
-    g(x) = log1p(x)/x - 1 = -u + (1 - u) sum_{j>=1} u^{2j}/(2j+1), u = x/(2 + x)
-    (the atanh series of log1p, free of cancellation; used for x <= 1).
+    With x = n/a this is (n - 1/2) log1p(x) - a (x - log1p(x)) + S(a + n) - S(a),
+    where x - log1p(x) comes from _log1pmx, free of cancellation.
     """
     if n < 2:
         return 0.0
     x = n / a
-    if x > 1.0:
-        g = math.log1p(x) / x - 1.0
-    else:
-        u = x / (2.0 + x)
-        s, p, d = 0.0, u * u, 3.0
-        while p > 1e-17 * d * s:  # add terms p/d until they no longer count
-            s, p, d = s + p / d, p * u * u, d + 2.0
-        g = -u + (1.0 - u) * s
     zn = a + n  # S(zn) - S(a) rounds to ~eps/a, against a result >= 1/a
     ds = (1.0 / zn - 1.0 / a) / 12.0 - (zn ** -3 - a ** -3) / 360.0
-    return n * g + (n - 0.5) * math.log1p(x) + ds
+    return -a * float(_log1pmx(np.array([x]))[0]) + (n - 0.5) * math.log1p(x) + ds
 
 
 _EPS = float(np.finfo(float).eps)
@@ -567,6 +534,22 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
+def gauss_legendre_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 512-node Gauss-Legendre rule on [-1, 1].
+
+    Built by _legendre_rule on first use and shared by every caller; the arrays
+    are read-only.
+    """
+    global _gauss_legendre
+    if not _gauss_legendre:
+        with _hermite_lock:
+            if not _gauss_legendre:
+                nodes, weights = _legendre_rule(512)
+                nodes.flags.writeable = weights.flags.writeable = False
+                _gauss_legendre = nodes, weights
+    return _gauss_legendre
+
+
 def _hermite_integrand(order: float, t: float):
     """Nodes u, log-integrand log_f, rule weights and half-width of the rule for h_order(t).
 
@@ -574,15 +557,9 @@ def _hermite_integrand(order: float, t: float):
     mode u* solves m/u - u - t = 0, and since the log-integrand has curvature
     <= -1 everywhere, the region where it exceeds (max - 60) lies within
     u* +/- sqrt(120); the exact endpoints are bisected and the 512-node
-    Gauss-Legendre rule of _legendre_rule, built on first use and shared by every
-    call, is placed between them.
+    rule of gauss_legendre_rule is placed between them.
     """
-    global _gauss_legendre
-    if not _gauss_legendre:
-        with _hermite_lock:
-            if not _gauss_legendre:
-                _gauss_legendre = _legendre_rule(512)
-    nodes, weights = _gauss_legendre
+    nodes, weights = gauss_legendre_rule()
     m = -order - 1.0
 
     if m > 0.0:

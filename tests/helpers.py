@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 from scipy.special import gammaincc, gammaln, ndtri
+from scipy.stats import betabinom
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -146,6 +147,13 @@ def dp_log_eppf(alpha, abundances):
     for nj in abundances:
         out += gammaln(nj)
     return out
+
+
+def dm_freq_counts_beta_binomial(sigma: float, H: int, n: int, r_max: int) -> np.ndarray:
+    """E(M_{r,n}) for r = 1..r_max under DM(sigma, H), H >= 2: each of the H taxa
+    holds a BetaBinomial(n, |sigma|, (H - 1)|sigma|) count, by scipy's pmf."""
+    s = abs(sigma)
+    return H * betabinom.pmf(np.arange(1, r_max + 1), n, s, (H - 1) * s)
 
 
 def poisson_quantile_walk(u: float, lam: float) -> int:

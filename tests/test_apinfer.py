@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest, ks_2samp
 
@@ -53,8 +53,17 @@ class TestStickConstruction:
         g = 1.0
         sims = np.array([(apinfer.ap_stick_sample(g, 10_000, seed).weights ** 2).sum()
                          for seed in range(8_000)])
-        want = gibbs.diversity_indices(AP(g), shannon_sample_size=10,
-                                       replicates=2).expected_simpson
+        want = gibbs.diversity_indices(AP(g)).expected_simpson
+        assert abs(sims.mean() - want) < 3 * sims.std() / math.sqrt(len(sims))
+
+    def test_shannon_from_weights_matches_size_biased_pick(self):
+        # 4,000 atoms leave 1.25e-4 of the mass in the tail at g = 1; that lowers
+        # the mean by about 0.0022, a third of its standard error
+        g = 1.0
+        sims = np.array([-xlogy(w, w).sum() for w in
+                         (apinfer.ap_stick_sample(g, 4_000, seed).weights
+                          for seed in range(4_000))])
+        want = gibbs.diversity_indices(AP(g)).expected_shannon
         assert abs(sims.mean() - want) < 3 * sims.std() / math.sqrt(len(sims))
 
     def test_validation(self):

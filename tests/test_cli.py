@@ -477,9 +477,22 @@ class TestFlagContract:
         ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2", "--alpha", 2],
         ["simulate", "--levels-spec", "dp:3;dp:2", "--n", 30, "--family", "ap", "--sigma", -2],
         ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2", "--sigma", -1],
+        ["extrapolate", "--n", 100, "--k", 10, "--family", "dm", "--bound-h", 20,
+         "--alpha", 5, "--gamma", 3, "--m", 3],
+        ["extrapolate", "--n", 100, "--k", 10, "--family", "dp", "--alpha", 5,
+         "--bound-h", 7, "--m", 3],
+        ["extrapolate", "--n", 100, "--k", 10, "--family", "ap", "--gamma", 2,
+         "--alpha", 5, "--m", 3],
+        ["validate", "--input", "{csv}", "--family", "ap", "--gamma", 1, "--bound-h", 10],
+        ["validate", "--input", "{csv}", "--gamma", 1],
+        ["simulate", "--n", 30, "--family", "dm", "--bound-h", 4, "--gamma", 2],
+        ["simulate", "--n", 30, "--alpha", 2, "--bound-h", 4],
     ], ids=["extrapolate-input-and-nk", "fit-input-and-k", "fit-ap-sg", "fit-dp-gamma-prior",
             "simulate-nested-gamma", "simulate-nested-bound-h", "simulate-nested-alpha",
-            "simulate-nested-family-sigma", "simulate-nested-default-sigma"])
+            "simulate-nested-family-sigma", "simulate-nested-default-sigma",
+            "extrapolate-dm-alpha-gamma", "extrapolate-dp-bound-h", "extrapolate-ap-alpha",
+            "validate-ap-bound-h", "validate-dp-gamma", "simulate-dm-gamma",
+            "simulate-dp-bound-h"])
     def test_flag_the_branch_ignores_is_domain_error(self, argv, tiny_csv, tmp_path):
         # each flag is read by some branch of its subcommand, but not by the one taken
         out = tmp_path / "x"

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
+from scipy.integrate import quad
+from scipy.special import betaln, digamma
 from scipy.stats import chi2
 
 from sigmadiv import gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
 from sigmadiv.errors import DomainError, TableSizeError
 
-from helpers import (dp_log_eppf, log_coeff_row, scaled_coeff_table_exact, set_partitions,
-                     stirling1_by_cycles)
+from helpers import (dm_freq_counts_beta_binomial, dp_log_eppf, log_coeff_row,
+                     scaled_coeff_table_exact, set_partitions, stirling1_by_cycles)
 
 DM = gibbs.DirichletMultinomial
 DP = gibbs.DirichletProcess
@@ -483,9 +484,7 @@ class TestReplicates:
     def test_urn_averages_need_a_replicate(self, replicates):
         calls = [lambda: gibbs.rarefaction(AP(2.0), 50, replicates=replicates),
                  lambda: gibbs.extrapolation(AP(2.0), 100, 20, 5, replicates=replicates),
-                 lambda: gibbs.expected_freq_counts(DM(-1.0, 5), 20, 3, replicates=replicates),
-                 lambda: gibbs.diversity_indices(AP(1.0), 100, replicates=replicates),
-                 lambda: gibbs.diversity_indices(DM(-1.0, 5), 100, replicates=replicates)]
+                 lambda: gibbs.expected_freq_counts(AP(2.0), 20, 3, replicates=replicates)]
         for call in calls:
             with pytest.raises(DomainError):
                 call()
@@ -507,16 +506,36 @@ class TestFreqCounts:
         e1 = gibbs.expected_freq_counts(DP(751.23), n, 1)[0]
         assert e1 == pytest.approx(750.22, abs=0.01)
 
-    def test_mc_family_matches_dp_closed_form(self):
-        # the Monte Carlo route is exercised with a DM model against its urn
-        e = gibbs.expected_freq_counts(DM(-1.0, 6), 12, 3, replicates=20_000, rng_seed=1)
+    @pytest.mark.parametrize("model", [DM(-1.0, 6), DM(-2.0, 5), AP(2.0)])
+    def test_mass_identity_dm_ap(self, model):
+        n = 30
+        e = gibbs.expected_freq_counts(model, n, n, replicates=50)
+        assert (np.arange(1, n + 1) * e).sum() == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma,H,n", [(-1.0, 6, 12), (-0.3, 50, 200), (-2.5, 3, 40),
+                                           (-4.0, 20, 100), (-1.0, 2, 1)])
+    def test_dm_closed_form_vs_beta_binomial(self, sigma, H, n):
+        r_max = min(n, 60)
+        want = dm_freq_counts_beta_binomial(sigma, H, n, r_max)
+        got = gibbs.expected_freq_counts(DM(sigma, H), n, r_max, replicates=0)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_dm_single_taxon(self):
+        e = gibbs.expected_freq_counts(DM(-1.0, 1), 5, 5)
+        assert e.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+    def test_ap_matches_urn_average(self):
+        # the AP Monte Carlo against urns drawn apart from it; the sd of M_1 is
+        # about 0.96, so 0.05 is 3.6 standard errors of the difference
+        model, n, reps = AP(0.5), 12, 8_000
+        e = gibbs.expected_freq_counts(model, n, 3, replicates=reps, rng_seed=1)
         rng = np.random.default_rng(2)
         acc = np.zeros(3)
-        for _ in range(20_000):
-            counts = Counter(gibbs.urn_sample(DM(-1.0, 6), 12, rng.integers(2**63)))
+        for _ in range(reps):
+            counts = Counter(gibbs.urn_sample(model, n, rng.integers(2**63)).tolist())
             for r in (1, 2, 3):
                 acc[r - 1] += sum(1 for c in counts.values() if c == r)
-        assert np.abs(e - acc / 20_000).max() < 0.05
+        assert np.abs(e - acc / reps).max() < 0.05
 
 
 class TestDiversityIndices:
@@ -524,27 +543,64 @@ class TestDiversityIndices:
         d = gibbs.diversity_indices(DP(751.0))
         assert d.expected_simpson == pytest.approx(1 / 752, rel=1e-12)
         assert d.expected_shannon == pytest.approx(digamma(752.0) - digamma(1.0), rel=1e-12)
-        assert not d.shannon_is_approximate
 
     def test_dm_simpson(self):
-        d = gibbs.diversity_indices(DM(-2.0, 5), shannon_sample_size=500, replicates=20)
-        assert d.expected_simpson == pytest.approx(1 / 11, rel=1e-12)
-        assert d.shannon_is_approximate
+        # E(sum p_h^2) for Dirichlet(2, ..., 2) over 5 taxa: 5 * 2 * 3 / (10 * 11)
+        d = gibbs.diversity_indices(DM(-2.0, 5))
+        assert d.expected_simpson == pytest.approx(3 / 11, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [DM(-1.0, 50), DM(-2.0, 5), DM(-0.3, 7), DP(3.0),
+                                       DP(751.0), AP(0.5), AP(6.67), AP(300.0)])
+    def test_simpson_is_repeat_probability(self, model):
+        d = gibbs.diversity_indices(model)
+        assert d.expected_simpson == pytest.approx(1.0 - gibbs._p_new(model, 1, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma,H", [(-1.0, 50), (-2.0, 5), (-0.3, 7), (-5.0, 1000)])
+    def test_dm_shannon_vs_quadrature(self, sigma, H):
+        s = abs(sigma)
+        b = (H - 1) * s
+
+        def f(p):  # -p log p under the Beta(s, b) law of one taxon's weight
+            return -p * math.log(p) * math.exp(
+                (s - 1) * math.log(p) + (b - 1) * math.log1p(-p) - betaln(s, b))
+
+        want = H * sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                       for lo, hi in ((0.0, s / (s + b)), (s / (s + b), 1.0)))
+        got = gibbs.diversity_indices(DM(sigma, H)).expected_shannon
+        assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("g", [1e-4, 0.5, 2.0, 6.67, 300.0, 1e6])
+    def test_ap_vs_quadrature(self, g):
+        # the size-biased pick is W = Y^2 / (g^2/2 + Y^2), Y ~ N(0, 1)
+        half = 0.5 * g * g
+
+        def mean(h):  # E h(Y), by symmetry over y > 0
+            def f(y):
+                return 2.0 * h(y) * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+            cuts = (0.0, min(g, 1.0), 1.0, 4.0, 10.0, 40.0)
+            return sum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=400)[0]
+                       for lo, hi in zip(cuts, cuts[1:]) if hi > lo)
+
+        d = gibbs.diversity_indices(AP(g))
+        assert d.expected_simpson == pytest.approx(mean(lambda y: y * y / (half + y * y)),
+                                                   rel=1e-13)
+        assert d.expected_shannon == pytest.approx(mean(lambda y: math.log1p(half / (y * y))),
+                                                   rel=1e-13)
 
     def test_ap_small_gamma_limit(self):
-        d = gibbs.diversity_indices(AP(1e-4), shannon_sample_size=200, replicates=10)
+        d = gibbs.diversity_indices(AP(1e-4))
         assert d.expected_simpson == pytest.approx(1.0, abs=1e-3)
 
     def test_ap_simpson_quadrature_vs_mc(self):
         g = 1.0
-        d = gibbs.diversity_indices(AP(g), shannon_sample_size=200, replicates=10)
+        d = gibbs.diversity_indices(AP(g))
         v = np.random.default_rng(0).exponential(size=1_000_000)
         mc = np.exp(-g * np.sqrt(v))
         assert abs(d.expected_simpson - mc.mean()) < 3 * mc.std() / 1000
 
     def test_ap_simpson_is_pairwise_match_probability(self):
         for g in (0.5, 2.0):
-            d = gibbs.diversity_indices(AP(g), shannon_sample_size=100, replicates=5)
+            d = gibbs.diversity_indices(AP(g))
             assert d.expected_simpson == pytest.approx(
                 0.5 * math.exp(gibbs.log_V(AP(g), 2, 1)), rel=1e-10)
 
