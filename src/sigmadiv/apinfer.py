@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gibbs, specfun
-from .draws import PosteriorDraws, trapezoid_cdf
+from .draws import PosteriorDraws, log_grid_sample
 from .errors import DomainError, SamplerError
 
 __all__ = [
@@ -168,21 +168,8 @@ class GammaPrior:
             raise DomainError("Gamma prior needs a > 0 and b > 0")
 
 
-def _u_conditional_power(n: int, k: int, rho: float, coarsen_mode: str) -> float:
-    """Exponent of u in the tempered U | gamma conditional."""
-    if coarsen_mode == "joint":
-        return rho * (2 * n - k - 2)
-    if coarsen_mode == "power_only":
-        m = rho * 2 * n - k - 2
-        if m <= -1.0:
-            raise DomainError(
-                f"power_only tempering gives a non-integrable u-exponent {m}")
-        return m
-    raise DomainError(f"unknown coarsen_mode {coarsen_mode!r}")
-
-
-def gibbs_sweep(state: APAugmentedState, prior: GammaPrior, rng: np.random.Generator,
-                coarsen_mode: str = "joint") -> APAugmentedState:
+def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
+                rng: np.random.Generator) -> APAugmentedState:
     """One systematic-scan update of (gamma, U) under the tempered joint."""
     n, k, rho = state.n, state.k, state.rho
     if n < 2:
@@ -190,14 +177,13 @@ def gibbs_sweep(state: APAugmentedState, prior: GammaPrior, rng: np.random.Gener
     shape = prior.a + rho * (k - 1)
     rate = prior.b + rho * state.u / _SQRT2
     gamma = rng.gamma(shape) / rate
-    m = _u_conditional_power(n, k, rho, coarsen_mode)
-    u = sample_modified_half_normal(rng, m, 0.5 * rho, rho * gamma / _SQRT2)
+    u = sample_modified_half_normal(rng, rho * (2 * n - k - 2), 0.5 * rho,
+                                    rho * gamma / _SQRT2)
     return replace(state, gamma=gamma, u=u)
 
 
 def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
-                 rng_seed: int, rho: float = 1.0,
-                 coarsen_mode: str = "joint") -> PosteriorDraws:
+                 rng_seed: int, rho: float = 1.0) -> PosteriorDraws:
     """Convenience chain runner; returns the gamma draws after burn-in."""
     rng = np.random.default_rng(rng_seed)
     m0 = max(rho * (2 * n - k - 2), 1.0)
@@ -205,70 +191,35 @@ def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
                              n=n, k=k, rho=rho)
     out = np.empty(n_draws)
     for i in range(burn_in + n_draws):
-        state = gibbs_sweep(state, prior, rng, coarsen_mode)
+        state = gibbs_sweep(state, prior, rng)
         if i >= burn_in:
             out[i - burn_in] = state.gamma
     return PosteriorDraws(name="gamma", values=out, rho=rho, seed=rng_seed)
-
-
-def _u_marginal_grid(n: int, k: int, prior: GammaPrior, rho: float) -> tuple:
-    """Dense grid and CDF of the latent-U posterior marginal.
-
-    The marginal obtained by integrating gamma out of the tempered joint is
-    f(u) proportional to u^M e^{-rho u^2/2} (b + rho u / sqrt(2))^(-c) with
-    M = rho (2n - k - 2) and c = a + rho (k - 1).  The density need not be
-    log-concave, but every stationary point lies below sqrt(M/rho) and the
-    right tail decays at least Gaussian-fast, so a grid from just below the
-    leftmost mode to sqrt(M/rho) + 12/sqrt(rho) captures all the mass.
-    """
-    M = rho * (2 * n - k - 2)
-    c = prior.a + rho * (k - 1)
-
-    def dlog(u: float) -> float:
-        return M / u - rho * u - c * rho / _SQRT2 / (prior.b + rho * u / _SQRT2)
-
-    hi_bound = math.sqrt(M / rho) if M > 0 else 0.0
-    if M > 0 and dlog(1e-12) > 0:
-        lo_b, hi_b = 1e-12, hi_bound + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            if dlog(mid) > 0:
-                lo_b = mid
-            else:
-                hi_b = mid
-        mode = 0.5 * (lo_b + hi_b)
-    else:
-        mode = 0.0
-    sd = 1.0 / math.sqrt(rho + (M / (mode * mode) if mode > 0 else 0.0))
-    lo = max(0.0, mode - 12.0 * sd)
-    hi = max(mode, hi_bound) + 12.0 / math.sqrt(rho)
-    n_nodes = int(np.clip((hi - lo) / sd * 50.0, 16385, 262145))
-    u = np.linspace(lo, hi, n_nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logf = np.where(u > 0,
-                        M * np.log(np.maximum(u, 1e-300)) - 0.5 * rho * u * u
-                        - c * np.log(prior.b + rho * u / _SQRT2),
-                        -np.inf)
-    if u[0] == 0.0 and M == 0.0:
-        logf[0] = -c * math.log(prior.b)
-    return u, trapezoid_cdf(u, logf), c
 
 
 def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
                         n_draws: int, rng_seed: int, rho: float = 1.0) -> PosteriorDraws:
     """Exact iid posterior draws of gamma: U from its marginal, then gamma | U.
 
-    The latent marginal is inverted from a dense quadrature grid of its CDF;
-    gamma | U is Gamma(a + rho(k-1), b + rho U / sqrt(2)).
+    Integrating gamma out of the tempered joint leaves the U marginal
+    u^M e^{-rho u^2/2} (b + rho u / sqrt(2))^(-c), M = rho (2n - k - 2) and
+    c = a + rho (k - 1).  It is log-concave in x = log u (with beta = rho / sqrt(2),
+    the second derivative is -2 rho u^2 - c b beta u / (b + beta u)^2 < 0), so
+    draws.log_grid_sample inverts it; gamma | U is Gamma(c, b + rho U / sqrt(2)).
     """
     if n < 2:
         raise DomainError("iid two-step sampling requires n >= 2")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    prior = GammaPrior(a_gamma, b_gamma)
-    grid, cdf, c = _u_marginal_grid(n, k, prior, rho)
+    GammaPrior(a_gamma, b_gamma)  # refuses a or b <= 0
+    M = rho * (2 * n - k - 2)
+    c = a_gamma + rho * (k - 1)
+
+    def log_kernel(u: np.ndarray) -> np.ndarray:
+        return M * np.log(u) - 0.5 * rho * u * u - c * np.log(b_gamma + rho * u / _SQRT2)
+
     rng = np.random.default_rng(rng_seed)
-    u = np.interp(rng.random(n_draws), cdf, grid)
+    u = log_grid_sample(log_kernel, n_draws, rng)
     gamma = rng.gamma(c, size=n_draws) / (b_gamma + rho * u / _SQRT2)
     return PosteriorDraws(name="gamma", values=gamma, rho=rho, seed=rng_seed,
                           ess=float(n_draws))

@@ -105,7 +105,7 @@ def _summary_payload(summary: Dict) -> Dict:
 
 
 def _model_from_args(args, n: Optional[int] = None, k: Optional[int] = None) -> gibbs.GibbsModel:
-    for flag, family in (("alpha", "dp"), ("bound_h", "dm"), ("gamma", "ap")):
+    for flag, family in (("alpha", "dp"), ("sigma", "dm"), ("bound_h", "dm"), ("gamma", "ap")):
         if getattr(args, flag) is not None and args.family != family:
             raise DomainError(f"--{flag.replace('_', '-')} applies only to --family {family}")
     if args.family == "dp":
@@ -118,7 +118,8 @@ def _model_from_args(args, n: Optional[int] = None, k: Optional[int] = None) -> 
     if args.family == "dm":
         if args.bound_h is None:
             raise DomainError("--bound-h is required for the dm family")
-        return gibbs.DirichletMultinomial(sigma=args.sigma, H=args.bound_h)
+        sigma = -1.0 if args.sigma is None else args.sigma
+        return gibbs.DirichletMultinomial(sigma=sigma, H=args.bound_h)
     if args.gamma is None:
         raise DomainError("--gamma is required for the ap family")
     return gibbs.AldousPitman(gamma=args.gamma)
@@ -345,8 +346,6 @@ def cmd_simulate(args) -> int:
         return 0
     if args.family is None:
         args.family = "dp"
-    if args.sigma is None:
-        args.sigma = -1.0
     model = _model_from_args(args)
     os.makedirs(outdir, exist_ok=True)
     config = _config_line(args, {"resolved_model": repr(model)})
@@ -382,12 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="sample size (alternative to --input)")
         p.add_argument("--k", type=int, help="distinct count (alternative to --input)")
 
-    def model(p, family="dp", sigma=-1.0):
+    def model(p, family="dp"):
         p.add_argument("--family", choices=["dm", "dp", "ap"], default=family,
                        help="model family (default dp)")
         p.add_argument("--alpha", type=float, help="dp precision")
-        p.add_argument("--sigma", type=float, default=sigma,
-                       help="dm discount (< 0, default -1)")
+        p.add_argument("--sigma", type=float, help="dm discount (< 0, default -1)")
         p.add_argument("--bound-h", type=int, help="dm taxon bound H")
         p.add_argument("--gamma", type=float, help="ap diversity")
 
@@ -434,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", cmd_simulate, "draw a synthetic dataset from an urn")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    model(p, family=None, sigma=None)  # resolved by the flat branch, foreign to --levels-spec
+    model(p, family=None)  # resolved by the flat branch, foreign to --levels-spec
     p.add_argument("--levels-spec", help="nested spec, e.g. 'dp:30;dp:3;ap:0.8'")
     return parser
 

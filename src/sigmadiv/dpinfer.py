@@ -10,14 +10,13 @@ Poisson approximation to the out-of-sample discovery count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import specfun
-from .draws import PosteriorDraws, trapezoid_cdf
+from .draws import PosteriorDraws, log_grid_sample
 from .errors import DomainError
 
 __all__ = [
@@ -81,62 +80,6 @@ class CoarsenedPosterior:
         return (p.a + self.rho * self.k - 1.0) * np.log(alpha) - self.rho * lr_n - p.b * lr_ref
 
 
-_COARSE_NODES = 1025
-_GRID_NODES = 2 ** 15 + 1
-_TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
-_X_LIMIT = 700.0  # |log alpha| beyond which exp over- or underflows
-
-
-def _log_grid_sample(log_kernel, n_draws: int, rng_seed: int,
-                     rho: float) -> PosteriorDraws:
-    """Exact iid draws of alpha by inverse CDF on a dense grid in x = log alpha.
-
-    The density of x, log_kernel(e^x) + x, is log-concave for every SG kernel,
-    so the peak of a coarse grid brackets the mode.  Each end of the bracket
-    then steps outward, doubling the step, until the log density is
-    _TAIL_DROP below the peak; heavy tails (a small branch decays only like
-    e^{0.2 x} to the left) thus widen the grid instead of being cut off.
-    An end that reaches |x| = _X_LIMIT without that drop means the density is
-    not integrable (an SG endpoint a/b = 1 or a/b = n_ref, k = n) or its tail
-    is too heavy to sample in float range; that raises DomainError.
-    """
-    def logf(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = log_kernel(np.exp(x)) + x  # Jacobian of alpha = e^x
-        return np.where(np.isfinite(val), val, -np.inf)
-
-    coarse = np.linspace(math.log(1e-8), math.log(1e12), _COARSE_NODES)
-    fc = logf(coarse)
-    i = int(np.argmax(fc))
-    peak = float(fc[i])
-    if peak == -np.inf:
-        raise DomainError("the alpha density is zero or not finite on [1e-8, 1e12]")
-    step = coarse[1] - coarse[0]
-    ends = []
-    for x, sign in ((coarse[max(i - 1, 0)], -1.0),
-                    (coarse[min(i + 1, _COARSE_NODES - 1)], 1.0)):
-        d = step
-        while True:
-            fx = float(logf(x))
-            peak = max(peak, fx)
-            if fx < peak - _TAIL_DROP:
-                break
-            if abs(x) >= _X_LIMIT:
-                raise DomainError(
-                    "the alpha posterior is improper or too heavy-tailed to sample: its "
-                    f"density does not fall {_TAIL_DROP:g} below the peak for log alpha "
-                    f"within +-{_X_LIMIT:g}")
-            x = float(np.clip(x + sign * d, -_X_LIMIT, _X_LIMIT))
-            d *= 2.0
-        ends.append(x)
-    grid = np.linspace(ends[0], ends[1], _GRID_NODES)
-    cdf = trapezoid_cdf(grid, logf(grid))
-    rng = np.random.default_rng(rng_seed)
-    values = np.exp(np.interp(rng.random(n_draws), cdf, grid))
-    return PosteriorDraws(name="alpha", values=values, rho=rho, seed=rng_seed,
-                          ess=float(n_draws))
-
-
 def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
                         rng_seed: int) -> PosteriorDraws:
     """Draw the coarsened Stirling-gamma posterior of alpha.
@@ -146,12 +89,16 @@ def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
     """
     if n_draws < 1:
         raise DomainError("n_draws must be >= 1")
-    return _log_grid_sample(post.log_kernel, n_draws, rng_seed, post.rho)
+    values = log_grid_sample(post.log_kernel, n_draws, np.random.default_rng(rng_seed))
+    return PosteriorDraws(name="alpha", values=values, rho=post.rho, seed=rng_seed,
+                          ess=float(n_draws))
 
 
 def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> PosteriorDraws:
     """Draws from the SG prior itself (used for prior-only branches and checks)."""
-    return _log_grid_sample(prior.log_kernel, n_draws, rng_seed, rho=0.0)
+    values = log_grid_sample(prior.log_kernel, n_draws, np.random.default_rng(rng_seed))
+    return PosteriorDraws(name="alpha", values=values, rho=0.0, seed=rng_seed,
+                          ess=float(n_draws))
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -390,16 +390,6 @@ class CurvePoint:
     se: Optional[float] = None
 
 
-def _dm_rarefaction(model: DirichletMultinomial, sizes: np.ndarray) -> np.ndarray:
-    s = abs(model.sigma)
-    H = model.H
-    if H == 1:
-        return np.ones_like(sizes, dtype=float)
-    log_num = specfun.gammaln(H * s - s + sizes) - specfun.gammaln(H * s - s)
-    log_den = specfun.gammaln(H * s + sizes) - specfun.gammaln(H * s)
-    return -H * np.expm1(log_num - log_den)
-
-
 def _check_replicates(replicates: int) -> None:
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
@@ -427,9 +417,36 @@ def _mc_curve(model: GibbsModel, start_n: int, start_k: int, m: int,
     return mean, np.sqrt(var / replicates)
 
 
+def _curve(model: GibbsModel, n: int, k: int, m: int, replicates: int, rng_seed: int,
+           sizes: Optional[np.ndarray] = None) -> List[CurvePoint]:
+    """E(K_{n+i} | K_n = k) at i in sizes (default 1..m), from the state (n, k);
+    (0, 0) is the empty sample.
+
+    Closed forms for DP and DM; DM's is k - (H - k) expm1(x) with, for c = n + Hs,
+    x = log (c - s)_i - log (c)_i.  AP is the Monte Carlo mean, with its
+    standard-error band, over m urn steps.
+    """
+    i = np.arange(1, m + 1) if sizes is None else sizes
+    if isinstance(model, DirichletProcess):
+        a = model.alpha
+        vals = k + a * (specfun.digamma(a + n + i) - specfun.digamma(a + n))
+    elif isinstance(model, DirichletMultinomial):
+        s, H, g = abs(model.sigma), model.H, specfun.gammaln
+        if H == 1:
+            vals = np.ones(i.shape)
+        else:
+            c = n + H * s
+            vals = k - (H - k) * np.expm1((g(c - s + i) - g(c - s)) - (g(c + i) - g(c)))
+    else:
+        mean, se = _mc_curve(model, n, k, m, replicates, np.random.default_rng(rng_seed))
+        return [CurvePoint(int(n + j), float(mean[j - 1]), float(se[j - 1])) for j in i]
+    return [CurvePoint(int(n + j), float(v)) for j, v in zip(i, vals)]
+
+
 def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int = 0,
                 sizes: Optional[Sequence[int]] = None) -> List[CurvePoint]:
-    """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n).
+    """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n):
+    the extrapolation from the empty sample.
 
     Closed form for DM and DP; Monte Carlo (with standard-error band) for AP.
     """
@@ -438,14 +455,7 @@ def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int
     sizes = np.arange(1, n + 1) if sizes is None else np.asarray(sizes, dtype=np.int64)
     if sizes.size and (sizes.min() < 1 or sizes.max() > n):
         raise DomainError(f"sizes must lie in [1, {n}]")
-    if isinstance(model, DirichletProcess):
-        vals = model.alpha * (specfun.digamma(model.alpha + sizes) - specfun.digamma(model.alpha))
-        return [CurvePoint(int(i), float(v)) for i, v in zip(sizes, vals)]
-    if isinstance(model, DirichletMultinomial):
-        vals = _dm_rarefaction(model, sizes)
-        return [CurvePoint(int(i), float(v)) for i, v in zip(sizes, vals)]
-    mean, se = _mc_curve(model, 0, 0, n, replicates, np.random.default_rng(rng_seed))
-    return [CurvePoint(int(i), float(mean[i - 1]), float(se[i - 1])) for i in sizes]
+    return _curve(model, 0, 0, n, replicates, rng_seed, sizes)
 
 
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
@@ -457,20 +467,7 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
     _check_state(model, n, k)
     if m < 1:
         raise DomainError("m must be >= 1")
-    sizes = np.arange(1, m + 1)
-    if isinstance(model, DirichletProcess):
-        vals = k + model.alpha * (specfun.digamma(model.alpha + n + sizes)
-                                  - specfun.digamma(model.alpha + n))
-        return [CurvePoint(int(n + i), float(v)) for i, v in zip(sizes, vals)]
-    if isinstance(model, DirichletMultinomial):
-        s = abs(model.sigma)
-        g = specfun.gammaln
-        log_ratio = (g(n + model.H * s - s + sizes) - g(n + model.H * s - s)
-                     - g(n + model.H * s + sizes) + g(n + model.H * s))
-        vals = model.H - (model.H - k) * np.exp(log_ratio)
-        return [CurvePoint(int(n + i), float(v)) for i, v in zip(sizes, vals)]
-    mean, se = _mc_curve(model, n, k, m, replicates, np.random.default_rng(rng_seed))
-    return [CurvePoint(int(n + i), float(v), float(s)) for i, v, s in zip(sizes, mean, se)]
+    return _curve(model, n, k, m, replicates, rng_seed)
 
 
 def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int = 1000,
@@ -482,22 +479,28 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
     """
     if not 1 <= r_max <= n:
         raise DomainError("need 1 <= r_max <= n")
-    r = np.arange(1, r_max + 1, dtype=float)
-    g = specfun.gammaln
+    j = np.arange(r_max, dtype=float)
+    r = j + 1.0
     if isinstance(model, DirichletProcess):
+        # E(M_r) = (alpha / r) prod_{j<r} (n - j) / (alpha + n - 1 - j): no term cancels,
+        # and the running product stays below max(1, n / alpha)
         a = model.alpha
-        log_e = (math.log(a) + g(a + n - r) - g(a + n) + g(n + 1) - g(n - r + 1) - np.log(r))
-        return np.exp(log_e)
+        return a / r * np.cumprod((n - j) / (a + n - 1.0 - j))
     if isinstance(model, DirichletMultinomial):
-        # a taxon's count is BetaBinomial(n, s, b), b = (H - 1) s, so
-        # E(M_r) = H C(n, r) B(r + s, n - r + b) / B(s, b)
+        # a taxon's count is BetaBinomial(n, s, b), b = (H - 1) s, so E(M_r) is
+        # H prod_{j<r} (n - j)(s + j) / ((j + 1)(Hs + n - 1 - j)) times
+        # (b)_{n-r} / (Hs)_{n-r} = prod_{i<n-r} (1 - s / (Hs + i)).  With few taxa and a
+        # large s the first factor overflows where the second underflows, so both are
+        # summed as logs: the second as one pairwise sum over i < n - r_max, then a
+        # cumulative sum up to i < n - 1.
         s, H = abs(model.sigma), model.H
         if H == 1:
             return (r == n).astype(float)
-        b = (H - 1) * s
-        log_e = (math.log(H) + g(n + 1) - g(r + 1) - g(n - r + 1) + g(r + s) - g(s)
-                 + g(n - r + b) - g(b) - g(n + H * s) + g(H * s))
-        return np.exp(log_e)
+        log_binomial = np.cumsum(np.log((n - j) * (s + j) / (r * (H * s + n - 1.0 - j))))
+        base = np.sum(np.log1p(-s / (H * s + np.arange(n - r_max, dtype=float))))
+        tail = np.log1p(-s / (H * s + np.arange(n - r_max, n - 1, dtype=float)))
+        log_ratio = (base + np.concatenate(([0.0], np.cumsum(tail))))[::-1]
+        return H * np.exp(log_binomial + log_ratio)
     _check_replicates(replicates)
     rng = np.random.default_rng(rng_seed)
     acc = np.zeros(r_max + 2)

@@ -137,17 +137,12 @@ class BranchSufficientStats:
     label: str
     n: int
     k: int
-    child_abundances: Tuple[int, ...]
 
 
 def branch_stats(data: TaxonomicDataset, level: int) -> List[BranchSufficientStats]:
     """Per-parent sufficient statistics for the given level (2-based), sorted by label."""
-    out = []
-    for parent in data.parents_at_level(level):
-        counts = tuple(sorted((c.count for c in parent.children.values()), reverse=True))
-        out.append(BranchSufficientStats(label=parent.label, n=parent.count,
-                                         k=len(counts), child_abundances=counts))
-    return sorted(out, key=lambda b: b.label)
+    return sorted((BranchSufficientStats(label=p.label, n=p.count, k=len(p.children))
+                   for p in data.parents_at_level(level)), key=lambda b: b.label)
 
 
 def log_taxonomic_likelihood(levels: Sequence[LevelModel],
@@ -186,7 +181,6 @@ class APLevelPrior:
     hyper_mu: Tuple[float, float] = (0.0, 0.0)
     hyper_sd: float = 10.0
     rho: float = 1.0
-    coarsen_mode: str = "joint"
 
 
 LevelPrior = Union[DPLevelPrior, APLevelPrior]
@@ -275,9 +269,7 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
     scale = 0.5
     accepted_after_burn = 0
     shape_base = rho * (k_arr - 1.0)
-    m_u = np.array([apinfer._u_conditional_power(int(s.n), int(s.k), rho,
-                                                 prior.coarsen_mode)
-                    if s.n >= 2 else 0.0 for s in stats])
+    m_u = np.where(informative, rho * (2.0 * n_arr - k_arr - 2.0), 0.0)
     for it in range(mcmc.iters):
         a_cur, b_cur = math.exp(la), math.exp(lb)
         # (gamma | -) is conjugate branch by branch

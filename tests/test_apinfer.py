@@ -178,17 +178,6 @@ class TestGibbsSweep:
         got = np.quantile(draws.values, qs)
         assert np.abs(got / want - 1).max() < 0.02
 
-    def test_coarsened_sweep_power_only_flag(self):
-        state = apinfer.APAugmentedState(gamma=1.0, u=1.0, n=10, k=4, rho=0.5)
-        rng = np.random.default_rng(4)
-        out = apinfer.gibbs_sweep(state, apinfer.GammaPrior(2.0, 1.0), rng,
-                                  coarsen_mode="power_only")
-        assert out.u > 0
-        bad = apinfer.APAugmentedState(gamma=1.0, u=1.0, n=5, k=3, rho=0.25)
-        with pytest.raises(DomainError):
-            apinfer.gibbs_sweep(bad, apinfer.GammaPrior(2.0, 1.0), rng,
-                                coarsen_mode="power_only")
-
 
 class TestIidTwoStep:
     def test_distribution_equals_gibbs_chain(self):

@@ -272,7 +272,7 @@ class TestSimulate:
         assert run("simulate", "--alpha", 3, "--n", 20, "--seed", 8, "--output-dir", out) == 0
         with open(out / "accumulation.csv", encoding="utf-8") as fh:
             config = json.loads(fh.readline()[len("# config: "):])
-        assert config["family"] == "dp" and config["sigma"] == -1.0
+        assert config["family"] == "dp" and "sigma" not in config
         assert config["resolved_model"] == "DirichletProcess(alpha=3.0)"
 
     def test_dp_amazon_scale_terminal_k(self, tmp_path):
@@ -487,12 +487,17 @@ class TestFlagContract:
         ["validate", "--input", "{csv}", "--gamma", 1],
         ["simulate", "--n", 30, "--family", "dm", "--bound-h", 4, "--gamma", 2],
         ["simulate", "--n", 30, "--alpha", 2, "--bound-h", 4],
+        ["extrapolate", "--n", 100, "--k", 10, "--family", "dp", "--alpha", 5,
+         "--sigma", -2, "--m", 3],
+        ["validate", "--input", "{csv}", "--family", "ap", "--gamma", 1, "--sigma", -1],
+        ["simulate", "--n", 30, "--alpha", 2, "--sigma", -1],
     ], ids=["extrapolate-input-and-nk", "fit-input-and-k", "fit-ap-sg", "fit-dp-gamma-prior",
             "simulate-nested-gamma", "simulate-nested-bound-h", "simulate-nested-alpha",
             "simulate-nested-family-sigma", "simulate-nested-default-sigma",
             "extrapolate-dm-alpha-gamma", "extrapolate-dp-bound-h", "extrapolate-ap-alpha",
             "validate-ap-bound-h", "validate-dp-gamma", "simulate-dm-gamma",
-            "simulate-dp-bound-h"])
+            "simulate-dp-bound-h", "extrapolate-dp-sigma", "validate-ap-sigma",
+            "simulate-dp-sigma"])
     def test_flag_the_branch_ignores_is_domain_error(self, argv, tiny_csv, tmp_path):
         # each flag is read by some branch of its subcommand, but not by the one taken
         out = tmp_path / "x"

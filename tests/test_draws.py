@@ -1,0 +1,82 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammaln
+
+from sigmadiv.draws import log_grid_sample
+
+LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
+
+
+class FixedUniforms:
+    """Stands in for a Generator: random(n) returns the fixed levels."""
+
+    def random(self, n):
+        assert n == LEVELS.size
+        return LEVELS.copy()
+
+
+def u_log_kernel(n, k, rho, a=2.0, b=1.0):
+    """Log of the AP latent-U marginal u^M e^{-rho u^2/2} (b + rho u / sqrt 2)^(-c)."""
+    M, c = rho * (2 * n - k - 2), a + rho * (k - 1)
+    return lambda u: M * np.log(u) - 0.5 * rho * u * u - c * np.log(b + rho * u / math.sqrt(2))
+
+
+def sg_log_kernel(n, k, rho, a=0.3, b=0.1, n_ref=100):
+    """Log of the coarsened SG posterior kernel of alpha, log rising factorials by gammaln."""
+    def f(alpha):
+        return ((a + rho * k - 1.0) * np.log(alpha) - rho * (gammaln(alpha + n) - gammaln(alpha))
+                - b * (gammaln(alpha + n_ref) - gammaln(alpha)))
+    return f
+
+
+def quad_quantiles(log_kernel, levels):
+    """Quantiles by adaptive quadrature of the density and root finding on its CDF.
+
+    The support is cut where the log density is 80 below its peak, found on a
+    geometric scan; the CDF is integrated on [0, v] with that peak as a break point.
+    """
+    scan = np.geomspace(1e-12, 1e8, 4001)
+    with np.errstate(divide="ignore"):
+        lk = log_kernel(scan)
+    peak = float(lk.max())
+    mode = float(scan[np.argmax(lk)])
+    hi = float(scan[np.flatnonzero(lk > peak - 80.0).max() + 1])
+
+    def cdf(v):
+        def f(x):
+            return math.exp(log_kernel(x) - peak) if x > 0.0 else 0.0
+        pts = [mode] if 0.0 < mode < v else None
+        return quad(f, 0.0, v, points=pts, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+    total = cdf(hi)
+    return np.array([brentq(lambda v: cdf(v) / total - q, 1e-12, hi, xtol=1e-300, rtol=1e-13)
+                     for q in levels])
+
+
+class TestLogGridSample:
+    @pytest.mark.parametrize("n, k, rho", [(2, 1, 1.0), (2, 2, 1.0), (5, 5, 0.25),
+                                           (20, 8, 1.0), (3000, 200, 0.25)])
+    def test_u_marginal_quantiles_vs_quadrature(self, n, k, rho):
+        log_kernel = u_log_kernel(n, k, rho)
+        got = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
+        want = quad_quantiles(log_kernel, LEVELS)
+        assert np.abs(got / want - 1).max() < 1e-4
+
+    def test_sg_posterior_quantiles_vs_quadrature(self):
+        log_kernel = sg_log_kernel(200, 30, 1.0)
+        got = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
+        want = quad_quantiles(log_kernel, LEVELS)
+        assert np.abs(got / want - 1).max() < 1e-4
+
+    def test_reads_one_uniform_per_draw_from_the_stream(self):
+        log_kernel = u_log_kernel(20, 8, 1.0)
+        rng = np.random.default_rng(5)
+        log_grid_sample(log_kernel, 100, rng)
+        after = rng.random()
+        rng = np.random.default_rng(5)
+        rng.random(100)
+        assert rng.random() == after

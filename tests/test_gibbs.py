@@ -490,7 +490,36 @@ class TestReplicates:
                 call()
 
 
+# E(M_{r,n}) by 40-digit mpmath log-gamma sums: (model, n, {r: value}).  The
+# gammaln form of the closed forms cancels terms of size n log n and is off by
+# ~3e-9 at the Amazon n; the product forms are within 1e-14.
+FREQ_COUNTS_MPMATH = [
+    (DP(751.23), 553_949, {1: 750.21396238462418634, 2: 374.59964856480414474,
+                           10: 74.113115844437119369, 100: 6.5612961849001618846}),
+    (DM(-1.0, 20_000), 553_949, {1: 672.61062234728476631, 2: 649.17485099300927566,
+                                 10: 488.81488832645657691, 100: 20.083053620613734366}),
+    (DP(1e6), 1_000, {1: 999.00199700499201298, 2: 0.49850399052145310029,
+                      10: 9.4640636870344964267e-26, 100: 5.4194019074232263883e-299}),
+]
+
+
 class TestFreqCounts:
+    @pytest.mark.parametrize("model, n, want", FREQ_COUNTS_MPMATH, ids=["dp", "dm", "dp-1e6"])
+    def test_against_mpmath(self, model, n, want):
+        got = gibbs.expected_freq_counts(model, n, 100)
+        for r, w in want.items():
+            assert got[r - 1] == pytest.approx(w, rel=1e-13, abs=0.0)
+
+    def test_dm_few_taxa_large_sigma(self):
+        # H = 2, s = 1e4: the binomial factor overflows and (b)_{n-r} / (Hs)_{n-r}
+        # underflows at r ~ n / 2, where E(M_r) is moderate (40-digit mpmath values)
+        got = gibbs.expected_freq_counts(DM(-1e4, 2), 3_000, 3_000)
+        assert np.isfinite(got).all()
+        assert got[1499] == pytest.approx(0.027165869514348652706, rel=1e-11)
+        assert got[999] == pytest.approx(1.3120541049356246773e-66, rel=1e-11)
+        assert got[1999] == pytest.approx(1.3120541049356246773e-66, rel=1e-11)
+        assert (np.arange(1, 3_001) * got).sum() == pytest.approx(3_000, rel=1e-10)
+
     def test_dp_small_case(self):
         e = gibbs.expected_freq_counts(DP(1.0), 2, 2)
         assert e[0] == pytest.approx(1.0, rel=1e-12)
