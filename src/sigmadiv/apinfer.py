@@ -37,6 +37,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
+_MAX_REJECTS = 10_000  # proposals of one rejection loop before SamplerError
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,10 @@ def log_augmented_likelihood(state: APAugmentedState, abundances: Sequence[int])
     return state.rho * core
 
 
-def _sample_trunc_normal(rng: np.random.Generator, mean: float, sd: float,
-                         max_rejects: int) -> float:
+def _sample_trunc_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
     """Normal(mean, sd) conditioned on positivity."""
     if mean >= 0.0:
-        for _ in range(max_rejects):
+        for _ in range(_MAX_REJECTS):
             x = mean + sd * rng.standard_normal()
             if x > 0.0:
                 return x
@@ -117,15 +117,15 @@ def _sample_trunc_normal(rng: np.random.Generator, mean: float, sd: float,
     # left-truncation far in the tail: exponential tilt (Robert 1995)
     beta = -mean / sd
     lam = 0.5 * (beta + math.sqrt(beta * beta + 4.0))
-    for _ in range(max_rejects):
+    for _ in range(_MAX_REJECTS):
         z = beta + rng.exponential() / lam
         if math.log(rng.random()) <= -0.5 * (z - lam) ** 2:
             return mean + sd * z
     raise SamplerError("truncated-normal rejection loop exceeded")
 
 
-def sample_modified_half_normal(rng: np.random.Generator, m: float, p: float, q: float,
-                                max_rejects: int = 10_000) -> float:
+def sample_modified_half_normal(rng: np.random.Generator, m: float, p: float,
+                                q: float) -> float:
     """Exact draw from the density proportional to u^m e^{-p u^2 - q u} on (0, inf).
 
     Uses one of two tangent-line envelopes of the log-concave target: a
@@ -136,20 +136,19 @@ def sample_modified_half_normal(rng: np.random.Generator, m: float, p: float, q:
     if m < 0.0 or p <= 0.0:
         raise DomainError(f"need m >= 0 and p > 0, got m={m}, p={p}")
     if m == 0.0:
-        return _sample_trunc_normal(rng, -q / (2.0 * p), 1.0 / math.sqrt(2.0 * p),
-                                    max_rejects)
+        return _sample_trunc_normal(rng, -q / (2.0 * p), 1.0 / math.sqrt(2.0 * p))
     x_star = (-q + math.sqrt(q * q + 8.0 * p * m)) / (4.0 * p)
     if m / (x_star * x_star) <= 2.0 * p:
         # Gaussian envelope centered at the mode
         sd = 1.0 / math.sqrt(2.0 * p)
         log_xs = math.log(x_star)
-        for _ in range(max_rejects):
-            x = _sample_trunc_normal(rng, x_star, sd, max_rejects)
+        for _ in range(_MAX_REJECTS):
+            x = _sample_trunc_normal(rng, x_star, sd)
             if math.log(rng.random()) <= m * (math.log(x) - log_xs - (x - x_star) / x_star):
                 return x
         raise SamplerError("modified-half-normal rejection loop exceeded")
     rate = q + 2.0 * p * x_star
-    for _ in range(max_rejects):
+    for _ in range(_MAX_REJECTS):
         x = rng.gamma(m + 1.0) / rate
         if math.log(rng.random()) <= -p * (x - x_star) ** 2:
             return x

@@ -212,39 +212,29 @@ def cmd_validate(args) -> int:
 
     sizes = _grid_sizes(n, args.grid_points)
     classical = estimators.classical_rarefaction(data, sizes)
-    curve = gibbs.rarefaction(model, n, replicates=args.replicates, rng_seed=args.seed,
-                              sizes=sizes)
+    curve = gibbs.rarefaction(model, n, sizes=sizes)
     rows = [(c.size, cl, c.value) for c, cl in zip(curve, classical)]
     _write_table(outdir, "rarefaction", ["size", "classical", "model"], rows,
                  args.format, config)
 
     r_max = min(args.r_max, n)
-    expected = gibbs.expected_freq_counts(model, n, r_max, replicates=args.replicates,
-                                          rng_seed=args.seed)
+    expected = gibbs.expected_freq_counts(model, n, r_max)
     observed = [data.freq_counts.get(r, 0) for r in range(1, r_max + 1)]
     rows = [(r, o, e) for r, o, e in zip(range(1, r_max + 1), observed, expected)]
     _write_table(outdir, "freq_counts", ["r", "observed", "expected"], rows,
                  args.format, config)
 
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7ad)))
-    acc = np.zeros(0)
-    acc2 = np.zeros(0)
+    acc = np.zeros((2, 0))  # sums of the ranked sizes and of their squares
     for _ in range(args.replicates):
         ranked = np.sort(np.bincount(gibbs.urn_sample(model, n, rng)))[::-1].astype(float)
-        if ranked.size > acc.size:
-            acc = np.pad(acc, (0, ranked.size - acc.size))
-            acc2 = np.pad(acc2, (0, ranked.size - acc2.size))
-        acc[:ranked.size] += ranked
-        acc2[:ranked.size] += ranked ** 2
-    mean = acc / args.replicates
-    se = np.sqrt(np.maximum(acc2 / args.replicates - mean ** 2, 0.0) / args.replicates)
-    obs = list(data.abundances)
-    rows = []
-    for r in range(max(len(obs), mean.size)):
-        rows.append((r + 1,
-                     obs[r] if r < len(obs) else 0,
-                     mean[r] if r < mean.size else 0.0,
-                     se[r] if r < se.size else 0.0))
+        acc = np.pad(acc, ((0, 0), (0, max(ranked.size - acc.shape[1], 0))))
+        acc[:, :ranked.size] += ranked, ranked ** 2
+    width = max(len(data.abundances), acc.shape[1])
+    obs = np.pad(np.asarray(data.abundances, dtype=np.int64), (0, width - data.k)).tolist()
+    mean, sq = np.pad(acc, ((0, 0), (0, width - acc.shape[1]))) / args.replicates
+    se = np.sqrt(np.maximum(sq - mean ** 2, 0.0) / args.replicates)
+    rows = list(zip(range(1, width + 1), obs, mean, se))
     _write_table(outdir, "rad", ["rank", "observed", "expected", "se"], rows,
                  args.format, config)
     return 0
@@ -290,15 +280,15 @@ def cmd_taxonomic(args) -> int:
     outdir, config = _start_outputs(args, resolved, tree)
     fit = taxo.fit_taxonomic(spec, tree, mcmc)
 
-    payload: Dict = {"level1": _draws_list(fit.level1.values)}
+    payload: Dict = {"level1": fit.level1.values.tolist()}
     level_names = {2: "families", 3: "genera"} if args.levels == 3 else {}
     for i, level_draws in enumerate(fit.branches):
         name = level_names.get(i + 2, f"level{i + 2}")
-        payload[name] = {lab: _draws_list(d.values)
+        payload[name] = {lab: d.values.tolist()
                          for lab, d in sorted(level_draws.items())}
     payload["hyper"] = {
-        str(level): {"a_gamma": _draws_list(h["a_gamma"]),
-                     "b_gamma": _draws_list(h["b_gamma"]),
+        str(level): {"a_gamma": h["a_gamma"].tolist(),
+                     "b_gamma": h["b_gamma"].tolist(),
                      "acceptance": _round6(h["acceptance"])}
         for level, h in fit.hyper.items()}
     _write_json(outdir, "taxonomic_fit", payload, config)
@@ -308,10 +298,6 @@ def cmd_taxonomic(args) -> int:
                  ["level", "label", "mean", "q01", "q99", "n_branch", "k_branch",
                   "prior_only"], rows, args.format, config)
     return 0
-
-
-def _draws_list(a: np.ndarray) -> List[float]:
-    return [float(_DRAW_FMT % v) for v in a]
 
 
 def _parse_levels_spec(spec: str) -> List[taxo.LevelModel]:

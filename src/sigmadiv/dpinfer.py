@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import specfun
-from .draws import PosteriorDraws, log_grid_sample
+from .draws import PosteriorDraws, log_grid_sample, summarize_draws
 from .errors import DomainError
 
 __all__ = [
@@ -137,25 +137,6 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return j.astype(np.int64)
 
 
-_SERIES_FROM = 1e3  # alpha above which _discovery_mean uses the digamma series
-
-
-def _discovery_mean(alpha: np.ndarray, n: int, N: np.ndarray) -> np.ndarray:
-    """alpha (psi(alpha + N) - psi(alpha + n)), the mean count of new taxa.
-
-    Above _SERIES_FROM the digamma difference is taken from the series
-    psi(z) = log z - 1/(2 z) - 1/(12 z^2) + O(z^-4) with the log difference
-    as log1p, since the plain difference is rounding noise by alpha ~ 1e16.
-    """
-    big = alpha > _SERIES_FROM
-    z = np.where(big, alpha, _SERIES_FROM)
-    zn, zN = z + n, z + N
-    series = np.log1p((N - n) / zn) + 0.5 * (1.0 / zn - 1.0 / zN) + (zn ** -2 - zN ** -2) / 12.0
-    small = np.where(big, 1.0, alpha)
-    direct = specfun.digamma(small + N) - specfun.digamma(small + n)
-    return alpha * np.where(big, series, direct)
-
-
 @dataclass
 class RichnessPrediction:
     """Posterior draws of the total richness K_N under N ~ Uniform(.5, 1.5) N-hat."""
@@ -168,8 +149,6 @@ class RichnessPrediction:
     seed: int
 
     def summary(self) -> Dict:
-        from .draws import summarize_draws
-
         return summarize_draws(self.draws.astype(float))
 
 
@@ -192,7 +171,7 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
     else:
         N = np.maximum(np.floor(rng.uniform(0.5 * N_hat, 1.5 * N_hat, size=n_draws)),
                        float(post.n))
-    lam = _discovery_mean(alpha, post.n, N)
+    lam = specfun.discovery_mean(alpha, post.n, N - post.n)
     u = rng.random(n_draws)
     new = _poisson_ppf(u, lam)
     return RichnessPrediction(draws=post.k + new, N_hat=N_hat, n=post.n, k=post.k,

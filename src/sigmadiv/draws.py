@@ -1,17 +1,18 @@
-"""Posterior draw containers, effective-sample-size diagnostics, and the one exact
-1-D sampler (log-grid inverse CDF) that both diversity posteriors draw from."""
+"""Posterior draw containers, effective-sample-size diagnostics, and the log-grid
+bracket in x = log v behind the exact 1-D sampler of both diversity posteriors
+(inverse CDF) and the 1-D integrals of the AP prior expectations (trapezoid rule)."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
-           "log_grid_sample", "summarize_draws"]
+           "log_grid_rule", "log_grid_sample", "summarize_draws"]
 
 SUMMARY_QUANTILES = (0.01, 0.25, 0.50, 0.75, 0.99)
 
@@ -44,26 +45,22 @@ def effective_sample_size(x: np.ndarray, max_lag: int = 200) -> float:
     return n / (1.0 + 2.0 * s)
 
 
-_COARSE_NODES = 1025
+_COARSE_NODES = 1025  # also the nodes of log_grid_rule
 _GRID_NODES = 2 ** 15 + 1
 _TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
 _X_LIMIT = 700.0  # |log v| beyond which exp over- or underflows
 
 
-def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Exact iid draws of v > 0 by inverse CDF on a dense grid in x = log v.
-
-    log_kernel(v) is the log density of v up to a constant.  The density of
-    x, log_kernel(e^x) + x, must be log-concave (it is for every SG kernel of
-    the DP's alpha and for the AP's latent U), so the peak of a coarse grid
-    brackets the mode.  Each end of the bracket then steps outward, doubling
-    the step, until the log density is _TAIL_DROP below the peak; heavy tails
-    (a small branch decays only like e^{0.2 x} to the left) thus widen the grid
-    instead of being cut off.  An end that reaches |x| = _X_LIMIT without that
-    drop means the density is not integrable (an SG endpoint a/b = 1 or
-    a/b = n_ref, k = n) or its tail is too heavy to sample in float range;
-    that raises DomainError.  The CDF is the trapezoid rule on the grid.
+def _log_grid(log_kernel: Callable[[np.ndarray], np.ndarray],
+              nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A grid of `nodes` points in x = log v and, on it, the log density of x,
+    log_kernel(e^x) + x.  That must be log-concave (as for every SG kernel of the
+    DP's alpha, the AP's latent U and the AP pick integrands), so the peak of a
+    coarse grid brackets the mode.  Each end then steps outward, doubling the step,
+    until the log density is _TAIL_DROP below the peak: heavy tails (like e^{0.2 x})
+    widen the grid instead of being cut off.  An end that reaches |x| = _X_LIMIT
+    first means the density is not integrable (an SG endpoint a/b = 1 or
+    a/b = n_ref, k = n) or too heavy-tailed for float range: DomainError.
     """
     def logf(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -91,14 +88,31 @@ def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int
                     "the posterior is improper or too heavy-tailed to sample: its "
                     f"density does not fall {_TAIL_DROP:g} below the peak for log v "
                     f"within +-{_X_LIMIT:g}")
-            x = float(np.clip(x + sign * d, -_X_LIMIT, _X_LIMIT))
+            x = min(max(x + sign * d, -_X_LIMIT), _X_LIMIT)
             d *= 2.0
         ends.append(x)
-    grid = np.linspace(ends[0], ends[1], _GRID_NODES)
-    lf = logf(grid)
+    grid = np.linspace(ends[0], ends[1], nodes)
+    return grid, logf(grid)
+
+
+def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Exact iid draws of v > 0, of log density log_kernel(v) up to a constant, by
+    inverse CDF on the _log_grid of _GRID_NODES; the CDF is the trapezoid rule."""
+    grid, lf = _log_grid(log_kernel, _GRID_NODES)
     f = np.exp(lf - lf.max())
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))])
     return np.exp(np.interp(rng.random(n_draws), cdf / cdf[-1], grid))
+
+
+def log_grid_rule(log_kernel: Callable[[np.ndarray], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes x and log terms t of the trapezoid rule int e^{log_kernel(v)} dv ~ sum_i e^{t_i}
+    on the _log_grid of _COARSE_NODES.  The spacing is (b - a) / (N - 1): a
+    difference of two nodes would lose about 1e-12 at |x| ~ 50."""
+    x, t = _log_grid(log_kernel, _COARSE_NODES)
+    t += math.log((x[-1] - x[0]) / (_COARSE_NODES - 1))  # linspace keeps both ends exact
+    t[[0, -1]] -= math.log(2.0)
+    return x, t
 
 
 def summarize_draws(values: np.ndarray) -> Dict[str, float]:

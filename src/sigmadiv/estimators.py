@@ -122,6 +122,11 @@ def classical_rarefaction(data: PartitionData,
 
 
 def sample_coverage(model: gibbs.GibbsModel, n: int, k: int) -> float:
-    """Bayesian sample coverage 1 - V_{n+1,k+1}/V_{n,k}, the mass of seen taxa."""
-    delta = gibbs.log_V(model, n + 1, k + 1) - gibbs.log_V(model, n, k)
-    return float(-np.expm1(delta))
+    """Bayesian sample coverage 1 - p_new(n, k), the mass of seen taxa; DP's n / (alpha + n)
+    and DM's (n + k s) / (n + H s) in closed form, where 1 - p_new would cancel."""
+    gibbs._check_state(model, n, k)
+    if isinstance(model, gibbs.DirichletProcess):
+        return n / (model.alpha + n)
+    if isinstance(model, gibbs.DirichletMultinomial):
+        return (n + k * abs(model.sigma)) / (n + model.H * abs(model.sigma))
+    return 1.0 - gibbs._p_new(model, n, k)

@@ -3,10 +3,12 @@
 The three base models are Dirichlet-multinomial (discount sigma < 0, finite
 richness H), Dirichlet process (sigma = 0, precision alpha) and Aldous-Pitman
 (sigma = 1/2, square-root diversity gamma).  Everything downstream consumes
-them through log_V(n, k), the log partition weights.  Every expectation is
-exact where an exact form exists: closed forms for DP and DM, and for AP the
-diversity indices by one quadrature.  Monte Carlo is left for AP's curves and
-frequency counts and the long-horizon fallback of posterior_Km_pmf.
+them through log_V(n, k), the log partition weights.  Every prior expectation
+is exact: closed forms for DP and DM, and for AP one integral over the
+size-biased pick (rarefaction, frequency counts, diversity indices) on the
+log-grid rule of draws.log_grid_rule.  Monte Carlo is left for AP's
+extrapolation from an observed state and the long-horizon fallback of
+posterior_Km_pmf.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import specfun
+from . import draws, specfun
 from .datamodel import PartitionData
 from .errors import DomainError, TableSizeError
 
@@ -390,93 +392,99 @@ class CurvePoint:
     se: Optional[float] = None
 
 
-def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+_CURVE_BLOCK = 256  # sizes per block of an AP rarefaction: a few MB of temporaries
 
 
-def _mc_curve(model: GibbsModel, start_n: int, start_k: int, m: int,
-              replicates: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo mean and standard error of K over m further urn steps."""
-    _check_replicates(replicates)
-    if start_n:
-        n, k, lead = start_n, start_k, []
-    else:  # draw 0 discovers without reading a uniform; the path starts at K_1 = 1
-        n, k, lead = 1, 1, [1]
-    steps = m - len(lead)
-    p_new = _discovery_fn(model, n + steps, n, k)
-    acc = np.zeros(m)
-    acc2 = np.zeros(m)
-    for _ in range(replicates):
-        flags = _path_flags(model, n, k, rng.random(steps), p_new)
-        ks = np.concatenate((lead, k + flags.cumsum()))
-        acc += ks
-        acc2 += ks * ks
-    mean = acc / replicates
-    var = np.maximum(acc2 / replicates - mean * mean, 0.0)
-    return mean, np.sqrt(var / replicates)
-
-
-def _curve(model: GibbsModel, n: int, k: int, m: int, replicates: int, rng_seed: int,
-           sizes: Optional[np.ndarray] = None) -> List[CurvePoint]:
-    """E(K_{n+i} | K_n = k) at i in sizes (default 1..m), from the state (n, k);
-    (0, 0) is the empty sample.
-
-    Closed forms for DP and DM; DM's is k - (H - k) expm1(x) with, for c = n + Hs,
-    x = log (c - s)_i - log (c)_i.  AP is the Monte Carlo mean, with its
-    standard-error band, over m urn steps.
+def _ap_pick_rule(model: AldousPitman, log_g) -> Tuple[np.ndarray, np.ndarray]:
+    """log(1 - P) at the nodes and the log terms t of a rule E g(P) ~ sum_i e^{t_i}, for
+    the AP size-biased pick P = Y^2 / (c + Y^2), c = gamma^2 / 2, Y ~ N(0, 1), and
+    log g = log_g(log P, log(1 - P)): draws.log_grid_rule in x = log Y^2.  By Pitman's
+    identity (2006, ch. 3), E sum_j f(P_j) = E f(P) / P over the prior weights P_j.
+    log P = -log(1 + e^{-s}) and log(1 - P) = -log(1 + e^s), s = x - log c, do not cancel.
     """
-    i = np.arange(1, m + 1) if sizes is None else sizes
+    log_c = 2.0 * math.log(model.gamma) - math.log(2.0)
+
+    def log_kernel(v):  # Y^2 = v has density v^{-1/2} e^{-v/2} / sqrt(2 pi)
+        s = np.log(v) - log_c
+        return (log_g(-np.logaddexp(0.0, -s), -np.logaddexp(0.0, s))
+                - 0.5 * (np.log(v) + v + math.log(2.0 * math.pi)))
+
+    x, t = draws.log_grid_rule(log_kernel)
+    return -np.logaddexp(0.0, x - log_c), t
+
+
+def _ap_rarefaction(model: AldousPitman, sizes: np.ndarray) -> np.ndarray:
+    """E(K_m) = E (1 - (1 - P)^m) / P at m in sizes, all on the rule of the largest size."""
+    top = int(sizes.max(initial=1))
+    lq, t = _ap_pick_rule(model, lambda lp, lq: np.log(-np.expm1(top * lq)) - lp)
+    w = np.exp(t) / -np.expm1(top * lq)  # the rule's weight times density / P
+    out = np.empty(sizes.shape)
+    for lo in range(0, sizes.size, _CURVE_BLOCK):
+        out[lo:lo + _CURVE_BLOCK] = -np.expm1(sizes[lo:lo + _CURVE_BLOCK, None] * lq) @ w
+    return out
+
+
+def _curve(model: GibbsModel, n: int, k: int, i: np.ndarray) -> np.ndarray:
+    """E(K_{n+i} | K_n = k) at the sizes i >= 1 from the state (n, k), (0, 0) for AP:
+    DP's k + specfun.discovery_mean, DM's k - (H - k) expm1(x) with, for c = n + Hs,
+    x = log (c - s)_i - log (c)_i, and AP's size-biased integral _ap_rarefaction."""
     if isinstance(model, DirichletProcess):
-        a = model.alpha
-        vals = k + a * (specfun.digamma(a + n + i) - specfun.digamma(a + n))
-    elif isinstance(model, DirichletMultinomial):
+        return k + specfun.discovery_mean(model.alpha, n, i)
+    if isinstance(model, DirichletMultinomial):
         s, H, g = abs(model.sigma), model.H, specfun.gammaln
         if H == 1:
-            vals = np.ones(i.shape)
-        else:
-            c = n + H * s
-            vals = k - (H - k) * np.expm1((g(c - s + i) - g(c - s)) - (g(c + i) - g(c)))
-    else:
-        mean, se = _mc_curve(model, n, k, m, replicates, np.random.default_rng(rng_seed))
-        return [CurvePoint(int(n + j), float(mean[j - 1]), float(se[j - 1])) for j in i]
-    return [CurvePoint(int(n + j), float(v)) for j, v in zip(i, vals)]
+            return np.ones(i.shape)
+        c = n + H * s
+        return k - (H - k) * np.expm1((g(c - s + i) - g(c - s)) - (g(c + i) - g(c)))
+    return _ap_rarefaction(model, i)
 
 
-def rarefaction(model: GibbsModel, n: int, replicates: int = 1000, rng_seed: int = 0,
+def rarefaction(model: GibbsModel, n: int,
                 sizes: Optional[Sequence[int]] = None) -> List[CurvePoint]:
     """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n):
-    the extrapolation from the empty sample.
-
-    Closed form for DM and DP; Monte Carlo (with standard-error band) for AP.
-    """
+    the extrapolation from the empty sample.  Exact for every family."""
     if n < 1:
         raise DomainError("n must be >= 1")
     sizes = np.arange(1, n + 1) if sizes is None else np.asarray(sizes, dtype=np.int64)
     if sizes.size and (sizes.min() < 1 or sizes.max() > n):
         raise DomainError(f"sizes must lie in [1, {n}]")
-    return _curve(model, 0, 0, n, replicates, rng_seed, sizes)
+    return [CurvePoint(int(j), float(v)) for j, v in zip(sizes, _curve(model, 0, 0, sizes))]
 
 
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
                   rng_seed: int = 0) -> List[CurvePoint]:
     """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k).
 
-    Closed form for DM and DP; Monte Carlo (with standard-error band) for AP.
+    Closed form for DM and DP; for AP the Monte Carlo mean, with its standard-error
+    band, of `replicates` paths of K from K_n = k, seeded by rng_seed.
     """
     _check_state(model, n, k)
     if m < 1:
         raise DomainError("m must be >= 1")
-    return _curve(model, n, k, m, replicates, rng_seed)
+    i = np.arange(1, m + 1)
+    if not isinstance(model, AldousPitman):
+        return [CurvePoint(int(n + j), float(v)) for j, v in zip(i, _curve(model, n, k, i))]
+    if replicates < 1:
+        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    rng = np.random.default_rng(rng_seed)
+    p_new = _discovery_fn(model, n + m, n, k)
+    acc = np.zeros(m)
+    acc2 = np.zeros(m)
+    for _ in range(replicates):
+        ks = k + _path_flags(model, n, k, rng.random(m), p_new).cumsum()
+        acc += ks
+        acc2 += ks * ks
+    mean = acc / replicates
+    se = np.sqrt(np.maximum(acc2 / replicates - mean * mean, 0.0) / replicates)
+    return [CurvePoint(int(n + j), float(v), float(e)) for j, v, e in zip(i, mean, se)]
 
 
-def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int = 1000,
-                         rng_seed: int = 0) -> np.ndarray:
+def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:
     """E(M_{r,n}) for r = 1..r_max: expected number of taxa seen exactly r times.
 
-    Closed form for DP and DM; for AP, the taxon sizes of `replicates` urn
-    samples of size n (seeded by rng_seed) are averaged.
-    """
+    Closed form for DP and DM.  For AP, C(n, r) E P^{r-1} (1 - P)^{n-r} over the
+    size-biased pick P, on the rule of each r's integrand, with log C(n, r) a
+    cumulative sum of logs (a gammaln difference is ~2e-10 off at n ~ 5e5)."""
     if not 1 <= r_max <= n:
         raise DomainError("need 1 <= r_max <= n")
     j = np.arange(r_max, dtype=float)
@@ -501,13 +509,11 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int, replicates: int 
         tail = np.log1p(-s / (H * s + np.arange(n - r_max, n - 1, dtype=float)))
         log_ratio = (base + np.concatenate(([0.0], np.cumsum(tail))))[::-1]
         return H * np.exp(log_binomial + log_ratio)
-    _check_replicates(replicates)
-    rng = np.random.default_rng(rng_seed)
-    acc = np.zeros(r_max + 2)
-    for _ in range(replicates):
-        sizes = np.bincount(urn_sample(model, n, rng))
-        acc += np.bincount(np.minimum(sizes, r_max + 1), minlength=r_max + 2)
-    return acc[1:r_max + 1] / replicates
+    out = np.empty(r_max)
+    for r, log_binomial in enumerate(np.cumsum(np.log((n - j) / r)), start=1):
+        _, t = _ap_pick_rule(model, lambda lp, lq, r=r: (r - 1) * lp + (n - r) * lq)
+        out[r - 1] = math.exp(log_binomial + specfun.logsumexp(t, np.ones_like(t)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -522,13 +528,8 @@ def diversity_indices(model: GibbsModel) -> DiversityIndices:
     Simpson's is the probability that the second draw repeats the first, and
     Shannon's is E(-log P) of the size-biased pick P (Pitman 2006, ch. 3).
     Closed forms for DP (P ~ Beta(1, alpha)) and DM (P ~ Beta(1 + s, (H - 1) s),
-    s = |sigma|).  For AP, P = Y^2 / (gamma^2/2 + Y^2) with Y ~ N(0, 1); with
-    V = v^2 ~ Exp(1), E(P) = E(e^{-gamma sqrt(V)}) = 2 int_0^inf v e^{-v^2 - gamma v} dv,
-    and E log(1 + gamma^2 / (2 Y^2)) = 2 int_0^inf e^{-v^2} (1 - e^{-gamma v}) / v dv by
-    log(1 + x) = int_0^inf (1 - e^{-xt}) e^{-t} dt / t and E e^{-lam/Y^2} = e^{-sqrt(2 lam)}.
-    Neither integrand cancels.  Both take the shared Gauss-Legendre rule on [0, a],
-    a = min(6.5, 40 / gamma), where e^{-gamma v} decays, and in log v on [a, 6.5],
-    where Shannon's integrand falls like 1/v; e^{-6.5^2} < 1e-18.
+    s = |sigma|).  For AP, P = Y^2 / (gamma^2/2 + Y^2) with Y ~ N(0, 1); each
+    index is one integral on the rule of _ap_pick_rule fitted to its integrand.
     """
     if isinstance(model, DirichletProcess):
         a = model.alpha
@@ -537,11 +538,5 @@ def diversity_indices(model: GibbsModel) -> DiversityIndices:
         s, H = abs(model.sigma), model.H
         return DiversityIndices((1.0 + s) / (1.0 + H * s),
                                 specfun.digamma(H * s + 1.0) - specfun.digamma(s + 1.0))
-    nodes, weights = specfun.gauss_legendre_rule()
-    g, cut = model.gamma, min(6.5, 40.0 / model.gamma)
-    half, span = 0.5 * cut, 0.5 * math.log(6.5 / cut)
-    top = cut * np.exp(span * (1.0 + nodes))
-    v = np.concatenate((half * (1.0 + nodes), top))
-    w = 2.0 * np.concatenate((half * weights, span * weights * top)) * np.exp(-v * v)
-    return DiversityIndices(float(np.dot(w, v * np.exp(-g * v))),
-                            float(np.dot(w, -np.expm1(-g * v) / v)))
+    return DiversityIndices(*(float(np.exp(_ap_pick_rule(model, log_g)[1]).sum())
+                              for log_g in (lambda lp, lq: lp, lambda lp, lq: np.log(-lp))))

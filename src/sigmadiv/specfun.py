@@ -21,6 +21,7 @@ __all__ = [
     "CoefficientTable",
     "gammaln",
     "digamma",
+    "discovery_mean",
     "trigamma",
     "logsumexp",
     "gammainc_pq",
@@ -180,6 +181,26 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     head = float(w[i])
     w[i] = 0.0
     return math.log1p(float(w.sum()) / head) + math.log(head) + top
+
+
+_SERIES_FROM = 1e3  # alpha above which discovery_mean uses the digamma series
+
+
+def discovery_mean(alpha, n, m):
+    """alpha (psi(alpha + n + m) - psi(alpha + n)) = sum_{j<m} alpha / (alpha + n + j),
+    elementwise: the DP's mean count of new taxa in m draws after n.  The digamma
+    difference (at (alpha + n) + m) is rounding noise above _SERIES_FROM, 0 by alpha ~
+    1e16, so there it takes psi(z) = log z - 1/(2z) - 1/(12 z^2) + O(z^-4) and each
+    difference of the series in closed form."""
+    alpha = np.asarray(alpha, dtype=float)
+    big = alpha > _SERIES_FROM
+    small = np.where(big, 1.0, alpha) + n
+    out = digamma(small + m) - digamma(small)
+    if big.any():
+        zn = np.where(big, alpha, _SERIES_FROM) + n
+        zN, q = zn + m, m / zn
+        out = np.where(big, np.log1p(q) + q / zN * (0.5 + (1.0 / zn + 1.0 / zN) / 12.0), out)
+    return alpha * out
 
 
 STIRLING_FROM = 1e3  # a above which log (a)_n uses the Stirling series

@@ -256,6 +256,29 @@ class TestTaxonomic:
         assert means2 == sorted(means2, reverse=True)
 
 
+    def test_fit_json_matches_per_value_formatting(self, tmp_path, monkeypatch):
+        # the draws were once written as float("%.17g" % v), one by one; the
+        # plain floats of tolist() must give the same bytes
+        tree = tmp_path / "tree.csv"
+        tree.write_text(TREE, encoding="utf-8")
+        out = tmp_path / "tax"
+        argv = ["taxonomic", "--input", tree, "--levels", 3, "--mcmc-iters", 60,
+                "--burn-in", 20, "--seed", 4, "--output-dir", out]
+        assert run(*argv) == 0
+        plain = (out / "taxonomic_fit.json").read_bytes()
+
+        def per_value(x):
+            if isinstance(x, dict):
+                return {key: per_value(v) for key, v in x.items()}
+            return [float("%.17g" % v) for v in x] if isinstance(x, list) else x
+
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda outdir, name, payload, config: write(
+            outdir, name, per_value(payload), config))
+        assert run(*argv) == 0
+        assert (out / "taxonomic_fit.json").read_bytes() == plain
+
+
 class TestSimulate:
     def test_flat_outputs(self, tmp_path):
         out = tmp_path / "sim"

@@ -173,7 +173,7 @@ class TestRichness:
         for alpha in [10.0, 999.0, 1001.0, 1e6, 1e17, 1e300]:
             for N in [51, 2_000]:
                 want = math.fsum(alpha / (alpha + j) for j in range(50, N))
-                got = dpinfer._discovery_mean(np.array([alpha]), 50, np.array([float(N)]))
+                got = specfun.discovery_mean(np.array([alpha]), 50, np.array([N - 50.0]))
                 assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_mean_matches_extrapolation_formula(self, amazon_stats):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from sigmadiv.draws import log_grid_sample
+from sigmadiv.draws import log_grid_rule, log_grid_sample
 
 LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
 
@@ -80,3 +80,23 @@ class TestLogGridSample:
         rng = np.random.default_rng(5)
         rng.random(100)
         assert rng.random() == after
+
+
+class TestLogGridRule:
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.5, 1e-3), (40.0, 1e6), (3.0, 1e-8)])
+    def test_gamma_kernel_integral(self, a, b):
+        # int v^{a-1} e^{-b v} dv = Gamma(a) / b^a
+        _, t = log_grid_rule(lambda v: (a - 1.0) * np.log(v) - b * v)
+        top = t.max()
+        got = top + math.log(np.exp(t - top).sum())
+        assert got == pytest.approx(gammaln(a) - a * math.log(b), rel=1e-13, abs=1e-13)
+
+    def test_nodes_are_equally_spaced_on_the_sampler_bracket(self):
+        log_kernel = u_log_kernel(20, 8, 1.0)
+        x, t = log_grid_rule(log_kernel)
+        h = (x[-1] - x[0]) / (x.size - 1)
+        assert np.array_equal(x, np.linspace(x[0], x[-1], x.size))
+        w = np.exp(t - x - log_kernel(np.exp(x)))
+        assert np.allclose(w, np.r_[h / 2, np.full(x.size - 2, h), h / 2], rtol=1e-13, atol=0.0)
+        draws = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
+        assert x[0] < np.log(draws).min() and np.log(draws).max() < x[-1]

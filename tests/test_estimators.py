@@ -131,6 +131,16 @@ class TestSampleCoverage:
         assert got == pytest.approx(50 / (alpha + 50), abs=5e-13)
         assert got == pytest.approx(50 / (alpha + 50), rel=1e-12, abs=0.0)
 
+    def test_dm_state_beyond_h_is_domain_error(self):
+        with pytest.raises(DomainError):
+            estimators.sample_coverage(gibbs.DirichletMultinomial(-1.0, 5), 10, 7)
+
+    def test_ap_against_mpmath(self):
+        # 1 - t D_{k-2n}(t) / D_{k+1-2n}(t), t = gamma / sqrt 2, by 40-digit mpmath.pcfd
+        g = 350 / math.sqrt(5000)
+        got = estimators.sample_coverage(gibbs.AldousPitman(g), 5000, 350)
+        assert got == pytest.approx(0.9649991252680758841277787, rel=1e-14, abs=0.0)
+
     def test_ap_consistency_with_predictive(self):
         model = gibbs.AldousPitman(1.0)
         split = gibbs.predictive(model, 5, 3, [3, 1, 1])

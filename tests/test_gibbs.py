@@ -422,14 +422,13 @@ class TestPosteriorKmPmf:
 class TestCurves:
     def test_first_point_is_one(self):
         for model in TEST_MODELS:
-            assert gibbs.rarefaction(model, 1, replicates=200)[0].value == pytest.approx(
-                1.0, abs=0.01)
+            assert gibbs.rarefaction(model, 1)[0].value == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("model", TEST_MODELS)
     def test_sizes_pick_points_of_full_curve(self, model):
         sizes = [1, 7, 30, 200]
-        full = gibbs.rarefaction(model, 200, replicates=50, rng_seed=4)
-        some = gibbs.rarefaction(model, 200, replicates=50, rng_seed=4, sizes=sizes)
+        full = gibbs.rarefaction(model, 200)
+        some = gibbs.rarefaction(model, 200, sizes=sizes)
         assert some == [full[i - 1] for i in sizes]
         with pytest.raises(DomainError):
             gibbs.rarefaction(model, 200, sizes=[0, 5])
@@ -453,8 +452,23 @@ class TestCurves:
         model = AP(2.0)
         n = 60
         exact_mean = (np.arange(1, n + 1) * gibbs.prior_Kn_pmf(model, n)).sum()
-        point = gibbs.rarefaction(model, n, replicates=3000, rng_seed=5)[-1]
-        assert abs(point.value - exact_mean) < 3 * point.se
+        point = gibbs.rarefaction(model, n)[-1]
+        assert point.value == pytest.approx(exact_mean, rel=1e-10)
+        assert point.se is None
+
+    @pytest.mark.parametrize("alpha", [1e9, 1e12, 1e16])
+    def test_dp_alpha_far_above_n(self, alpha):
+        # E(K_{n+i} | K_n = k) = k + sum_{j<i} alpha / (alpha + n + j); a plain
+        # digamma difference is rounding noise here (0 at alpha = 1e16)
+        def exact(n, k, i):
+            return k + math.fsum(alpha / (alpha + n + j) for j in range(i))
+
+        ext = gibbs.extrapolation(DP(alpha), 50, 50, 3)
+        assert [p.value for p in ext] == pytest.approx([exact(50, 50, i) for i in (1, 2, 3)],
+                                                       rel=1e-15, abs=0.0)
+        rare = gibbs.rarefaction(DP(alpha), 3)
+        assert [p.value for p in rare] == pytest.approx([exact(0, 0, i) for i in (1, 2, 3)],
+                                                        rel=1e-15, abs=0.0)
 
     def test_extrapolation_one_step(self):
         for model in TEST_MODELS:
@@ -482,12 +496,8 @@ class TestCurves:
 class TestReplicates:
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_urn_averages_need_a_replicate(self, replicates):
-        calls = [lambda: gibbs.rarefaction(AP(2.0), 50, replicates=replicates),
-                 lambda: gibbs.extrapolation(AP(2.0), 100, 20, 5, replicates=replicates),
-                 lambda: gibbs.expected_freq_counts(AP(2.0), 20, 3, replicates=replicates)]
-        for call in calls:
-            with pytest.raises(DomainError):
-                call()
+        with pytest.raises(DomainError):
+            gibbs.extrapolation(AP(2.0), 100, 20, 5, replicates=replicates)
 
 
 # E(M_{r,n}) by 40-digit mpmath log-gamma sums: (model, n, {r: value}).  The
@@ -538,7 +548,7 @@ class TestFreqCounts:
     @pytest.mark.parametrize("model", [DM(-1.0, 6), DM(-2.0, 5), AP(2.0)])
     def test_mass_identity_dm_ap(self, model):
         n = 30
-        e = gibbs.expected_freq_counts(model, n, n, replicates=50)
+        e = gibbs.expected_freq_counts(model, n, n)
         assert (np.arange(1, n + 1) * e).sum() == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("sigma,H,n", [(-1.0, 6, 12), (-0.3, 50, 200), (-2.5, 3, 40),
@@ -546,7 +556,7 @@ class TestFreqCounts:
     def test_dm_closed_form_vs_beta_binomial(self, sigma, H, n):
         r_max = min(n, 60)
         want = dm_freq_counts_beta_binomial(sigma, H, n, r_max)
-        got = gibbs.expected_freq_counts(DM(sigma, H), n, r_max, replicates=0)
+        got = gibbs.expected_freq_counts(DM(sigma, H), n, r_max)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
     def test_dm_single_taxon(self):
@@ -554,10 +564,10 @@ class TestFreqCounts:
         assert e.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_ap_matches_urn_average(self):
-        # the AP Monte Carlo against urns drawn apart from it; the sd of M_1 is
-        # about 0.96, so 0.05 is 3.6 standard errors of the difference
+        # the AP integral against an urn average; the sd of M_1 is about 0.96,
+        # so 0.05 is 4.7 standard errors of the average
         model, n, reps = AP(0.5), 12, 8_000
-        e = gibbs.expected_freq_counts(model, n, 3, replicates=reps, rng_seed=1)
+        e = gibbs.expected_freq_counts(model, n, 3)
         rng = np.random.default_rng(2)
         acc = np.zeros(3)
         for _ in range(reps):
@@ -565,6 +575,52 @@ class TestFreqCounts:
             for r in (1, 2, 3):
                 acc[r - 1] += sum(1 for c in counts.values() if c == r)
         assert np.abs(e - acc / reps).max() < 0.05
+
+
+# E(K_n) and E(M_{r,n}) of AP by 40-digit mpmath quadrature of the size-biased
+# integrals E (1 - (1 - P)^n) / P and C(n, r) E P^{r-1} (1 - P)^{n-r} over
+# P = Y^2 / (c + Y^2), c = gamma^2/2, Y ~ N(0, 1); the E(M_r) agree to every digit
+# with the closed form C(n, r) sqrt(c) Gamma(r - 1/2) U(r - 1/2, 3/2 - n + r, c/2)
+# / sqrt(2 pi) (Tricomi's U, mpmath.hyperu): (gamma, n, E(K_n), {r: E(M_r)})
+AP_PICK_MPMATH = [
+    (6.67, 553_949, 4943.1307242547239407, {1: 2482.1444716465024829,
+                                            2: 620.52533918669111010,
+                                            100: 1.4032633971398070885}),
+    (2.0, 400, 38.987533274449819262, {100: 0.012488548361471631344}),
+    (0.5, 50, 4.3683316315933474887, {}),
+]
+
+
+class TestApPickIntegrals:
+    @pytest.mark.parametrize("g, n, kn, counts", AP_PICK_MPMATH, ids=["amazon", "2", "0.5"])
+    def test_against_mpmath(self, g, n, kn, counts):
+        assert gibbs.rarefaction(AP(g), n, sizes=[n])[0].value == pytest.approx(
+            kn, rel=1e-12, abs=0.0)
+        got = gibbs.expected_freq_counts(AP(g), n, max(counts, default=1))
+        for r, want in counts.items():
+            assert got[r - 1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("g", [1e-4, 0.5, 2.0, 6.67, 300.0, 1e6])
+    def test_second_draw_repeats_with_simpson_probability(self, g):
+        e2 = gibbs.rarefaction(AP(g), 2)[1].value
+        simpson = gibbs.diversity_indices(AP(g)).expected_simpson
+        assert e2 == pytest.approx(2.0 - simpson, rel=1e-14)
+
+    @pytest.mark.parametrize("g, n", [(0.5, 50), (2.0, 400), (6.67, 1_000)])
+    def test_freq_counts_sum_to_distinct_count(self, g, n):
+        total = gibbs.expected_freq_counts(AP(g), n, n).sum()
+        assert total == pytest.approx(gibbs.rarefaction(AP(g), n)[-1].value, rel=1e-12)
+
+
+def test_exact_expectations_draw_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact expectation drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for model in (DP(3.0), DM(-1.0, 20), AP(2.0)):
+        gibbs.rarefaction(model, 100)
+        gibbs.expected_freq_counts(model, 100, 10)
+        gibbs.diversity_indices(model)
 
 
 class TestDiversityIndices:
