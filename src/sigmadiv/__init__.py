@@ -3,7 +3,7 @@
 from .datamodel import (PartitionData, TaxonomicDataset, accumulate,
                         ingest_abundance_csv, ingest_taxonomy_csv,
                         stream_to_partition, stream_to_taxonomy)
-from .gibbs import (AldousPitman, CurvePoint, DirichletMultinomial, DirichletProcess,
+from .gibbs import (AldousPitman, Curve, DirichletMultinomial, DirichletProcess,
                     DiversityIndices, GibbsModel, PredictiveSplit, diversity_indices,
                     expected_freq_counts, extrapolation, log_V, log_eppf,
                     posterior_Km_pmf, predictive, prior_Kn_pmf, rarefaction, urn_sample)

@@ -13,8 +13,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,40 +48,41 @@ def _cell(value, fmt: str) -> str:
     return ("true" if value else "false") if spec is None else spec % (value,)
 
 
-def _csv_lines(rows: List[Sequence], fmt: str) -> str:
-    """The CSV lines of rows, formatted a row at a time by one %-template: a column of
-    one type keeps its values, any other (bools, mixed types) is formatted cell by cell."""
-    cols = list(zip(*rows, strict=True))
-    specs = []
-    for i, col in enumerate(cols):
-        kinds = set(map(type, col))
-        spec = _spec(kinds.pop(), fmt) if len(kinds) == 1 else None
-        if spec is None:
-            cols[i] = [_cell(v, fmt) for v in col]
-            spec = "%s"
-        specs.append(spec)
-    return "".join(map((",".join(specs) + "\n").__mod__, zip(*cols)))
-
-
 def _config_line(args: argparse.Namespace, resolved: Dict) -> str:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     cfg.update(resolved)
     return json.dumps(cfg, sort_keys=True, default=str)
 
 
-def _write_table(outdir: str, name: str, columns: Sequence[str], rows: Iterable[Sequence],
-                 fmt: str, config: str, value_fmt: str = _SUMMARY_FMT) -> str:
+def _write_table(outdir: str, name: str, columns: Dict[str, Sequence], fmt: str,
+                 config: str, value_fmt: str = _SUMMARY_FMT) -> str:
+    """Write equal-length columns (arrays or lists) under their headers.  CSV goes out
+    _CSV_CHUNK rows at a time, through one %-template over the interleaved cells: each
+    column's spec comes once from its dtype or single element type, and a column of
+    bools or of mixed types is formatted cell by cell."""
+    cols = list(columns.values())
     if fmt == "json":
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
         return _write_json(outdir, name, {
             "rows": [{c: (float(v) if isinstance(v, (float, np.floating)) else v)
-                      for c, v in zip(columns, row)} for row in rows]}, config)
+                      for c, v in zip(columns, row)} for row in zip(*cols, strict=True)]},
+            config)
+    rows, = {len(c) for c in cols}  # a ValueError unless the columns have one length
+    kinds = [{c.dtype.type} if isinstance(c, np.ndarray) else set(map(type, c)) for c in cols]
+    specs = [_spec(k.pop(), value_fmt) if len(k) == 1 else None for k in kinds]
+    line = ",".join(spec or "%s" for spec in specs) + "\n"
     path = os.path.join(outdir, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {config}\n")
         fh.write(",".join(columns) + "\n")
-        rows = iter(rows)
-        while chunk := list(islice(rows, _CSV_CHUNK)):
-            fh.write(_csv_lines(chunk, value_fmt))
+        for lo in range(0, rows, _CSV_CHUNK):
+            size = min(_CSV_CHUNK, rows - lo)
+            cells = [None] * (size * len(cols))
+            for j, (spec, c) in enumerate(zip(specs, cols)):
+                c = c[lo:lo + size]
+                cells[j::len(cols)] = ((c.tolist() if isinstance(c, np.ndarray) else c) if spec
+                                       else [_cell(v, value_fmt) for v in c])
+            fh.write(line * size % tuple(cells))
     return path
 
 
@@ -185,9 +185,8 @@ def cmd_fit(args) -> int:
                                             rho=args.rho)
         param = "gamma"
     _write_json(outdir, "point_estimates", estimates, config)
-    _write_table(outdir, "draws", ["draw", param],
-                 [(i, v) for i, v in enumerate(draws.values)], args.format, config,
-                 value_fmt=_DRAW_FMT)
+    _write_table(outdir, "draws", {"draw": np.arange(len(draws.values)), param: draws.values},
+                 args.format, config, value_fmt=_DRAW_FMT)
     _write_json(outdir, "summary", _summary_payload(draws.summary()), config)
     return 0
 
@@ -213,16 +212,14 @@ def cmd_validate(args) -> int:
     sizes = _grid_sizes(n, args.grid_points)
     classical = estimators.classical_rarefaction(data, sizes)
     curve = gibbs.rarefaction(model, n, sizes=sizes)
-    rows = [(c.size, cl, c.value) for c, cl in zip(curve, classical)]
-    _write_table(outdir, "rarefaction", ["size", "classical", "model"], rows,
+    _write_table(outdir, "rarefaction",
+                 {"size": curve.sizes, "classical": classical, "model": curve.values},
                  args.format, config)
 
-    r_max = min(args.r_max, n)
-    expected = gibbs.expected_freq_counts(model, n, r_max)
-    observed = [data.freq_counts.get(r, 0) for r in range(1, r_max + 1)]
-    rows = [(r, o, e) for r, o, e in zip(range(1, r_max + 1), observed, expected)]
-    _write_table(outdir, "freq_counts", ["r", "observed", "expected"], rows,
-                 args.format, config)
+    r = np.arange(1, min(args.r_max, n) + 1)
+    _write_table(outdir, "freq_counts", {
+        "r": r, "observed": [data.freq_counts.get(i, 0) for i in r.tolist()],
+        "expected": gibbs.expected_freq_counts(model, n, r.size)}, args.format, config)
 
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7ad)))
     acc = np.zeros((2, 0))  # sums of the ranked sizes and of their squares
@@ -231,12 +228,11 @@ def cmd_validate(args) -> int:
         acc = np.pad(acc, ((0, 0), (0, max(ranked.size - acc.shape[1], 0))))
         acc[:, :ranked.size] += ranked, ranked ** 2
     width = max(len(data.abundances), acc.shape[1])
-    obs = np.pad(np.asarray(data.abundances, dtype=np.int64), (0, width - data.k)).tolist()
+    obs = np.pad(np.asarray(data.abundances, dtype=np.int64), (0, width - data.k))
     mean, sq = np.pad(acc, ((0, 0), (0, width - acc.shape[1]))) / args.replicates
     se = np.sqrt(np.maximum(sq - mean ** 2, 0.0) / args.replicates)
-    rows = list(zip(range(1, width + 1), obs, mean, se))
-    _write_table(outdir, "rad", ["rank", "observed", "expected", "se"], rows,
-                 args.format, config)
+    _write_table(outdir, "rad", {"rank": np.arange(1, width + 1), "observed": obs,
+                                 "expected": mean, "se": se}, args.format, config)
     return 0
 
 
@@ -246,9 +242,8 @@ def cmd_richness(args) -> int:
     outdir, config = _start_outputs(args, resolved, data)
     post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
     pred = dpinfer.richness_posterior(post, args.nhat, args.draws, args.seed)
-    _write_table(outdir, "richness_draws", ["draw", "K_N"],
-                 [(i, int(v)) for i, v in enumerate(pred.draws)], args.format, config,
-                 value_fmt=_DRAW_FMT)
+    _write_table(outdir, "richness_draws", {"draw": np.arange(len(pred.draws)), "K_N": pred.draws},
+                 args.format, config, value_fmt=_DRAW_FMT)
     _write_json(outdir, "richness_summary", _summary_payload(pred.summary()), config)
     return 0
 
@@ -260,9 +255,9 @@ def cmd_extrapolate(args) -> int:
     outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
     curve = gibbs.extrapolation(model, n, k, args.m, replicates=args.replicates,
                                 rng_seed=args.seed)
-    rows = [(c.size, c.value, c.se if c.se is not None else "") for c in curve]
-    _write_table(outdir, "extrapolation", ["size", "expected", "se"], rows,
-                 args.format, config)
+    se = [""] * args.m if curve.se is None else curve.se
+    _write_table(outdir, "extrapolation", {"size": curve.sizes, "expected": curve.values,
+                                           "se": se}, args.format, config)
     return 0
 
 
@@ -292,11 +287,11 @@ def cmd_taxonomic(args) -> int:
                      "acceptance": _round6(h["acceptance"])}
         for level, h in fit.hyper.items()}
     _write_json(outdir, "taxonomic_fit", payload, config)
-    rows = [(s.level, s.label, s.mean, s.q01, s.q99, s.n_branch, s.k_branch,
-             int(s.prior_only)) for s in taxo.branch_summaries(fit)]
-    _write_table(outdir, "branch_summaries",
-                 ["level", "label", "mean", "q01", "q99", "n_branch", "k_branch",
-                  "prior_only"], rows, args.format, config)
+    summaries = taxo.branch_summaries(fit)
+    columns = {c: [getattr(s, c) for s in summaries]
+               for c in ("level", "label", "mean", "q01", "q99", "n_branch", "k_branch")}
+    columns["prior_only"] = [int(s.prior_only) for s in summaries]
+    _write_table(outdir, "branch_summaries", columns, args.format, config)
     return 0
 
 
@@ -338,9 +333,9 @@ def cmd_simulate(args) -> int:
     stream = gibbs.urn_sample(model, args.n, args.seed)
     data = PartitionData.from_abundances(np.bincount(stream))
     write_abundance_csv(data, os.path.join(outdir, "simulated_abundance.csv"))
-    running = np.maximum.accumulate(stream) + 1
-    rows = enumerate(running.tolist(), start=1)
-    _write_table(outdir, "accumulation", ["size", "distinct"], rows, args.format, config)
+    _write_table(outdir, "accumulation", {"size": np.arange(1, args.n + 1),
+                                          "distinct": np.maximum.accumulate(stream) + 1},
+                 args.format, config)
     if args.format == "json":
         _write_json(outdir, "data_summary", data.to_json(), config)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
     "AldousPitman",
     "GibbsModel",
     "PredictiveSplit",
-    "CurvePoint",
+    "Curve",
     "DiversityIndices",
     "log_V",
     "log_eppf",
@@ -225,8 +225,8 @@ def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
 
 
 # Urn draws are processed in blocks of this many, so the temporaries of one
-# urn stay a few MB at any n; only a handful of n-length arrays are kept.
-_URN_BLOCK = 1 << 16
+# urn stay below 1 MB at any n; only a handful of n-length arrays are kept.
+_URN_BLOCK = 1 << 13
 
 # A path of K is thinned in windows of at most _PATH_WINDOW draws; the AP bound
 # on p_new holds for _PATH_STRIDE discoveries, after which a new window starts.
@@ -384,12 +384,13 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """(sample size, expected or observed distinct count) with optional MC band."""
+class Curve:
+    """Accumulation curve: expected distinct count values[i] at sample size sizes[i],
+    with Monte Carlo standard errors se, or None where the values are exact."""
 
-    size: int
-    value: float
-    se: Optional[float] = None
+    sizes: np.ndarray
+    values: np.ndarray
+    se: Optional[np.ndarray] = None
 
 
 _CURVE_BLOCK = 256  # sizes per block of an AP rarefaction: a few MB of temporaries
@@ -439,8 +440,7 @@ def _curve(model: GibbsModel, n: int, k: int, i: np.ndarray) -> np.ndarray:
     return _ap_rarefaction(model, i)
 
 
-def rarefaction(model: GibbsModel, n: int,
-                sizes: Optional[Sequence[int]] = None) -> List[CurvePoint]:
+def rarefaction(model: GibbsModel, n: int, sizes: Optional[Sequence[int]] = None) -> Curve:
     """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n):
     the extrapolation from the empty sample.  Exact for every family."""
     if n < 1:
@@ -448,11 +448,11 @@ def rarefaction(model: GibbsModel, n: int,
     sizes = np.arange(1, n + 1) if sizes is None else np.asarray(sizes, dtype=np.int64)
     if sizes.size and (sizes.min() < 1 or sizes.max() > n):
         raise DomainError(f"sizes must lie in [1, {n}]")
-    return [CurvePoint(int(j), float(v)) for j, v in zip(sizes, _curve(model, 0, 0, sizes))]
+    return Curve(sizes, _curve(model, 0, 0, sizes))
 
 
 def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1000,
-                  rng_seed: int = 0) -> List[CurvePoint]:
+                  rng_seed: int = 0) -> Curve:
     """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k).
 
     Closed form for DM and DP; for AP the Monte Carlo mean, with its standard-error
@@ -463,7 +463,7 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
         raise DomainError("m must be >= 1")
     i = np.arange(1, m + 1)
     if not isinstance(model, AldousPitman):
-        return [CurvePoint(int(n + j), float(v)) for j, v in zip(i, _curve(model, n, k, i))]
+        return Curve(n + i, _curve(model, n, k, i))
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
     rng = np.random.default_rng(rng_seed)
@@ -476,7 +476,7 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
         acc2 += ks * ks
     mean = acc / replicates
     se = np.sqrt(np.maximum(acc2 / replicates - mean * mean, 0.0) / replicates)
-    return [CurvePoint(int(n + j), float(v), float(e)) for j, v, e in zip(i, mean, se)]
+    return Curve(n + i, mean, se)
 
 
 def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -335,6 +334,10 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
                 return s.label, _fit_dp_branch(prior, s, n_keep, mcmc.seed, level)
 
             if mcmc.threads > 1:
+                # imported here, not at the top: only a threaded fit needs the
+                # module, and loading it costs every cold start ~6 ms
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=mcmc.threads) as pool:
                     level_draws = dict(pool.map(one, stats))
             else:

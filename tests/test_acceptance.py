@@ -292,8 +292,8 @@ def test_criterion_11_dm_closed_forms():
             if rng.random() < gibbs._p_new(model, n + i, kk):
                 kk += 1
         finals_e[rep] = kk
-    rare = gibbs.rarefaction(model, n)[-1].value
-    extr = gibbs.extrapolation(model, n, k, m)[-1].value
+    rare = gibbs.rarefaction(model, n).values[-1]
+    extr = gibbs.extrapolation(model, n, k, m).values[-1]
     z_r = abs(finals_r.mean() - rare) / (finals_r.std() / math.sqrt(reps))
     z_e = abs(finals_e.mean() - extr) / (finals_e.std() / math.sqrt(reps))
     ok = z_r < 3.0 and z_e < 3.0

@@ -380,7 +380,7 @@ class TestPosteriorDiversityConsistency:
         draws = apinfer.iid_two_step_sample(n, k, a, b, 150, rng_seed=12).values
         stats = np.array([
             gibbs.extrapolation(AP(float(g)), n, k, m, replicates=1,
-                                rng_seed=1_000 + i)[-1].value / math.sqrt(m)
+                                rng_seed=1_000 + i).values[-1] / math.sqrt(m)
             for i, g in enumerate(draws)])
         for q in (0.25, 0.5, 0.75):
             assert np.quantile(stats, q) == pytest.approx(np.quantile(draws, q), rel=0.10)

@@ -9,11 +9,16 @@ harness files are read, never changed: `spans.py` is loaded by path and
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sigmadiv
 from sigmadiv import apinfer, dpinfer, gibbs, taxo
 from sigmadiv.draws import PosteriorDraws
 
@@ -69,3 +74,17 @@ def test_library_jobs_bind():
         inspect.signature(fn).bind(*[None] * len(call.args), **keywords)
         if call.func.attr == "posterior_Km_pmf":
             assert set(keywords) == {"table_cap", "mc_replicates", "rng_seed"}
+
+
+def test_cli_import_loads_every_traced_layer(spans):
+    # Tracer.install reads sys.modules["sigmadiv.<layer>"] right after a job's
+    # `import sigmadiv.cli`, so a layer loaded lazily would fail every traced job
+    assert spans.LAYERS
+    code = ("import json, sys\nimport sigmadiv.cli\n"
+            "print(json.dumps([m for m in json.loads(sys.argv[1])\n"
+            "                  if 'sigmadiv.' + m not in sys.modules]))")
+    src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(spans.LAYERS)], check=True,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True).stdout
+    assert json.loads(out) == []

@@ -91,6 +91,19 @@ class TestImport:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_flat_fit_skips_thread_pool(self, tiny_csv, tmp_path):
+        # concurrent.futures serves only a threaded taxonomic fit
+        src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+        code = ("import sys, sigmadiv.cli\n"
+                "code = sigmadiv.cli.main(sys.argv[1:])\n"
+                "print(code, 'concurrent.futures' in sys.modules)")
+        argv = ["fit", "--input", tiny_csv, "--draws", "50", "--seed", "1",
+                "--output-dir", str(tmp_path / "fit")]
+        out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True).stdout
+        assert out.split() == ["0", "False"]
+
     def test_no_command_loads_scipy(self, tiny_csv, tmp_path):
         # one cold interpreter runs every subcommand on tiny inputs: none loads
         # scipy, and the AP runs build their Gauss-Legendre rule without
@@ -370,7 +383,7 @@ def _per_cell_write_table(outdir, name, columns, rows, fmt, config, value_fmt):
 
 
 class TestWriteTable:
-    COLUMNS = ["i", "x", "mixed", "flag", "label"]
+    COLUMNS = ["i", "x", "mixed", "flag", "label", "i64", "f64", "bool"]
 
     def _rows(self, json_safe):
         rng = np.random.default_rng(5)
@@ -386,19 +399,34 @@ class TestWriteTable:
                          f"l{i:03d}"))
         return rows
 
+    def _arrays(self):
+        rng = np.random.default_rng(6)
+        return [np.arange(23, dtype=np.int64) * -7,
+                rng.normal(size=23) * 10.0 ** rng.integers(-8, 9, size=23),
+                np.arange(23) % 3 == 0]
+
     @pytest.mark.parametrize("value_fmt", [cli._DRAW_FMT, cli._SUMMARY_FMT])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_same_bytes_as_per_cell_writer(self, fmt, value_fmt, tmp_path, monkeypatch):
+        # the columns are the transposed rows (lists) plus int64, float64 and bool arrays;
+        # the per-cell writer reads their rows, with numpy scalars where json allows them
         monkeypatch.setattr(cli, "_CSV_CHUNK", 4)  # chunks end mid-table and on its last row
-        rows = self._rows(json_safe=fmt == "json")
+        base, arrays = self._rows(json_safe=fmt == "json"), self._arrays()
+        columns = [list(c) for c in zip(*base)] + arrays
+        cells = [a.tolist() if fmt == "json" else list(a) for a in arrays]
+        rows = [row + tuple(c[i] for c in cells) for i, row in enumerate(base)]
         config = json.dumps({"command": "test"})
         for n_rows in (0, 1, 4, 8, 23):
             old = _per_cell_write_table(str(tmp_path), "old", self.COLUMNS, rows[:n_rows],
                                         fmt, config, value_fmt)
-            new = cli._write_table(str(tmp_path), "new", self.COLUMNS, iter(rows[:n_rows]),
+            new = cli._write_table(str(tmp_path), "new",
+                                   {h: c[:n_rows] for h, c in zip(self.COLUMNS, columns)},
                                    fmt, config, value_fmt)
             with open(old, "rb") as a, open(new, "rb") as b:
                 assert a.read() == b.read()
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path), "bad", {"a": [1, 2], "b": arrays[0]}, fmt,
+                             config, value_fmt)
 
 
 class TestJsonMirror:

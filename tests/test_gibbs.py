@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -378,7 +379,7 @@ class TestPosteriorKmPmf:
         pmf = gibbs.posterior_Km_pmf(model, n, k, m)
         mean_new = (np.arange(m + 1) * pmf).sum()
         curve = gibbs.extrapolation(model, n, k, m)
-        assert k + mean_new == pytest.approx(curve[-1].value, rel=1e-10)
+        assert k + mean_new == pytest.approx(curve.values[-1], rel=1e-10)
 
     @pytest.mark.parametrize("model", TEST_MODELS)
     def test_normalized(self, model):
@@ -422,14 +423,15 @@ class TestPosteriorKmPmf:
 class TestCurves:
     def test_first_point_is_one(self):
         for model in TEST_MODELS:
-            assert gibbs.rarefaction(model, 1)[0].value == pytest.approx(1.0, abs=1e-14)
+            assert gibbs.rarefaction(model, 1).values[0] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("model", TEST_MODELS)
     def test_sizes_pick_points_of_full_curve(self, model):
         sizes = [1, 7, 30, 200]
         full = gibbs.rarefaction(model, 200)
         some = gibbs.rarefaction(model, 200, sizes=sizes)
-        assert some == [full[i - 1] for i in sizes]
+        assert some.sizes.tolist() == sizes
+        assert some.values.tolist() == [full.values[i - 1] for i in sizes]
         with pytest.raises(DomainError):
             gibbs.rarefaction(model, 200, sizes=[0, 5])
 
@@ -437,24 +439,24 @@ class TestCurves:
         n, k = amazon_stats
         # 751.23 solves the ML equation, so the model rarefaction ends at k
         curve = gibbs.rarefaction(DP(751.23), n)
-        assert curve[-1].value == pytest.approx(k, abs=0.5)
-        assert curve[0].value == pytest.approx(1.0, abs=1e-9)
+        assert curve.values[-1] == pytest.approx(k, abs=0.5)
+        assert curve.values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_dm_vs_urn(self):
         model = DM(-1.0, 10)
         n, reps = 20, 4000
         ks = np.array([len(np.unique(gibbs.urn_sample(model, n, seed)))
                        for seed in range(reps)])
-        closed = gibbs.rarefaction(model, n)[-1].value
+        closed = gibbs.rarefaction(model, n).values[-1]
         assert abs(ks.mean() - closed) < 3 * ks.std() / math.sqrt(reps)
 
     def test_ap_rarefaction_vs_exact_pmf_mean(self):
         model = AP(2.0)
         n = 60
         exact_mean = (np.arange(1, n + 1) * gibbs.prior_Kn_pmf(model, n)).sum()
-        point = gibbs.rarefaction(model, n)[-1]
-        assert point.value == pytest.approx(exact_mean, rel=1e-10)
-        assert point.se is None
+        curve = gibbs.rarefaction(model, n)
+        assert curve.values[-1] == pytest.approx(exact_mean, rel=1e-10)
+        assert curve.se is None
 
     @pytest.mark.parametrize("alpha", [1e9, 1e12, 1e16])
     def test_dp_alpha_far_above_n(self, alpha):
@@ -464,18 +466,18 @@ class TestCurves:
             return k + math.fsum(alpha / (alpha + n + j) for j in range(i))
 
         ext = gibbs.extrapolation(DP(alpha), 50, 50, 3)
-        assert [p.value for p in ext] == pytest.approx([exact(50, 50, i) for i in (1, 2, 3)],
-                                                       rel=1e-15, abs=0.0)
+        assert ext.values.tolist() == pytest.approx([exact(50, 50, i) for i in (1, 2, 3)],
+                                                    rel=1e-15, abs=0.0)
         rare = gibbs.rarefaction(DP(alpha), 3)
-        assert [p.value for p in rare] == pytest.approx([exact(0, 0, i) for i in (1, 2, 3)],
-                                                        rel=1e-15, abs=0.0)
+        assert rare.values.tolist() == pytest.approx([exact(0, 0, i) for i in (1, 2, 3)],
+                                                     rel=1e-15, abs=0.0)
 
     def test_extrapolation_one_step(self):
         for model in TEST_MODELS:
             split = gibbs.predictive(model, 6, 3, [4, 1, 1])
             curve = gibbs.extrapolation(model, 6, 3, 1, replicates=40_000, rng_seed=3)
-            tol = 3 * curve[0].se if curve[0].se else 1e-9
-            assert abs(curve[0].value - (3 + split.p_new)) <= max(tol, 1e-9)
+            tol = 3 * curve.se[0] if curve.se is not None else 1e-9
+            assert abs(curve.values[0] - (3 + split.p_new)) <= max(tol, 1e-9)
 
     def test_dm_extrapolation_vs_urn(self):
         # continue the urn after conditioning on (n, k); K depends only on (n, k)
@@ -489,8 +491,50 @@ class TestCurves:
                 if rng.random() < gibbs._p_new(model, n + i, kk):
                     kk += 1
             finals[r] = kk
-        closed = gibbs.extrapolation(model, n, k, m)[-1].value
+        closed = gibbs.extrapolation(model, n, k, m).values[-1]
         assert abs(finals.mean() - closed) < 3 * finals.std() / math.sqrt(reps)
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran, in MiB."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    # Curves and urns at the Amazon scale hold numpy columns, not an object per
+    # point; one object per point peaked at 8.4, 8.1 and 93 MB in these three calls
+    ALPHA = 751.23
+
+    def test_dp_extrapolation(self, amazon_stats):
+        n, k = amazon_stats
+        m = 50_000
+        curve, peak = _traced_peak(lambda: gibbs.extrapolation(DP(self.ALPHA), n, k, m))
+        assert peak < 4.0
+        i = np.arange(1, m + 1)
+        want = k + self.ALPHA * (digamma(self.ALPHA + n + i) - digamma(self.ALPHA + n))
+        assert np.array_equal(curve.sizes, n + i) and curve.se is None
+        assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
+
+    def test_dp_urn(self):
+        n = 100_000
+        labels, peak = _traced_peak(lambda: gibbs.urn_sample(DP(50.0), n, 11))
+        assert peak < 5.0
+        new = np.diff(np.maximum.accumulate(labels), prepend=-1)
+        assert labels.size == n and set(new.tolist()) == {0, 1}
+
+    def test_dp_full_rarefaction(self, amazon_stats):
+        n, k = amazon_stats
+        curve, peak = _traced_peak(lambda: gibbs.rarefaction(DP(self.ALPHA), n))
+        assert peak < 40.0
+        i = np.arange(1, n + 1)
+        want = self.ALPHA * (digamma(self.ALPHA + i) - digamma(self.ALPHA))
+        assert np.array_equal(curve.sizes, i) and curve.se is None
+        assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
+        assert curve.values[-1] == pytest.approx(k, abs=0.5)
 
 
 class TestReplicates:
@@ -594,7 +638,7 @@ AP_PICK_MPMATH = [
 class TestApPickIntegrals:
     @pytest.mark.parametrize("g, n, kn, counts", AP_PICK_MPMATH, ids=["amazon", "2", "0.5"])
     def test_against_mpmath(self, g, n, kn, counts):
-        assert gibbs.rarefaction(AP(g), n, sizes=[n])[0].value == pytest.approx(
+        assert gibbs.rarefaction(AP(g), n, sizes=[n]).values[0] == pytest.approx(
             kn, rel=1e-12, abs=0.0)
         got = gibbs.expected_freq_counts(AP(g), n, max(counts, default=1))
         for r, want in counts.items():
@@ -602,14 +646,14 @@ class TestApPickIntegrals:
 
     @pytest.mark.parametrize("g", [1e-4, 0.5, 2.0, 6.67, 300.0, 1e6])
     def test_second_draw_repeats_with_simpson_probability(self, g):
-        e2 = gibbs.rarefaction(AP(g), 2)[1].value
+        e2 = gibbs.rarefaction(AP(g), 2).values[1]
         simpson = gibbs.diversity_indices(AP(g)).expected_simpson
         assert e2 == pytest.approx(2.0 - simpson, rel=1e-14)
 
     @pytest.mark.parametrize("g, n", [(0.5, 50), (2.0, 400), (6.67, 1_000)])
     def test_freq_counts_sum_to_distinct_count(self, g, n):
         total = gibbs.expected_freq_counts(AP(g), n, n).sum()
-        assert total == pytest.approx(gibbs.rarefaction(AP(g), n)[-1].value, rel=1e-12)
+        assert total == pytest.approx(gibbs.rarefaction(AP(g), n).values[-1], rel=1e-12)
 
 
 def test_exact_expectations_draw_no_random_numbers(monkeypatch):
