@@ -1,6 +1,10 @@
 """Posterior draw containers, effective-sample-size diagnostics, and the log-grid
 bracket in x = log v behind the exact 1-D sampler of both diversity posteriors
-(inverse CDF) and the 1-D integrals of the AP prior expectations (trapezoid rule)."""
+(inverse CDF) and the 1-D integrals of the AP prior expectations (trapezoid rule).
+
+The sampler's 32,769-node grid is evaluated, and its CDF built, block by block
+through specfun._blockwise: one call holds three grid-length arrays (nodes,
+density, CDF) and O(specfun._BLOCK) temporaries, whatever the kernel."""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
+from .specfun import _blockwise
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
            "log_grid_rule", "log_grid_sample", "summarize_draws"]
@@ -92,17 +97,25 @@ def _log_grid(log_kernel: Callable[[np.ndarray], np.ndarray],
             d *= 2.0
         ends.append(x)
     grid = np.linspace(ends[0], ends[1], nodes)
-    return grid, logf(grid)
+    return grid, _blockwise(logf, np.empty(nodes), grid)
 
 
 def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Exact iid draws of v > 0, of log density log_kernel(v) up to a constant, by
-    inverse CDF on the _log_grid of _GRID_NODES; the CDF is the trapezoid rule."""
-    grid, lf = _log_grid(log_kernel, _GRID_NODES)
-    f = np.exp(lf - lf.max())
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))])
-    return np.exp(np.interp(rng.random(n_draws), cdf / cdf[-1], grid))
+    inverse CDF on the _log_grid of _GRID_NODES.  The CDF is the trapezoid rule, built
+    in one array: the terms by _blockwise, then a cumulative sum and a normalisation
+    in place."""
+    grid, f = _log_grid(log_kernel, _GRID_NODES)
+    f -= f.max()
+    np.exp(f, out=f)
+    cdf = np.empty(_GRID_NODES)
+    cdf[0] = 0.0
+    _blockwise(lambda f0, f1, x0, x1: 0.5 * (f1 + f0) * (x1 - x0),
+               cdf[1:], f[:-1], f[1:], grid[:-1], grid[1:])
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return np.exp(np.interp(rng.random(n_draws), cdf, grid))
 
 
 def log_grid_rule(log_kernel: Callable[[np.ndarray], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

@@ -186,8 +186,12 @@ def _discovery_fn(model: GibbsModel, n_max: int, n0: int = 1, k0: int = 1):
 
 
 def _p_new(model: GibbsModel, n: int, k: int) -> float:
-    """One discovery probability; loops build _discovery_fn once instead."""
-    return float(_discovery_fn(model, n + 1, n, k)(n, k))
+    """One discovery probability; loops build _discovery_fn once instead.  For AP it
+    reads entry 2n - k - 1 of the Hermite ratio table from its one block."""
+    if isinstance(model, AldousPitman):
+        i, B = 2 * n - k - 1, specfun.HERMITE_BLOCK
+        return float(specfun.hermite_ratio_block(model.gamma / math.sqrt(2.0), i // B)[i % B])
+    return float(_discovery_fn(model, n + 1)(n, k))
 
 
 def _ap_ratios(t: float, stop: int, start: int = 0) -> np.ndarray:

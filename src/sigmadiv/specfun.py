@@ -3,6 +3,11 @@
 Everything here returns plain floats (natural logs) or sign/log pairs, so
 that partition statistics remain finite for sample sizes in the 1e5-1e6
 range where raw factorial-type magnitudes overflow immediately.
+
+A long elementwise evaluation (discovery_mean here, the log-grid sampler in
+draws) runs through _blockwise in blocks of _BLOCK entries into one
+preallocated output, so its temporaries stay O(_BLOCK) at any length; every
+operation is elementwise, so the floats do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -183,16 +188,36 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     return math.log1p(float(w.sum()) / head) + math.log(head) + top
 
 
+_BLOCK = 1 << 13  # entries per block of _blockwise: 64 KiB per float64 temporary
+
+
+def _blockwise(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """out = fn(*args) for 1-D arrays args of out's length, evaluated on consecutive
+    blocks of _BLOCK entries.  fn must act elementwise: then out does not depend on
+    the block size, and fn's temporaries are O(_BLOCK) instead of O(len(out))."""
+    for lo in range(0, out.size, _BLOCK):
+        out[lo:lo + _BLOCK] = fn(*(a[lo:lo + _BLOCK] for a in args))
+    return out
+
+
 _SERIES_FROM = 1e3  # alpha above which discovery_mean uses the digamma series
 
 
 def discovery_mean(alpha, n, m):
     """alpha (psi(alpha + n + m) - psi(alpha + n)) = sum_{j<m} alpha / (alpha + n + j),
-    elementwise: the DP's mean count of new taxa in m draws after n.  The digamma
-    difference (at (alpha + n) + m) is rounding noise above _SERIES_FROM, 0 by alpha ~
-    1e16, so there it takes psi(z) = log z - 1/(2z) - 1/(12 z^2) + O(z^-4) and each
-    difference of the series in closed form."""
-    alpha = np.asarray(alpha, dtype=float)
+    elementwise over the broadcast of alpha, n and m: the DP's mean count of new taxa
+    in m draws after n.  The digamma difference (at (alpha + n) + m) is rounding noise
+    above _SERIES_FROM, 0 by alpha ~ 1e16, so there it takes psi(z) = log z - 1/(2z) -
+    1/(12 z^2) + O(z^-4) and each difference of the series in closed form.  The
+    result is filled by _blockwise, so its temporaries stay O(_BLOCK) at any length."""
+    args = np.broadcast_arrays(np.asarray(alpha, dtype=float), n, m)
+    out = np.empty(args[0].shape)
+    _blockwise(_discovery_mean, out.reshape(-1), *(a.reshape(-1) for a in args))
+    return out
+
+
+def _discovery_mean(alpha: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """discovery_mean on 1-D arrays of one length."""
     big = alpha > _SERIES_FROM
     small = np.where(big, 1.0, alpha) + n
     out = digamma(small + m) - digamma(small)

@@ -256,10 +256,10 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
     u = np.where(informative, np.sqrt(np.maximum(2 * n_arr - k_arr - 2, 1.0)), 1.0)
     la, lb = float(mu[0]), float(mu[1])
 
-    def hyper_logpost(la_: float, lb_: float, gam_: np.ndarray) -> float:
+    def hyper_logpost(la_: float, lb_: float, log_sum: float, gam_sum: float) -> float:
         a_, b_ = math.exp(la_), math.exp(lb_)
-        like = (len(gam_) * (a_ * lb_ - specfun.gammaln(a_))
-                + (a_ - 1.0) * np.log(gam_).sum() - b_ * gam_.sum())
+        like = (len(stats) * (a_ * lb_ - specfun.gammaln(a_))
+                + (a_ - 1.0) * log_sum - b_ * gam_sum)
         return float(like - ((la_ - mu[0]) ** 2 + (lb_ - mu[1]) ** 2) / (2.0 * sd2))
 
     gamma_out = np.empty((n_keep, len(stats)))
@@ -267,22 +267,26 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
     b_out = np.empty(n_keep)
     scale = 0.5
     accepted_after_burn = 0
-    shape_base = rho * (k_arr - 1.0)
+    # sweep invariants
+    shape_base = np.where(informative, rho * (k_arr - 1.0), 0.0)
     m_u = np.where(informative, rho * (2.0 * n_arr - k_arr - 2.0), 0.0)
+    branches = np.nonzero(informative)[0]
     for it in range(mcmc.iters):
         a_cur, b_cur = math.exp(la), math.exp(lb)
         # (gamma | -) is conjugate branch by branch
-        shape = a_cur + np.where(informative, shape_base, 0.0)
+        shape = a_cur + shape_base
         rate = b_cur + np.where(informative, rho * u / math.sqrt(2.0), 0.0)
         gam = rng.gamma(shape) / rate
         # (U | -) per informative branch
-        for j in np.nonzero(informative)[0]:
+        for j in branches:
             u[j] = apinfer.sample_modified_half_normal(
                 rng, m_u[j], 0.5 * rho, rho * gam[j] / math.sqrt(2.0))
         # Metropolis on (log a, log b)
         la_p = la + scale * rng.standard_normal()
         lb_p = lb + scale * rng.standard_normal()
-        delta = hyper_logpost(la_p, lb_p, gam) - hyper_logpost(la, lb, gam)
+        log_sum, gam_sum = float(np.log(gam).sum()), float(gam.sum())
+        delta = (hyper_logpost(la_p, lb_p, log_sum, gam_sum)
+                 - hyper_logpost(la, lb, log_sum, gam_sum))
         accept = math.log(rng.random()) < delta
         if accept:
             la, lb = la_p, lb_p

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from sigmadiv import specfun
+from sigmadiv.dpinfer import CoarsenedPosterior, StirlingGammaSpec
 from sigmadiv.draws import log_grid_rule, log_grid_sample
 
 LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
@@ -100,3 +102,22 @@ class TestLogGridRule:
         assert np.allclose(w, np.r_[h / 2, np.full(x.size - 2, h), h / 2], rtol=1e-13, atol=0.0)
         draws = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
         assert x[0] < np.log(draws).min() and np.log(draws).max() < x[-1]
+
+
+class TestBlocks:
+    # a block size that does not divide the grid, and one larger than the grid
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    def test_grids_do_not_depend_on_the_block(self, monkeypatch, block):
+        # the branch posterior's grid crosses alpha = 1e3, where log_rising
+        # switches to the Stirling series; the U marginal's is all one branch
+        kernels = [CoarsenedPosterior(StirlingGammaSpec(0.3, 0.1, 100), 40, 30, 0.3).log_kernel,
+                   u_log_kernel(3000, 200, 0.25)]
+
+        def run():
+            return [(log_grid_sample(f, 500, np.random.default_rng(3)), *log_grid_rule(f))
+                    for f in kernels]
+
+        want = run()
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        for got, ref in zip(run(), want):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, digamma
 from scipy.stats import chi2
 
-from sigmadiv import gibbs, specfun
+from sigmadiv import dpinfer, gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
 from sigmadiv.errors import DomainError, TableSizeError
 
@@ -21,6 +21,8 @@ from helpers import (dm_freq_counts_beta_binomial, dp_log_eppf, log_coeff_row,
 DM = gibbs.DirichletMultinomial
 DP = gibbs.DirichletProcess
 AP = gibbs.AldousPitman
+CP = dpinfer.CoarsenedPosterior
+SG = dpinfer.StirlingGammaSpec
 
 TEST_MODELS = [DM(-1.0, 5), DP(1.0), DP(10.0), AP(0.5), AP(3.0)]
 
@@ -506,14 +508,16 @@ def _traced_peak(fn):
 
 class TestMemoryBounds:
     # Curves and urns at the Amazon scale hold numpy columns, not an object per
-    # point; one object per point peaked at 8.4, 8.1 and 93 MB in these three calls
+    # point; one object per point peaked at 8.4, 8.1 and 93 MB in the curve and urn
+    # calls.  Long elementwise evaluations (the DP curves, the 32,769-node posterior
+    # grid) run in fixed blocks; over whole arrays they peaked at 3.1, 29.6 and 3.3 MiB.
     ALPHA = 751.23
 
     def test_dp_extrapolation(self, amazon_stats):
         n, k = amazon_stats
         m = 50_000
         curve, peak = _traced_peak(lambda: gibbs.extrapolation(DP(self.ALPHA), n, k, m))
-        assert peak < 4.0
+        assert peak < 2.5
         i = np.arange(1, m + 1)
         want = k + self.ALPHA * (digamma(self.ALPHA + n + i) - digamma(self.ALPHA + n))
         assert np.array_equal(curve.sizes, n + i) and curve.se is None
@@ -529,12 +533,19 @@ class TestMemoryBounds:
     def test_dp_full_rarefaction(self, amazon_stats):
         n, k = amazon_stats
         curve, peak = _traced_peak(lambda: gibbs.rarefaction(DP(self.ALPHA), n))
-        assert peak < 40.0
+        assert peak < 12.0
         i = np.arange(1, n + 1)
         want = self.ALPHA * (digamma(self.ALPHA + i) - digamma(self.ALPHA))
         assert np.array_equal(curve.sizes, i) and curve.se is None
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
         assert curve.values[-1] == pytest.approx(k, abs=0.5)
+
+    def test_dp_branch_posterior(self):
+        # the posterior of one taxonomic branch, drawn on the full sampler grid
+        post = CP(SG(0.3, 0.1, 100), n=250, k=4, rho=1.0)
+        draws, peak = _traced_peak(lambda: dpinfer.sg_posterior_sample(post, 500, 1))
+        assert peak < 1.5
+        assert draws.values.shape == (500,) and np.all(draws.values > 0.0)
 
 
 class TestReplicates:

@@ -87,6 +87,22 @@ class TestDigamma:
             specfun.digamma(0.0)
 
 
+class TestDiscoveryMean:
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    def test_values_do_not_depend_on_the_block(self, monkeypatch, block):
+        # both sides of _SERIES_FROM in every block; 30,000 entries
+        alpha = np.tile([0.5, 751.23, 999.0, 1001.0, 1e6, 1e17], 5_000)
+        m = np.arange(1, alpha.size + 1)
+        want = specfun.discovery_mean(alpha, 50, m)
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        assert np.array_equal(specfun.discovery_mean(alpha, 50, m), want)
+
+    def test_broadcast_shapes(self):
+        assert specfun.discovery_mean(751.23, 50, 7).shape == ()
+        assert specfun.discovery_mean(751.23, 50, np.arange(1, 4)).shape == (3,)
+        assert specfun.discovery_mean(np.array([1.0, 2.0]), np.array([[0], [5]]), 3).shape == (2, 2)
+
+
 # log-spaced reals and the integers up to 6e5 (the largest n the CLI sees is 553,949)
 SPECIAL_X = np.concatenate([np.geomspace(1e-6, 1e8, 20_001), np.arange(1.0, 600_001.0)])
 
