@@ -28,7 +28,7 @@ EXIT_INTERNAL = 5
 
 _DRAW_FMT = "%.17g"
 _SUMMARY_FMT = "%.6g"
-_CSV_CHUNK = 1 << 14  # rows formatted and written per step
+_CSV_CHUNK = 1 << 12  # rows formatted and written per step
 
 
 def _spec(tp: type, fmt: str) -> Optional[str]:
@@ -194,7 +194,8 @@ def cmd_fit(args) -> int:
 def _grid_sizes(n: int, points: int) -> np.ndarray:
     if n <= points:
         return np.arange(1, n + 1)
-    return np.unique(np.round(np.geomspace(1, n, points)).astype(np.int64))
+    sizes = np.round(np.geomspace(1, n, points)).astype(np.int64)  # sorted
+    return sizes[np.concatenate(([True], sizes[1:] != sizes[:-1]))]
 
 
 def _check_replicates(args) -> None:

@@ -17,7 +17,7 @@ from .errors import DomainError
 from .specfun import _blockwise
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
-           "log_grid_rule", "log_grid_sample", "summarize_draws"]
+           "log_grid_rule", "log_grid_sample", "quantiles", "summarize_draws"]
 
 SUMMARY_QUANTILES = (0.01, 0.25, 0.50, 0.75, 0.99)
 
@@ -128,8 +128,25 @@ def log_grid_rule(log_kernel: Callable[[np.ndarray], np.ndarray]) -> Tuple[np.nd
     return x, t
 
 
+def quantiles(values: np.ndarray, q) -> np.ndarray:
+    """np.quantile(values, q) bit for bit (its default linear rule), without the
+    numpy.ma import that np.quantile makes.  Sorted values x, virtual index
+    v = (N - 1) q split into i = floor(v), clipped to [0, N - 1], and g = v - i;
+    numpy's two-sided lerp gives a + (b - a) g, or b - (b - a)(1 - g) where g >= 0.5,
+    for a = x[i] and b = x[min(i + 1, N - 1)]."""
+    x = np.sort(values, axis=None)
+    v = (x.size - 1) * np.asarray(q, dtype=float)
+    i = np.clip(np.floor(v).astype(np.intp), 0, x.size - 1)
+    a, b = x[i], x[np.minimum(i + 1, x.size - 1)]
+    g = v - i
+    d = b - a
+    out = np.asarray(a + d * g)
+    np.subtract(b, d * (1.0 - g), out=out, where=g >= 0.5)
+    return out if out.ndim else out[()]
+
+
 def summarize_draws(values: np.ndarray) -> Dict[str, float]:
-    qs = np.quantile(values, SUMMARY_QUANTILES)
+    qs = quantiles(values, SUMMARY_QUANTILES)
     out = {"mean": float(np.mean(values))}
     out["quantiles"] = {f"{int(q * 100)}": float(v) for q, v in zip(SUMMARY_QUANTILES, qs)}
     return out
@@ -161,4 +178,4 @@ class PosteriorDraws:
         return summarize_draws(self.values)
 
     def quantile(self, q) -> np.ndarray:
-        return np.quantile(self.values, q)
+        return quantiles(self.values, q)

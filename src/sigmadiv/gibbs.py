@@ -245,10 +245,10 @@ def _path_flags(model: GibbsModel, n: int, k: int, u: np.ndarray, p_new=None) ->
     """Discovery flags of one path of K from K_n = k (n >= 1): the draw after
     n + i observations reads uniform u[i] and discovers iff u[i] < p_new(n + i, K).
 
-    DP's p_new does not depend on K, so its flags are one comparison.  DM and AP
-    are thinned (Lewis & Shedler 1979).  Over a window of draws, one bound holds
-    for p_new at every count the path reaches there: DM's p_new at the window's
-    first count, since it falls as K grows; AP's at that count plus
+    DP's p_new does not depend on K, so its flags are one comparison per _URN_BLOCK
+    draws.  DM and AP are thinned (Lewis & Shedler 1979).  Over a window of draws,
+    one bound holds for p_new at every count the path reaches there: DM's p_new at
+    the window's first count, since it falls as K grows; AP's at that count plus
     _PATH_STRIDE, since it rises (clamped to the path's first table entry, the
     largest it reads), and the window ends at the _PATH_STRIDE-th discovery.
     A draw with u[i] >= bound cannot discover; the others are walked in order
@@ -260,6 +260,9 @@ def _path_flags(model: GibbsModel, n: int, k: int, u: np.ndarray, p_new=None) ->
     if p_new is None:
         p_new = _discovery_fn(model, n + m, n, k)
     if isinstance(model, DirichletProcess):
+        if m > _URN_BLOCK:
+            return np.concatenate([_path_flags(model, n + lo, k, u[lo:lo + _URN_BLOCK], p_new)
+                                   for lo in range(0, m, _URN_BLOCK)])
         return u < p_new(np.arange(n, n + m), k)
     ap = isinstance(model, AldousPitman)
     top = 2 * n - k  # at step s, count 2s - top reads the path's first AP table entry
@@ -299,44 +302,57 @@ def _discovery_flags(model: GibbsModel, u: np.ndarray) -> np.ndarray:
 
 def _urn_labels(flags: np.ndarray, sigma: float, rng: np.random.Generator,
                 starts: np.ndarray) -> np.ndarray:
-    """Taxon labels of urns laid end to end (urn u starts at starts[u]), given their flags.
+    """Taxon labels (int32) of urns laid end to end (urn u starts at starts[u]), given
+    their flags; a label is the rank of the taxon's founder among all founders.
 
     A draw that reuses a taxon, with k taxa and m = i - k reusing draws before
     it in its urn, picks taxon j with weight n_j - sigma = (n_j - 1) + (1 - sigma):
-    it copies a uniform earlier reusing draw w.p. m / (m + (1 - sigma) k), and
-    otherwise a uniform founding draw.  Every draw's founder then follows by
-    pointer jumping; its label is the founder's rank among all founders.
+    it copies the taxon of a uniform earlier reusing draw w.p. m / (m + (1 - sigma) k),
+    and otherwise takes a uniform taxon of its urn.  Nodes 0..K-1 are the K taxa,
+    each its own label, and the nodes after them the reusing draws in order, which
+    take their labels _URN_BLOCK at a time: a copy reads a label already set, unless
+    its source lies in its own block, and those chains are followed by pointer
+    jumping.  Beside flags and the labels, only the int32 nodes are held.
     """
-    taxa = flags.cumsum()  # founders up to and including each draw
-    n_taxa = int(taxa[-1])
-    pool = (~flags).argsort(kind="stable")  # founders, then reusing draws, in draw order
-    first_taxa = taxa[starts] - 1  # founders of earlier urns, per urn
-    first_reuses = starts - first_taxa  # reusing draws of earlier urns, per urn
-    parent = np.arange(flags.size)
+    labels = np.zeros(flags.size, dtype=np.int32)  # a founder's label: the founders before it
+    np.add.accumulate(flags[1:], dtype=np.int32, out=labels[1:])  # draw 0 founds taxon 0
+    n_taxa = int(labels[-1]) + 1
+    node = np.arange(flags.size, dtype=np.int32)
+    # the reusing draws of the block from lo move to node n_taxa + lo - (founders
+    # before lo) >= lo; back to front, no block reads a node that has moved
+    end = flags.size
+    for lo in reversed(range(0, flags.size, _URN_BLOCK)):
+        reuse = node[lo:lo + _URN_BLOCK][~flags[lo:lo + _URN_BLOCK]]
+        node[end - reuse.size:end] = reuse
+        end -= reuse.size
     for lo in range(n_taxa, flags.size, _URN_BLOCK):
-        reuse = pool[lo:lo + _URN_BLOCK]
-        urn = starts.searchsorted(reuse, "right") - 1
-        first_taxon, first_reuse = first_taxa[urn], first_reuses[urn]
-        k = taxa[reuse] - first_taxon
-        m = reuse - taxa[reuse] - first_reuse
+        reuse = node[lo:lo + _URN_BLOCK].astype(np.intp)
+        g = np.arange(lo - n_taxa, lo - n_taxa + reuse.size)  # reusing draws before each
+        k, m = reuse - g, g  # the founders up to each draw and the reusing draws before it
+        first_taxon, first_node = 0, n_taxa
+        if starts.size > 1:  # counted from the start of each draw's own urn
+            start = starts[starts.searchsorted(reuse, "right") - 1]
+            first_taxon = labels[start]  # a founder's label: the founders of earlier urns
+            first_reuse = start - first_taxon  # the reusing draws of earlier urns
+            k, m = k - first_taxon, g - first_reuse
+            first_node = first_reuse + n_taxa
         v = rng.random((2, reuse.size))
         copy = v[0] * (m + (1.0 - sigma) * k) < m
         pick = (v[1] * np.where(copy, m, k)).astype(np.int64)  # v < 1, so pick < m or < k
-        pick += np.where(copy, n_taxa + first_reuse, first_taxon)
-        parent[reuse] = pool[pick]
-    del pool
-    # pointer jumping: the forest is O(log n) deep, so this takes O(log log n) passes
-    while not flags[parent].all():
-        parent = parent[parent]
-    taxa -= 1
-    return taxa[parent]
+        pick += np.where(copy, first_node, first_taxon)
+        node[lo:lo + _URN_BLOCK] = pick
+        while pick.max() >= n_taxa:  # a copy of a draw in this block: jump
+            pick = node[pick]
+            node[lo:lo + _URN_BLOCK] = pick
+        labels[reuse] = pick
+    return labels
 
 
 def urn_sample(model: GibbsModel, n_steps: int,
                rng_seed: Union[int, np.random.Generator]) -> np.ndarray:
-    """Draw a stream of n_steps taxon labels (ints in discovery order)."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
+    """Draw a stream of n_steps taxon labels (int32, in discovery order)."""
+    if not 1 <= n_steps < 2**31:
+        raise DomainError(f"n_steps must lie in [1, 2**31), got {n_steps}")
     rng = np.random.default_rng(rng_seed)
     flags = _discovery_flags(model, rng.random(n_steps))
     return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
@@ -440,7 +456,10 @@ def _curve(model: GibbsModel, n: int, k: int, i: np.ndarray) -> np.ndarray:
         if H == 1:
             return np.ones(i.shape)
         c = n + H * s
-        return k - (H - k) * np.expm1((g(c - s + i) - g(c - s)) - (g(c + i) - g(c)))
+        g_cs, g_c = g(c - s), g(c)
+        return specfun._blockwise(
+            lambda i: k - (H - k) * np.expm1((g(c - s + i) - g_cs) - (g(c + i) - g_c)),
+            np.empty(i.shape), i)
     return _ap_rarefaction(model, i)
 
 
@@ -491,25 +510,36 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:
     cumulative sum of logs (a gammaln difference is ~2e-10 off at n ~ 5e5)."""
     if not 1 <= r_max <= n:
         raise DomainError("need 1 <= r_max <= n")
-    j = np.arange(r_max, dtype=float)
-    r = j + 1.0
     if isinstance(model, DirichletProcess):
         # E(M_r) = (alpha / r) prod_{j<r} (n - j) / (alpha + n - 1 - j): no term cancels,
-        # and the running product stays below max(1, n / alpha)
+        # and the running product stays below max(1, n / alpha).  It is taken in blocks,
+        # each multiplying the product so far into its first factor: the products are
+        # rounded in the order of one cumulative product
         a = model.alpha
-        return a / r * np.cumprod((n - j) / (a + n - 1.0 - j))
+        out = np.empty(r_max)
+        product = 1.0
+        for lo in range(0, r_max, specfun._BLOCK):
+            j = np.arange(lo, min(lo + specfun._BLOCK, r_max), dtype=float)
+            factors = (n - j) / (a + n - 1.0 - j)
+            factors[0] *= product
+            np.cumprod(factors, out=factors)
+            product = factors[-1]
+            out[lo:lo + j.size] = a / (j + 1.0) * factors
+        return out
+    j = np.arange(r_max, dtype=float)
+    r = j + 1.0
     if isinstance(model, DirichletMultinomial):
         # a taxon's count is BetaBinomial(n, s, b), b = (H - 1) s, so E(M_r) is
         # H prod_{j<r} (n - j)(s + j) / ((j + 1)(Hs + n - 1 - j)) times
         # (b)_{n-r} / (Hs)_{n-r} = prod_{i<n-r} (1 - s / (Hs + i)).  With few taxa and a
         # large s the first factor overflows where the second underflows, so both are
-        # summed as logs: the second as one pairwise sum over i < n - r_max, then a
-        # cumulative sum up to i < n - 1.
+        # summed as logs: the second as one pairwise sum over i < n - r_max (in blocks),
+        # then a cumulative sum up to i < n - 1.
         s, H = abs(model.sigma), model.H
         if H == 1:
             return (r == n).astype(float)
         log_binomial = np.cumsum(np.log((n - j) * (s + j) / (r * (H * s + n - 1.0 - j))))
-        base = np.sum(np.log1p(-s / (H * s + np.arange(n - r_max, dtype=float))))
+        base = specfun._blockwise_sum(lambda i: np.log1p(-s / (H * s + i)), 0, n - r_max)
         tail = np.log1p(-s / (H * s + np.arange(n - r_max, n - 1, dtype=float)))
         log_ratio = (base + np.concatenate(([0.0], np.cumsum(tail))))[::-1]
         return H * np.exp(log_binomial + log_ratio)

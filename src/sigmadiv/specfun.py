@@ -200,6 +200,18 @@ def _blockwise(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blockwise_sum(fn, lo: int, hi: int) -> float:
+    """np.sum(fn(np.arange(lo, hi, dtype=float))) with fn evaluated on at most _BLOCK
+    points at a time.  np.sum adds pairwise, halving a length above 128 at a
+    multiple of 8; splitting by that rule down to _BLOCK >= 128 points and summing
+    each part with np.sum forms the same partial sums, so the float is the same."""
+    size = hi - lo
+    if size <= _BLOCK:
+        return float(np.sum(fn(np.arange(lo, hi, dtype=float))))
+    half = size // 2 - size // 2 % 8
+    return _blockwise_sum(fn, lo, lo + half) + _blockwise_sum(fn, lo + half, hi)
+
+
 _SERIES_FROM = 1e3  # alpha above which discovery_mean uses the digamma series
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import apinfer, gibbs, specfun
 from .datamodel import TaxonNode, TaxonomicDataset
 from .dpinfer import CoarsenedPosterior, StirlingGammaSpec, sg_posterior_sample
-from .draws import PosteriorDraws
+from .draws import PosteriorDraws, quantiles
 from .errors import DomainError
 
 __all__ = [
@@ -378,7 +378,7 @@ def branch_summaries(fit: TaxonomicFit) -> List[BranchSummary]:
         rows = []
         for label, draws in level_draws.items():
             stats = fit.stats[i][label]
-            q01, q99 = np.quantile(draws.values, [0.01, 0.99])
+            q01, q99 = quantiles(draws.values, [0.01, 0.99])
             rows.append(BranchSummary(level=level, label=label,
                                       mean=float(draws.values.mean()),
                                       q01=float(q01), q99=float(q99),

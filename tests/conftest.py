@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,16 @@ def amazon_abundance_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("amazon") / "amazon_abundance.csv"
     write_abundance_csv(data, str(path))
     return str(path)
+
+
+@pytest.fixture
+def traced_peak():
+    """fn -> (fn(), the peak of the memory traced while it ran, in MiB)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -106,8 +106,9 @@ class TestImport:
 
     def test_no_command_loads_scipy(self, tiny_csv, tmp_path):
         # one cold interpreter runs every subcommand on tiny inputs: none loads
-        # scipy, and the AP runs build their Gauss-Legendre rule without
-        # numpy.polynomial (whose leggauss is a LAPACK eigensolve)
+        # scipy, the AP runs build their Gauss-Legendre rule without
+        # numpy.polynomial (whose leggauss is a LAPACK eigensolve), and no
+        # np.quantile or np.unique pulls in numpy.ma
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
@@ -132,7 +133,8 @@ class TestImport:
                 "import sigmadiv.cli\n"
                 "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
                 "loaded = sorted(m for m in sys.modules\n"
-                "                if m.startswith(('scipy', 'numpy.polynomial')))\n"
+                "                if (m + '.').startswith(('scipy.', 'numpy.polynomial.',\n"
+                "                                         'numpy.ma.')))\n"
                 "print(json.dumps([codes, loaded, dict(os.environ) == env]))")
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
@@ -427,6 +429,20 @@ class TestWriteTable:
         with pytest.raises(ValueError):
             cli._write_table(str(tmp_path), "bad", {"a": [1, 2], "b": arrays[0]}, fmt,
                              config, value_fmt)
+
+    def test_memory_bounded_by_chunk(self, tmp_path, traced_peak):
+        # the cells of one chunk of _CSV_CHUNK rows are the only per-row objects
+        # alive: 1.74 MiB with chunks of 16,384 rows.  20,000 rows span more than
+        # one chunk at either size; each traced row costs ~15 us
+        size = np.arange(1, 20_001)
+        value = np.sqrt(size) * 1.2345
+        path, peak = traced_peak(lambda: cli._write_table(
+            str(tmp_path), "t", {"size": size, "value": value}, "csv", "{}"))
+        assert peak < 0.8
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[1] == "size,value" and len(lines) == 2 + size.size
+        assert lines[-1] == "20000,%s" % (cli._SUMMARY_FMT % value[-1])
 
 
 class TestJsonMirror:

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from sigmadiv import specfun
 from sigmadiv.dpinfer import CoarsenedPosterior, StirlingGammaSpec
-from sigmadiv.draws import log_grid_rule, log_grid_sample
+from sigmadiv.draws import log_grid_rule, log_grid_sample, quantiles
 
 LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
 
@@ -121,3 +121,29 @@ class TestBlocks:
         monkeypatch.setattr(specfun, "_BLOCK", block)
         for got, ref in zip(run(), want):
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+class TestQuantiles:
+    QS = [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]
+
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(1, 2_001)) if trial > 20 else trial + 1
+            values = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9),
+                      rng.integers(0, 4, n).astype(float),  # many ties
+                      np.exp(20.0 * rng.standard_normal(n))][trial % 3]
+            q = np.concatenate([self.QS, rng.random(4)])
+            assert np.array_equal(quantiles(values, q), np.quantile(values, q))
+            for one in (0.5, float(rng.random())):
+                got, want = quantiles(values, one), np.quantile(values, one)
+                assert got == want and type(got) is type(want)
+
+    def test_posterior_draws_and_summary(self):
+        from sigmadiv.draws import PosteriorDraws, summarize_draws
+
+        values = np.random.default_rng(12).gamma(2.0, size=1001)
+        draws = PosteriorDraws("x", values, rho=1.0)
+        assert np.array_equal(draws.quantile(self.QS), np.quantile(values, self.QS))
+        summary = summarize_draws(values)
+        assert summary["quantiles"]["25"] == float(np.quantile(values, 0.25))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -497,42 +496,44 @@ class TestCurves:
         assert abs(finals.mean() - closed) < 3 * finals.std() / math.sqrt(reps)
 
 
-def _traced_peak(fn):
-    """fn()'s result and the peak of the memory traced while it ran, in MiB."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryBounds:
     # Curves and urns at the Amazon scale hold numpy columns, not an object per
     # point; one object per point peaked at 8.4, 8.1 and 93 MB in the curve and urn
-    # calls.  Long elementwise evaluations (the DP curves, the 32,769-node posterior
-    # grid) run in fixed blocks; over whole arrays they peaked at 3.1, 29.6 and 3.3 MiB.
+    # calls.  Long elementwise evaluations run in fixed blocks; over whole arrays they
+    # peaked at 3.1 and 29.6 MiB (DP extrapolation, full DP rarefaction), 42.3 (full DM
+    # rarefaction), 21.1 (DP counts at r_max = n), 1.5 (the log sum of the DM counts)
+    # and 3.3 (the 32,769-node posterior grid).  An urn holds int32 index arrays and
+    # O(block) temporaries (3.2 MiB for DP and 3.6 for DM with int64 arrays of all draws).
     ALPHA = 751.23
 
-    def test_dp_extrapolation(self, amazon_stats):
+    def test_dp_extrapolation(self, amazon_stats, traced_peak):
         n, k = amazon_stats
         m = 50_000
-        curve, peak = _traced_peak(lambda: gibbs.extrapolation(DP(self.ALPHA), n, k, m))
+        curve, peak = traced_peak(lambda: gibbs.extrapolation(DP(self.ALPHA), n, k, m))
         assert peak < 2.5
         i = np.arange(1, m + 1)
         want = k + self.ALPHA * (digamma(self.ALPHA + n + i) - digamma(self.ALPHA + n))
         assert np.array_equal(curve.sizes, n + i) and curve.se is None
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
 
-    def test_dp_urn(self):
-        n = 100_000
-        labels, peak = _traced_peak(lambda: gibbs.urn_sample(DP(50.0), n, 11))
-        assert peak < 5.0
-        new = np.diff(np.maximum.accumulate(labels), prepend=-1)
-        assert labels.size == n and set(new.tolist()) == {0, 1}
+    def test_dp_urn(self, traced_peak):
+        self._check_urn(DP(50.0), 2.0, traced_peak)
 
-    def test_dp_full_rarefaction(self, amazon_stats):
+    def test_dm_urn(self, traced_peak):
+        self._check_urn(DM(-1.0, 2000), 2.5, traced_peak)
+
+    @staticmethod
+    def _check_urn(model, bound, traced_peak):
+        n = 100_000
+        labels, peak = traced_peak(lambda: gibbs.urn_sample(model, n, 11))
+        assert peak < bound
+        new = np.diff(np.maximum.accumulate(labels), prepend=-1)
+        assert labels.size == n and labels.dtype == np.int32
+        assert set(new.tolist()) == {0, 1}
+
+    def test_dp_full_rarefaction(self, amazon_stats, traced_peak):
         n, k = amazon_stats
-        curve, peak = _traced_peak(lambda: gibbs.rarefaction(DP(self.ALPHA), n))
+        curve, peak = traced_peak(lambda: gibbs.rarefaction(DP(self.ALPHA), n))
         assert peak < 12.0
         i = np.arange(1, n + 1)
         want = self.ALPHA * (digamma(self.ALPHA + i) - digamma(self.ALPHA))
@@ -540,10 +541,54 @@ class TestMemoryBounds:
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
         assert curve.values[-1] == pytest.approx(k, abs=0.5)
 
-    def test_dp_branch_posterior(self):
+    def test_dm_full_rarefaction(self, amazon_stats, traced_peak):
+        n, _ = amazon_stats
+        model = DM(-1.0, 20_000)
+        curve, peak = traced_peak(lambda: gibbs.rarefaction(model, n))
+        assert peak < 12.0
+        # E(K_i) = H (1 - (b)_i / (Hs)_i), b = (H - 1) s, s = 1, as a running product;
+        # the closed form's gammaln differences (of size 2e5) lose ~6e-7 at i = 1
+        j = np.arange(n, dtype=float)
+        want = model.H * (1.0 - np.cumprod((model.H - 1.0 + j) / (model.H + j)))
+        assert np.array_equal(curve.sizes, j + 1) and curve.se is None
+        assert np.allclose(curve.values, want, rtol=1e-6, atol=0.0)
+
+    def test_dp_full_freq_counts(self, amazon_stats, traced_peak):
+        n, _ = amazon_stats
+        counts, peak = traced_peak(lambda: gibbs.expected_freq_counts(DP(self.ALPHA), n, n))
+        assert peak < 10.0
+        assert counts.shape == (n,) and np.isfinite(counts).all()
+        # sum_r r E(M_r) = n, and the first entries are those of r_max = 100
+        assert (np.arange(1, n + 1) * counts).sum() == pytest.approx(n, rel=1e-10)
+        assert np.array_equal(counts[:100],
+                              gibbs.expected_freq_counts(DP(self.ALPHA), n, 100))
+
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    def test_blocks_do_not_change_the_floats(self, monkeypatch, block):
+        # the DP counts' running product, the DM counts' pairwise log sum and the DM
+        # curve: blocks of 1,000 and one block of 65,536 give the bits of 8,192
+        n = 40_000
+        calls = [lambda: gibbs.expected_freq_counts(DP(self.ALPHA), n, n),
+                 lambda: gibbs.expected_freq_counts(DM(-1.0, 2000), n, 100),
+                 lambda: gibbs.expected_freq_counts(DM(-1.0, 2000), n, 20_000),
+                 lambda: gibbs.rarefaction(DM(-1.0, 2000), n).values]
+        want = [call() for call in calls]
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        assert all(np.array_equal(call(), w) for call, w in zip(calls, want))
+        log_terms = np.log1p(-1.0 / (2000.0 + np.arange(n, dtype=float)))
+        assert specfun._blockwise_sum(
+            lambda i: np.log1p(-1.0 / (2000.0 + i)), 0, n) == np.sum(log_terms)
+
+    def test_dm_freq_counts(self, traced_peak):
+        counts, peak = traced_peak(
+            lambda: gibbs.expected_freq_counts(DM(-1.0, 2000), 100_000, 100))
+        assert peak < 0.5
+        assert counts.shape == (100,) and (counts > 0.0).all()
+
+    def test_dp_branch_posterior(self, traced_peak):
         # the posterior of one taxonomic branch, drawn on the full sampler grid
         post = CP(SG(0.3, 0.1, 100), n=250, k=4, rho=1.0)
-        draws, peak = _traced_peak(lambda: dpinfer.sg_posterior_sample(post, 500, 1))
+        draws, peak = traced_peak(lambda: dpinfer.sg_posterior_sample(post, 500, 1))
         assert peak < 1.5
         assert draws.values.shape == (500,) and np.all(draws.values > 0.0)
 
