@@ -211,6 +211,10 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     GammaPrior(a_gamma, b_gamma)  # refuses a or b <= 0
+    if n_draws < 1:
+        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
+    if not 0.0 < rho <= 1.0:
+        raise DomainError(f"rho must lie in (0, 1], got {rho}")
     M = rho * (2 * n - k - 2)
     c = a_gamma + rho * (k - 1)
 

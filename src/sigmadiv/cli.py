@@ -192,6 +192,8 @@ def cmd_fit(args) -> int:
 
 
 def _grid_sizes(n: int, points: int) -> np.ndarray:
+    if points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {points}")
     if n <= points:
         return np.arange(1, n + 1)
     sizes = np.round(np.geomspace(1, n, points)).astype(np.int64)  # sorted
@@ -305,8 +307,11 @@ def _parse_levels_spec(spec: str) -> List[taxo.LevelModel]:
             raise DomainError(f"unknown family {family!r} in --levels-spec")
         if len(bits) < 2:
             raise DomainError(f"level {part!r} needs a diversity value")
-        diversity = float(bits[1])
-        sigma = float(bits[2]) if len(bits) > 2 else None
+        try:
+            diversity = float(bits[1])
+            sigma = float(bits[2]) if len(bits) > 2 else None
+        except ValueError:
+            raise DomainError(f"level {part!r} needs numeric values") from None
         levels.append(taxo.LevelModel(family=family, diversity=diversity, sigma=sigma))
     return levels
 

@@ -162,8 +162,9 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
     inverted from a uniform so that draws are monotone-coupled in N-hat under
     a fixed seed.
     """
-    if N_hat < post.n:
-        raise DomainError("N_hat must be at least the observed sample size")
+    if not post.n <= N_hat < np.inf:
+        raise DomainError(f"N_hat must be finite and at least the observed sample size, "
+                          f"got {N_hat}")
     alpha = sg_posterior_sample(post, n_draws, rng_seed).values
     rng = np.random.default_rng(np.random.SeedSequence((rng_seed, 0x5e1f)))
     if N_hat == post.n:

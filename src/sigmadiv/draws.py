@@ -1,6 +1,6 @@
-"""Posterior draw containers, effective-sample-size diagnostics, and the log-grid
-bracket in x = log v behind the exact 1-D sampler of both diversity posteriors
-(inverse CDF) and the 1-D integrals of the AP prior expectations (trapezoid rule).
+"""Posterior draw containers, effective-sample-size diagnostics, and the exact 1-D
+sampler of both diversity posteriors: inverse CDF on the specfun._log_grid bracket
+in x = log v, the bracket of every 1-D integral (specfun.log_grid_rule).
 
 The sampler's 32,769-node grid is evaluated, and its CDF built, block by block
 through specfun._blockwise: one call holds three grid-length arrays (nodes,
@@ -8,16 +8,14 @@ density, CDF) and O(specfun._BLOCK) temporaries, whatever the kernel."""
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import _blockwise
+from .specfun import _blockwise, _log_grid
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
-           "log_grid_rule", "log_grid_sample", "quantiles", "summarize_draws"]
+           "log_grid_sample", "quantiles", "summarize_draws"]
 
 SUMMARY_QUANTILES = (0.01, 0.25, 0.50, 0.75, 0.99)
 
@@ -50,54 +48,7 @@ def effective_sample_size(x: np.ndarray, max_lag: int = 200) -> float:
     return n / (1.0 + 2.0 * s)
 
 
-_COARSE_NODES = 1025  # also the nodes of log_grid_rule
 _GRID_NODES = 2 ** 15 + 1
-_TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
-_X_LIMIT = 700.0  # |log v| beyond which exp over- or underflows
-
-
-def _log_grid(log_kernel: Callable[[np.ndarray], np.ndarray],
-              nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A grid of `nodes` points in x = log v and, on it, the log density of x,
-    log_kernel(e^x) + x.  That must be log-concave (as for every SG kernel of the
-    DP's alpha, the AP's latent U and the AP pick integrands), so the peak of a
-    coarse grid brackets the mode.  Each end then steps outward, doubling the step,
-    until the log density is _TAIL_DROP below the peak: heavy tails (like e^{0.2 x})
-    widen the grid instead of being cut off.  An end that reaches |x| = _X_LIMIT
-    first means the density is not integrable (an SG endpoint a/b = 1 or
-    a/b = n_ref, k = n) or too heavy-tailed for float range: DomainError.
-    """
-    def logf(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = log_kernel(np.exp(x)) + x  # Jacobian of v = e^x
-        return np.where(np.isfinite(val), val, -np.inf)
-
-    coarse = np.linspace(math.log(1e-8), math.log(1e12), _COARSE_NODES)
-    fc = logf(coarse)
-    i = int(np.argmax(fc))
-    peak = float(fc[i])
-    if peak == -np.inf:
-        raise DomainError("the density is zero or not finite on [1e-8, 1e12]")
-    step = coarse[1] - coarse[0]
-    ends = []
-    for x, sign in ((coarse[max(i - 1, 0)], -1.0),
-                    (coarse[min(i + 1, _COARSE_NODES - 1)], 1.0)):
-        d = step
-        while True:
-            fx = float(logf(x))
-            peak = max(peak, fx)
-            if fx < peak - _TAIL_DROP:
-                break
-            if abs(x) >= _X_LIMIT:
-                raise DomainError(
-                    "the posterior is improper or too heavy-tailed to sample: its "
-                    f"density does not fall {_TAIL_DROP:g} below the peak for log v "
-                    f"within +-{_X_LIMIT:g}")
-            x = min(max(x + sign * d, -_X_LIMIT), _X_LIMIT)
-            d *= 2.0
-        ends.append(x)
-    grid = np.linspace(ends[0], ends[1], nodes)
-    return grid, _blockwise(logf, np.empty(nodes), grid)
 
 
 def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int,
@@ -116,16 +67,6 @@ def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return np.exp(np.interp(rng.random(n_draws), cdf, grid))
-
-
-def log_grid_rule(log_kernel: Callable[[np.ndarray], np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes x and log terms t of the trapezoid rule int e^{log_kernel(v)} dv ~ sum_i e^{t_i}
-    on the _log_grid of _COARSE_NODES.  The spacing is (b - a) / (N - 1): a
-    difference of two nodes would lose about 1e-12 at |x| ~ 50."""
-    x, t = _log_grid(log_kernel, _COARSE_NODES)
-    t += math.log((x[-1] - x[0]) / (_COARSE_NODES - 1))  # linspace keeps both ends exact
-    t[[0, -1]] -= math.log(2.0)
-    return x, t
 
 
 def quantiles(values: np.ndarray, q) -> np.ndarray:
@@ -159,13 +100,14 @@ class PosteriorDraws:
     computed from the values on first read.
     """
 
+    thin = 1  # no sampler thins its draws
+
     def __init__(self, name: str, values: np.ndarray, rho: float,
-                 seed: Optional[int] = None, thin: int = 1, ess: Optional[float] = None):
+                 seed: Optional[int] = None, ess: Optional[float] = None):
         self.name = name
         self.values = np.asarray(values)
         self.rho = rho
         self.seed = seed
-        self.thin = thin
         self._ess = ess
 
     @property

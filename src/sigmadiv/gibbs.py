@@ -6,7 +6,7 @@ richness H), Dirichlet process (sigma = 0, precision alpha) and Aldous-Pitman
 them through log_V(n, k), the log partition weights.  Every prior expectation
 is exact: closed forms for DP and DM, and for AP one integral over the
 size-biased pick (rarefaction, frequency counts, diversity indices) on the
-log-grid rule of draws.log_grid_rule.  Monte Carlo is left for AP's
+log-grid rule of specfun.log_grid_rule.  Monte Carlo is left for AP's
 extrapolation from an observed state and the long-horizon fallback of
 posterior_Km_pmf.
 """
@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import draws, specfun
+from . import specfun
 from .datamodel import PartitionData
 from .errors import DomainError, TableSizeError
 
@@ -419,7 +419,7 @@ _CURVE_BLOCK = 256  # sizes per block of an AP rarefaction: a few MB of temporar
 def _ap_pick_rule(model: AldousPitman, log_g) -> Tuple[np.ndarray, np.ndarray]:
     """log(1 - P) at the nodes and the log terms t of a rule E g(P) ~ sum_i e^{t_i}, for
     the AP size-biased pick P = Y^2 / (c + Y^2), c = gamma^2 / 2, Y ~ N(0, 1), and
-    log g = log_g(log P, log(1 - P)): draws.log_grid_rule in x = log Y^2.  By Pitman's
+    log g = log_g(log P, log(1 - P)): specfun.log_grid_rule in x = log Y^2.  By Pitman's
     identity (2006, ch. 3), E sum_j f(P_j) = E f(P) / P over the prior weights P_j.
     log P = -log(1 + e^{-s}) and log(1 - P) = -log(1 + e^s), s = x - log c, do not cancel.
     """
@@ -430,7 +430,7 @@ def _ap_pick_rule(model: AldousPitman, log_g) -> Tuple[np.ndarray, np.ndarray]:
         return (log_g(-np.logaddexp(0.0, -s), -np.logaddexp(0.0, s))
                 - 0.5 * (np.log(v) + v + math.log(2.0 * math.pi)))
 
-    x, t = draws.log_grid_rule(log_kernel)
+    x, t = specfun.log_grid_rule(log_kernel)
     return -np.logaddexp(0.0, x - log_c), t
 
 
@@ -452,15 +452,35 @@ def _curve(model: GibbsModel, n: int, k: int, i: np.ndarray) -> np.ndarray:
     if isinstance(model, DirichletProcess):
         return k + specfun.discovery_mean(model.alpha, n, i)
     if isinstance(model, DirichletMultinomial):
-        s, H, g = abs(model.sigma), model.H, specfun.gammaln
-        if H == 1:
+        if model.H == 1:
             return np.ones(i.shape)
-        c = n + H * s
-        g_cs, g_c = g(c - s), g(c)
-        return specfun._blockwise(
-            lambda i: k - (H - k) * np.expm1((g(c - s + i) - g_cs) - (g(c + i) - g_c)),
-            np.empty(i.shape), i)
+        if np.any(i[1:] < i[:-1]):  # _dm_curve reads ascending sizes
+            order = np.argsort(i)
+            out = np.empty(i.shape)
+            out[order] = _curve(model, n, k, i[order])
+            return out
+        return _dm_curve(model, n, k, i)
     return _ap_rarefaction(model, i)
+
+
+def _dm_curve(model: DirichletMultinomial, n: int, k: int, i: np.ndarray) -> np.ndarray:
+    """The DM curve of _curve at ascending sizes i, with x = sum_{j<i} log1p(-s / (c + j))
+    a running sum over j < max(i): no term of size c cancels, as a gammaln difference
+    would (~1e-6 off at i = 1 for c ~ 2e4).  Its blocks of specfun._BLOCK terms each
+    add the sum so far into their first term, so the sums are the floats of one
+    np.cumsum, and each block reads them at the sizes it reaches."""
+    s, H = abs(model.sigma), model.H
+    c = n + H * s
+    out = np.empty(i.shape)
+    total, top = 0.0, int(i.max(initial=0))
+    for lo in range(0, top, specfun._BLOCK):
+        x = np.log1p(-s / (c + np.arange(lo, min(lo + specfun._BLOCK, top), dtype=float)))
+        x[0] += total
+        np.cumsum(x, out=x)
+        total = x[-1]
+        a, b = np.searchsorted(i, (lo + 1, lo + x.size + 1))  # lo < i <= lo + x.size
+        out[a:b] = k - (H - k) * np.expm1(x[i[a:b] - 1 - lo])
+    return out
 
 
 def rarefaction(model: GibbsModel, n: int, sizes: Optional[Sequence[int]] = None) -> Curve:

@@ -65,6 +65,8 @@ class LevelModel:
 
     def model_for(self, value: float) -> gibbs.GibbsModel:
         if self.family == "dm":
+            if not float(value).is_integer():
+                raise DomainError(f"a dm level needs an integer taxon bound H, got {value}")
             return gibbs.DirichletMultinomial(sigma=self.sigma, H=int(value))
         if self.family == "dp":
             return gibbs.DirichletProcess(alpha=value)
@@ -180,6 +182,12 @@ class APLevelPrior:
     hyper_mu: Tuple[float, float] = (0.0, 0.0)
     hyper_sd: float = 10.0
     rho: float = 1.0
+
+    def __post_init__(self):
+        if not self.hyper_sd > 0.0:
+            raise DomainError(f"hyper_sd must be > 0, got {self.hyper_sd}")
+        if not 0.0 < self.rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
 
 
 LevelPrior = Union[DPLevelPrior, APLevelPrior]

@@ -225,6 +225,12 @@ class TestIidTwoStep:
         with pytest.raises(DomainError):
             apinfer.iid_two_step_sample(1, 1, 1.0, 1.0, 10, rng_seed=0)
 
+    @pytest.mark.parametrize("n_draws, rho", [(0, 1.0), (-2, 1.0), (10, 2.0), (10, 0.0),
+                                              (10, -1.0), (10, float("nan"))])
+    def test_refuses_draws_and_rho_out_of_range(self, n_draws, rho):
+        with pytest.raises(DomainError):
+            apinfer.iid_two_step_sample(40, 12, 2.0, 1.0, n_draws, rng_seed=0, rho=rho)
+
 
 class TestPredictiveSampler:
     def test_discovery_rate_matches_hermite_ratio(self):

@@ -253,6 +253,30 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "{csv}", "--family", "dp", "--alpha", 2, "--grid-points", 0],
+    ["validate", "--input", "{csv}", "--family", "dp", "--alpha", 2, "--grid-points", -4],
+    ["richness", "--input", "{csv}", "--nhat", "inf"],
+    ["richness", "--input", "{csv}", "--nhat", "nan"],
+    ["simulate", "--n", 30, "--levels-spec", "dp:abc;dp:2"],
+    ["simulate", "--n", 30, "--levels-spec", "dp:3;dm:2.5"],
+    ["fit", "--input", "{csv}", "--family", "ap", "--draws", 0],
+    ["fit", "--input", "{csv}", "--family", "ap", "--rho", 2],
+    ["taxonomic", "--input", "{tree}", "--rho", 2],
+    ["taxonomic", "--input", "{tree}", "--hyper-sd", 0],
+    ["taxonomic", "--input", "{tree}", "--hyper-sd", -1],
+], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
+        "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
+        "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
+        "taxonomic-hyper-sd-negative"])
+def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
+    tree = tmp_path / "tree.csv"
+    tree.write_text(TREE, encoding="utf-8")
+    argv = [str(a).format(csv=tiny_csv, tree=tree) for a in argv]
+    assert run(*argv, "--seed", 1, "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestTaxonomic:
     def test_fit_toy_tree(self, tmp_path):
         sim_dir = tmp_path / "nsim"

@@ -147,6 +147,12 @@ class TestRichness:
         pred = dpinfer.richness_posterior(post, 50.0, 2_000, rng_seed=0)
         assert (pred.draws == 10).all()
 
+    @pytest.mark.parametrize("nhat", [float("inf"), float("nan"), 49.0])
+    def test_nhat_must_be_finite_and_at_least_n(self, nhat):
+        post = CP(prior=SG(1.0, 0.05, 50), n=50, k=10, rho=1.0)
+        with pytest.raises(DomainError):
+            dpinfer.richness_posterior(post, nhat, 10, rng_seed=0)
+
     def test_draws_at_least_k(self):
         post = CP(prior=SG(1.0, 0.05, 50), n=50, k=10, rho=1.0)
         pred = dpinfer.richness_posterior(post, 5_000.0, 5_000, rng_seed=1)

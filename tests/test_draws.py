@@ -8,7 +8,8 @@ from scipy.special import gammaln
 
 from sigmadiv import specfun
 from sigmadiv.dpinfer import CoarsenedPosterior, StirlingGammaSpec
-from sigmadiv.draws import log_grid_rule, log_grid_sample, quantiles
+from sigmadiv.draws import log_grid_sample, quantiles
+from sigmadiv.specfun import log_grid_rule
 
 LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
 

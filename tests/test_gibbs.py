@@ -421,6 +421,10 @@ class TestPosteriorKmPmf:
         assert np.abs(exact - mc).max() < 0.01
 
 
+DM_CURVE_MPMATH = {1: 1.0, 2: 1.999900004999750012499375, 10: 9.995502024089159878054875,
+                   1000: 952.426306014572122482023, 553_949: 19303.10759859778237749761}
+
+
 class TestCurves:
     def test_first_point_is_one(self):
         for model in TEST_MODELS:
@@ -433,6 +437,8 @@ class TestCurves:
         some = gibbs.rarefaction(model, 200, sizes=sizes)
         assert some.sizes.tolist() == sizes
         assert some.values.tolist() == [full.values[i - 1] for i in sizes]
+        assert gibbs.rarefaction(model, 200, sizes=sizes[::-1]).values.tolist() == \
+            some.values.tolist()[::-1]
         with pytest.raises(DomainError):
             gibbs.rarefaction(model, 200, sizes=[0, 5])
 
@@ -442,6 +448,13 @@ class TestCurves:
         curve = gibbs.rarefaction(DP(751.23), n)
         assert curve.values[-1] == pytest.approx(k, abs=0.5)
         assert curve.values[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_dm_amazon_curve_against_mpmath(self, amazon_stats):
+        # E(K_i) = H (1 - (b)_i / (Hs)_i), s = 1, b = H - 1, by 40-digit mpmath rising
+        # factorials; differences of gammaln values of size 2e5 were 5.1e-7 off at i = 1
+        curve = gibbs.rarefaction(DM(-1.0, 20_000), amazon_stats[0])
+        for i, want in DM_CURVE_MPMATH.items():
+            assert curve.values[i - 1] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_dm_vs_urn(self):
         model = DM(-1.0, 10)
@@ -546,12 +559,11 @@ class TestMemoryBounds:
         model = DM(-1.0, 20_000)
         curve, peak = traced_peak(lambda: gibbs.rarefaction(model, n))
         assert peak < 12.0
-        # E(K_i) = H (1 - (b)_i / (Hs)_i), b = (H - 1) s, s = 1, as a running product;
-        # the closed form's gammaln differences (of size 2e5) lose ~6e-7 at i = 1
+        # E(K_i) = H (1 - (b)_i / (Hs)_i), b = (H - 1) s, s = 1, as a running product
         j = np.arange(n, dtype=float)
         want = model.H * (1.0 - np.cumprod((model.H - 1.0 + j) / (model.H + j)))
         assert np.array_equal(curve.sizes, j + 1) and curve.se is None
-        assert np.allclose(curve.values, want, rtol=1e-6, atol=0.0)
+        assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
 
     def test_dp_full_freq_counts(self, amazon_stats, traced_peak):
         n, _ = amazon_stats

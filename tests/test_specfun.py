@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -160,41 +157,6 @@ class TestSpecialFunctionsAgainstScipy:
         assert specfun.digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-15)
         assert specfun.trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
 
-    def test_gauss_legendre_rule_built_on_first_use(self):
-        src = os.path.dirname(os.path.dirname(specfun.__file__))
-        code = ("import sys; from sigmadiv import specfun; assert specfun._gauss_legendre == (); "
-                "specfun.log_hermite(-3.0, 1.0); nodes, weights = specfun._gauss_legendre; "
-                "assert specfun.gauss_legendre_rule() is specfun._gauss_legendre; "
-                "assert not (nodes.flags.writeable or weights.flags.writeable); "
-                "assert not any(m.startswith('numpy.polynomial') for m in sys.modules); "
-                "ref = specfun._legendre_rule(512); "
-                "assert (nodes == ref[0]).all() and (weights == ref[1]).all()")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env=dict(os.environ, PYTHONPATH=src))
-
-
-class TestGaussLegendre:
-    nodes, weights = specfun._legendre_rule(512)
-
-    def test_integrates_even_monomials_exactly(self):
-        # 512 nodes integrate every polynomial of degree <= 1023 exactly
-        for k in range(0, 1023, 2):
-            got = math.fsum(self.weights * self.nodes ** k)
-            assert got == pytest.approx(2.0 / (k + 1), rel=1e-14, abs=0.0), k
-
-    def test_symmetric_and_normalised(self):
-        assert (np.diff(self.nodes) > 0.0).all()
-        assert (self.nodes == -self.nodes[::-1]).all()
-        assert (self.weights == self.weights[::-1]).all()
-        assert math.fsum(self.weights) == pytest.approx(2.0, rel=1e-14, abs=0.0)
-
-    def test_matches_leggauss(self):
-        # numpy's leggauss (an eigensolve) is the less accurate of the two: its end
-        # weights are ~1e-10 off the exact ones, where this rule's are within 1e-14
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(512)
-        assert np.abs(self.nodes - ref_nodes).max() <= 1e-15
-        assert np.abs(self.weights / ref_weights - 1.0).max() <= 1e-9
-
 
 # Q(a, x) at points where scipy 1.17's gammaincc is off: for a >= ~1e7 just outside
 # its asymptotic window |x - a| < 4.5 sqrt(a) it gives 0.99999809 at the first
@@ -280,6 +242,55 @@ class TestNormalQuantile:
         assert z[1] == 0.0 and -40.0 < z[0] < -37.0 and z[2] == -z[0]
 
 
+# log h_nu(t) and log(h_{nu+1}(t) / h_nu(t)) at t in HERMITE_T, as 40-digit mpmath
+# quadratures (tanh-sinh, split at the mode and +-5, 10, 20, 40 standard deviations);
+# the non-integer orders from mpmath's hyperu, h_nu(t) = 2^(nu/2) U(-nu/2, 1/2, t^2/2).
+# -1,107,897 is the deepest order of the AP ratio table at the Amazon state.
+HERMITE_T = (0.05, 1.41, 10.0, 531.0)
+LOG_HERMITE_MPMATH = {
+    -1: (0.1863468378353127095772, -0.621908999013755679391, -2.312346617307797836566,
+         -6.274765567800270236284),
+    -2: (-0.062132887504590540976, -1.414920442835376408796, -4.634183502917683185403,
+         -12.54953468212113840578),
+    -3: (-0.546580467399567404969, -2.331158886175185400139, -6.965255350926654857874,
+         -18.82430734292487193094),
+    -40: (-54.43571713588132088295, -62.50879065696619773252, -98.20514577696521533954,
+          -250.9933886253608375596),
+    -4096: (-14990.33084249944317724, -15076.87098547173559056, -15602.74460933285983486,
+            -25730.76116901322394715),
+    -65537: (-330659.4401788414447024, -331007.1055650933853722, -333181.8133664665615368,
+             -417543.5668450384719918),
+    -400000: (-2379875.933923251834748, -2380735.576694211094586, -2386143.929054729346852,
+              -2654805.936954719334977),
+}
+LOG_HERMITE_FRACTIONAL_MPMATH = {
+    -0.001: (0.0005731651195255598066716, -0.0005099273128297747680178,
+             -0.002307517350398623594695, -0.006274763796300672810797),
+    -0.1: (0.05191313813530442238695, -0.05227377870771089764129, -0.2308000008324769410435,
+           -0.6274763971855247545726),
+    -0.5: (0.1722326628760857405184, -0.285115142714629344860, -1.154970463240540229395,
+           -3.137382340582702055546),
+    -1.5: (0.0989770498361777211525, -1.000730555601188725678, -3.472095089605137425024,
+           -9.412149681647987886386),
+}
+LOG_HERMITE_RATIO_MPMATH = {
+    -2: (0.24847972533990325055, 0.79301144382162072940, 2.32183688560988534883,
+         6.27476911432086816949),
+    -3: (0.48444757989497686399, 0.91623844333980899134, 2.33107184800897167247,
+         6.27477266080373352516),
+    -40: (1.84219305724410382003, 1.95075048853493116552, 2.56883195526383706967,
+          6.27490385415189975873),
+    -4096: (4.15921272087358121539, 4.16983878777006570917, 4.23687693117654853553,
+            6.28898210692840338665),
+    -65537: (5.54527891542663279938, 5.54793516191687187205, 5.56471126617116307500,
+             6.45255124549906894061),
+    -400000: (6.44964881656521099686, 6.45072399208202365214, 6.45751490968957521114,
+              6.85795843804824827484),
+    -1107897: (6.95901061665796711884, 6.95965665661828460883, 6.96373714151161558142,
+               7.20862646121114473383),
+}
+
+
 class TestLogHermite:
     def test_order_minus_one_is_mills_ratio(self):
         # h_{-1}(t) = int_0^inf e^{-u^2/2 - tu} du = Phi(-t) / phi(t)
@@ -324,6 +335,22 @@ class TestLogHermite:
     def test_huge_order(self):
         val = specfun.log_hermite(4_962 + 1 - 2 * 553_949, math.sqrt(2) * 751.0)
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("order", sorted(LOG_HERMITE_MPMATH))
+    def test_against_mpmath(self, order):
+        for t, want in zip(HERMITE_T, LOG_HERMITE_MPMATH[order]):
+            assert abs(specfun.log_hermite(order, t) - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("order", sorted(LOG_HERMITE_FRACTIONAL_MPMATH))
+    def test_fractional_orders_against_mpmath(self, order):
+        # above order -1 the integrand's left tail u^{-order-1} falls slowly in log u
+        for t, want in zip(HERMITE_T, LOG_HERMITE_FRACTIONAL_MPMATH[order]):
+            assert abs(specfun.log_hermite(order, t) - want) <= 1e-13
+
+    @pytest.mark.parametrize("order", sorted(LOG_HERMITE_RATIO_MPMATH))
+    def test_ratio_seed_against_mpmath(self, order):
+        for t, want in zip(HERMITE_T, LOG_HERMITE_RATIO_MPMATH[order]):
+            assert abs(specfun._log_hermite_ratio(order, t) - want) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):

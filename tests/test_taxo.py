@@ -206,6 +206,18 @@ class TestFitTaxonomic:
         mcmc = taxo.MCMCSettings(seed=0)
         assert mcmc.iters == 10_000 and mcmc.burn_in == 1_000
 
+    @pytest.mark.parametrize("kwargs", [{"rho": 2.0}, {"rho": 0.0}, {"rho": -1.0},
+                                        {"hyper_sd": 0.0}, {"hyper_sd": -1.0},
+                                        {"hyper_sd": float("nan")}])
+    def test_ap_level_prior_domain(self, kwargs):
+        with pytest.raises(DomainError):
+            taxo.APLevelPrior(**kwargs)
+
+    def test_dm_level_needs_integer_bound(self):
+        assert taxo.LevelModel("dm", 3.0).model_for(3.0).H == 3
+        with pytest.raises(DomainError):
+            taxo.LevelModel("dm", 2.5).model_for(2.5)
+
     def test_level_one_must_be_dp(self):
         with pytest.raises(DomainError):
             taxo.TaxonomicModelSpec(levels=(taxo.APLevelPrior(), taxo.APLevelPrior()))
