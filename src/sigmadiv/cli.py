@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,12 +87,37 @@ def _write_table(outdir: str, name: str, columns: Dict[str, Sequence], fmt: str,
 
 
 def _write_json(outdir: str, name: str, payload: Dict, config: str) -> str:
+    """The bytes of json.dump(payload + _config, indent=1, sort_keys=True), written
+    piece by piece by _json_pieces; payload values may be numpy arrays."""
     path = os.path.join(outdir, f"{name}.json")
-    payload = dict(payload, _config=json.loads(config))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.writelines(_json_pieces(dict(payload, _config=json.loads(config))))
         fh.write("\n")
     return path
+
+
+_JSON = json.JSONEncoder(indent=1, sort_keys=True)  # json.dump(indent=1, sort_keys=True)
+
+
+def _json_pieces(value, depth: int = 0) -> Iterator[str]:
+    """The text of _JSON for a value nested `depth` deep, in pieces: a dict with
+    string keys key by key, a 1-D float array of finite values as one piece
+    (repr of its list, whose floats json writes by the same repr, with ", " turned
+    into the separator at that depth), and anything else by _JSON.iterencode,
+    re-indented.  So no piece holds more than one array's text."""
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            yield ("{" if i == 0 else ",") + pad + json.dumps(key) + ": "
+            yield from _json_pieces(value[key], depth + 1)
+        yield pad[:-1] + "}"
+    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+          and value.dtype.kind == "f" and np.isfinite(value).all()):
+        yield "[" + pad + repr(value.tolist())[1:-1].replace(", ", "," + pad) + pad[:-1] + "]"
+    else:
+        for piece in _JSON.iterencode(value.tolist() if isinstance(value, np.ndarray)
+                                      else value):
+            yield piece.replace("\n", pad[:-1])
 
 
 def _round6(x) -> float:
@@ -278,15 +303,14 @@ def cmd_taxonomic(args) -> int:
     outdir, config = _start_outputs(args, resolved, tree)
     fit = taxo.fit_taxonomic(spec, tree, mcmc)
 
-    payload: Dict = {"level1": fit.level1.values.tolist()}
+    # arrays, not lists: _write_json writes them one branch at a time
+    payload: Dict = {"level1": fit.level1.values}
     level_names = {2: "families", 3: "genera"} if args.levels == 3 else {}
     for i, level_draws in enumerate(fit.branches):
         name = level_names.get(i + 2, f"level{i + 2}")
-        payload[name] = {lab: d.values.tolist()
-                         for lab, d in sorted(level_draws.items())}
+        payload[name] = {lab: d.values for lab, d in level_draws.items()}
     payload["hyper"] = {
-        str(level): {"a_gamma": h["a_gamma"].tolist(),
-                     "b_gamma": h["b_gamma"].tolist(),
+        str(level): {"a_gamma": h["a_gamma"], "b_gamma": h["b_gamma"],
                      "acceptance": _round6(h["acceptance"])}
         for level, h in fit.hyper.items()}
     _write_json(outdir, "taxonomic_fit", payload, config)
@@ -410,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("taxonomic", cmd_taxonomic, "hierarchical fit of a taxonomy CSV")
     p.add_argument("--input", required=True, help="taxonomy CSV path")
     priors(p, rho=0.25)
-    p.add_argument("--threads", type=int, default=1, help="branch fits in a thread pool")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that fit the Dirichlet-process branches")
     p.add_argument("--mcmc-iters", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1_000)
     p.add_argument("--levels", type=int, default=3)

@@ -52,7 +52,7 @@ class DirichletMultinomial:
     H: int
 
     def __post_init__(self):
-        if self.sigma >= 0.0:
+        if not self.sigma < 0.0:  # NaN included
             raise DomainError(f"Dirichlet-multinomial needs sigma < 0, got {self.sigma}")
         if self.H < 1:
             raise DomainError(f"H must be a positive integer, got {self.H}")
@@ -67,7 +67,7 @@ class DirichletProcess:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:  # NaN included
             raise DomainError(f"Dirichlet process needs alpha > 0, got {self.alpha}")
 
     @property
@@ -80,7 +80,7 @@ class AldousPitman:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:  # NaN included
             raise DomainError(f"Aldous-Pitman needs gamma > 0, got {self.gamma}")
 
     @property

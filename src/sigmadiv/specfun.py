@@ -193,7 +193,7 @@ def logsumexp(a: np.ndarray, b: np.ndarray) -> float:
     return math.log1p(float(w.sum()) / head) + math.log(head) + top
 
 
-_BLOCK = 1 << 13  # entries per block of _blockwise: 64 KiB per float64 temporary
+_BLOCK = 1 << 12  # entries per block of _blockwise: 32 KiB per float64 temporary
 
 
 def _blockwise(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -223,6 +224,8 @@ class MCMCSettings:
     def __post_init__(self):
         if not 0 <= self.burn_in < self.iters:
             raise DomainError("need 0 <= burn_in < iters")
+        if self.threads < 1:
+            raise DomainError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass
@@ -241,10 +244,37 @@ def _branch_seed(seed: int, level: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _fit_dp_branch(prior: DPLevelPrior, stats: BranchSufficientStats, n_draws: int,
-                   seed: int, level: int) -> PosteriorDraws:
-    post = CoarsenedPosterior(prior=prior.sg, n=stats.n, k=stats.k, rho=prior.rho)
-    return sg_posterior_sample(post, n_draws, _branch_seed(seed, level, stats.label))
+def _fit_dp_level(prior: DPLevelPrior, stats: List[BranchSufficientStats],
+                  mcmc: MCMCSettings, level: int) -> Dict[str, PosteriorDraws]:
+    """Every branch's coarsened SG posterior, seeded by its label.  Worker w of
+    min(mcmc.threads, branches) fits branches w, w + workers, ... into their
+    slots; the calling thread is worker 0 and the others are plain threads, so
+    the draws do not depend on the thread count.  A worker's error is raised
+    here once every worker has stopped."""
+    n_keep = mcmc.iters - mcmc.burn_in
+    draws: List[Optional[PosteriorDraws]] = [None] * len(stats)
+    errors: List[Exception] = []
+    workers = max(min(mcmc.threads, len(stats)), 1)
+
+    def work(w: int) -> None:
+        try:
+            for i in range(w, len(stats), workers):
+                s = stats[i]
+                post = CoarsenedPosterior(prior=prior.sg, n=s.n, k=s.k, rho=prior.rho)
+                draws[i] = sg_posterior_sample(post, n_keep,
+                                               _branch_seed(mcmc.seed, level, s.label))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return {s.label: d for s, d in zip(stats, draws)}
 
 
 def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
@@ -261,7 +291,8 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
 
     n_keep = mcmc.iters - mcmc.burn_in
     gam = np.ones(len(stats))
-    u = np.where(informative, np.sqrt(np.maximum(2 * n_arr - k_arr - 2, 1.0)), 1.0)
+    # U of an uninformative branch stays 0: it leaves gamma with its prior
+    u = np.where(informative, np.sqrt(np.maximum(2 * n_arr - k_arr - 2, 1.0)), 0.0)
     la, lb = float(mu[0]), float(mu[1])
 
     def hyper_logpost(la_: float, lb_: float, log_sum: float, gam_sum: float) -> float:
@@ -277,18 +308,16 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
     accepted_after_burn = 0
     # sweep invariants
     shape_base = np.where(informative, rho * (k_arr - 1.0), 0.0)
-    m_u = np.where(informative, rho * (2.0 * n_arr - k_arr - 2.0), 0.0)
-    branches = np.nonzero(informative)[0]
+    beta = rho / math.sqrt(2.0)
+    branches = np.flatnonzero(informative)
+    m_branches = rho * (2.0 * n_arr[branches] - k_arr[branches] - 2.0)
     for it in range(mcmc.iters):
         a_cur, b_cur = math.exp(la), math.exp(lb)
         # (gamma | -) is conjugate branch by branch
-        shape = a_cur + shape_base
-        rate = b_cur + np.where(informative, rho * u / math.sqrt(2.0), 0.0)
-        gam = rng.gamma(shape) / rate
-        # (U | -) per informative branch
-        for j in branches:
-            u[j] = apinfer.sample_modified_half_normal(
-                rng, m_u[j], 0.5 * rho, rho * gam[j] / math.sqrt(2.0))
+        gam = rng.standard_gamma(a_cur + shape_base) / (b_cur + beta * u)
+        # (U | -) for every informative branch in one array draw
+        u[branches] = apinfer.sample_modified_half_normal(
+            rng, m_branches, 0.5 * rho, beta * gam[branches])
         # Metropolis on (log a, log b)
         la_p = la + scale * rng.standard_normal()
         lb_p = lb + scale * rng.standard_normal()
@@ -322,8 +351,8 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
     """Posterior sampling for every observed branch diversity.
 
     Dirichlet-process branches are mutually independent coarsened SG
-    posteriors (fit in parallel when mcmc.threads > 1, one deterministic seed
-    per branch label); each Aldous-Pitman level runs the blocked data-augmented
+    posteriors (fit on mcmc.threads threads, one deterministic seed per branch
+    label); each Aldous-Pitman level runs the blocked data-augmented
     Gibbs sampler with the Metropolis hyperparameter step.
     """
     if len(spec.levels) != data.levels:
@@ -342,19 +371,7 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
         stats = branch_stats(data, level)
         all_stats.append({s.label: s for s in stats})
         if isinstance(prior, DPLevelPrior):
-            def one(s: BranchSufficientStats) -> Tuple[str, PosteriorDraws]:
-                return s.label, _fit_dp_branch(prior, s, n_keep, mcmc.seed, level)
-
-            if mcmc.threads > 1:
-                # imported here, not at the top: only a threaded fit needs the
-                # module, and loading it costs every cold start ~6 ms
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=mcmc.threads) as pool:
-                    level_draws = dict(pool.map(one, stats))
-            else:
-                level_draws = dict(map(one, stats))
-            branches.append(level_draws)
+            branches.append(_fit_dp_level(prior, stats, mcmc, level))
             prior_only.append({s.label for s in stats if s.n <= 1})
         else:
             level_draws, level_hyper, level_prior_only = _fit_ap_level(

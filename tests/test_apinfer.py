@@ -124,6 +124,10 @@ class TestAugmentedLikelihood:
 
 
 class TestModifiedHalfNormal:
+    LANES = [(0.0, 0.5, 1.0), (17.0, 0.5, 0.1), (0.0, 0.5, -2.0), (3.0, 0.5, -2.0),
+             (0.0, 0.5, 0.0), (17.0, 0.5, 40.0), (0.0, 2.0, 30.0), (0.5, 2.0, 0.0),
+             (4.5, 0.125, 3.0), (1.0, 0.5, 1.4)]
+
     @pytest.mark.parametrize("m,p,q", [(0.0, 0.5, 1.0), (0.0, 0.5, -2.0),
                                        (1.0, 0.5, 1.4), (17.0, 0.5, 0.1),
                                        (17.0, 0.5, 40.0), (4.5, 0.125, 3.0),
@@ -137,12 +141,39 @@ class TestModifiedHalfNormal:
                        for _ in range(30_000)])
         assert abs(xs.mean() - want_mean) < 3.5 * xs.std() / math.sqrt(len(xs))
 
+    def test_array_lanes_vs_quadrature(self):
+        # one call over lanes of every envelope: Gaussian (q <= 0, m = 0 among them),
+        # Gamma (m > 0 < q) and the exponential tilt (m = 0 < q), interleaved
+        m, p, q = np.array(self.LANES).T
+        reps = 30_000
+        xs = apinfer.sample_modified_half_normal(np.random.default_rng(5), np.tile(m, reps),
+                                                 np.tile(p, reps), np.tile(q, reps))
+        xs = xs.reshape(reps, len(m))
+        assert (xs > 0.0).all()
+        for lane, (mi, pi, qi) in enumerate(self.LANES):
+            z0 = quad(lambda u: u ** mi * math.exp(-pi * u * u - qi * u), 0, np.inf,
+                      limit=300)[0]
+            want_mean = quad(lambda u: u ** (mi + 1) * math.exp(-pi * u * u - qi * u),
+                             0, np.inf, limit=300)[0] / z0
+            x = xs[:, lane]
+            assert abs(x.mean() - want_mean) < 3.5 * x.std() / math.sqrt(reps)
+
+    def test_array_broadcast_and_shape(self):
+        rng = np.random.default_rng(1)
+        x = apinfer.sample_modified_half_normal(rng, np.array([[0.0], [3.0]]), 0.5,
+                                                np.array([-1.0, 0.0, 2.0]))
+        assert x.shape == (2, 3) and (x > 0.0).all()
+        assert apinfer.sample_modified_half_normal(rng, np.array([]), 0.5, 1.0).shape == (0,)
+
     def test_domain(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
             apinfer.sample_modified_half_normal(rng, -1.0, 0.5, 0.0)
         with pytest.raises(DomainError):
             apinfer.sample_modified_half_normal(rng, 1.0, 0.0, 0.0)
+        for m, p, q in [(-1.0, 0.5, 0.0), (1.0, 0.0, 0.0), (1.0, 0.5, np.nan)]:
+            with pytest.raises(DomainError):
+                apinfer.sample_modified_half_normal(rng, np.array([2.0, m]), p, q)
 
 
 class TestGibbsSweep:

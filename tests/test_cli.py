@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import sigmadiv
-from sigmadiv import cli, gibbs
+from sigmadiv import cli, gibbs, taxo
+from sigmadiv.draws import PosteriorDraws
 from sigmadiv.datamodel import ingest_abundance_csv
 
 TINY = "taxon,count\na,30\nb,12\nc,5\nd,2\ne,1\nf,1\ng,1\n"
@@ -92,7 +93,7 @@ class TestImport:
         assert out.strip() == "False"
 
     def test_flat_fit_skips_thread_pool(self, tiny_csv, tmp_path):
-        # concurrent.futures serves only a threaded taxonomic fit
+        # concurrent.futures serves no command; a flat fit must not load it
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         code = ("import sys, sigmadiv.cli\n"
                 "code = sigmadiv.cli.main(sys.argv[1:])\n"
@@ -106,9 +107,9 @@ class TestImport:
 
     def test_no_command_loads_scipy(self, tiny_csv, tmp_path):
         # one cold interpreter runs every subcommand on tiny inputs: none loads
-        # scipy, the AP runs build their Gauss-Legendre rule without
-        # numpy.polynomial (whose leggauss is a LAPACK eigensolve), and no
-        # np.quantile or np.unique pulls in numpy.ma
+        # scipy or numpy.polynomial, no np.quantile or np.unique pulls in
+        # numpy.ma, and the threaded taxonomic fit runs on plain threads, without
+        # concurrent.futures
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
@@ -123,6 +124,8 @@ class TestImport:
                 ["validate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
                  "--replicates", 3],
                 ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10],
+                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10,
+                 "--threads", 2],
                 ["richness", "--input", tiny_csv, "--sg", 1, 0.02, 52, "--nhat", 5000,
                  "--draws", 200]]
         argvs = [[str(a) for a in argv] + ["--seed", "1", "--output-dir",
@@ -134,7 +137,7 @@ class TestImport:
                 "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
                 "loaded = sorted(m for m in sys.modules\n"
                 "                if (m + '.').startswith(('scipy.', 'numpy.polynomial.',\n"
-                "                                         'numpy.ma.')))\n"
+                "                                         'numpy.ma.', 'concurrent.')))\n"
                 "print(json.dumps([codes, loaded, dict(os.environ) == env]))")
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
@@ -265,10 +268,18 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["taxonomic", "--input", "{tree}", "--rho", 2],
     ["taxonomic", "--input", "{tree}", "--hyper-sd", 0],
     ["taxonomic", "--input", "{tree}", "--hyper-sd", -1],
+    ["taxonomic", "--input", "{tree}", "--threads", 0],
+    ["taxonomic", "--input", "{tree}", "--threads", -3],
+    ["extrapolate", "--family", "dp", "--alpha", "nan", "--n", 100, "--k", 10, "--m", 5],
+    ["extrapolate", "--family", "ap", "--gamma", "nan", "--n", 100, "--k", 10, "--m", 5],
+    ["simulate", "--n", 30, "--family", "dm", "--sigma", "nan", "--bound-h", 5],
+    ["simulate", "--n", 30, "--levels-spec", "dp:nan;dp:2"],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
-        "taxonomic-hyper-sd-negative"])
+        "taxonomic-hyper-sd-negative", "taxonomic-threads-0", "taxonomic-threads-negative",
+        "extrapolate-dp-alpha-nan", "extrapolate-ap-gamma-nan", "simulate-dm-sigma-nan",
+        "simulate-spec-nan"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")
@@ -296,26 +307,77 @@ class TestTaxonomic:
 
 
     def test_fit_json_matches_per_value_formatting(self, tmp_path, monkeypatch):
-        # the draws were once written as float("%.17g" % v), one by one; the
-        # plain floats of tolist() must give the same bytes
+        # the file is written piece by piece from arrays; its bytes must be those of
+        # json.dump(indent=1, sort_keys=True) of the same payload as lists, and of the
+        # draws formatted one by one as float("%.17g" % v), as they once were
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         out = tmp_path / "tax"
         argv = ["taxonomic", "--input", tree, "--levels", 3, "--mcmc-iters", 60,
                 "--burn-in", 20, "--seed", 4, "--output-dir", out]
-        assert run(*argv) == 0
-        plain = (out / "taxonomic_fit.json").read_bytes()
-
-        def per_value(x):
-            if isinstance(x, dict):
-                return {key: per_value(v) for key, v in x.items()}
-            return [float("%.17g" % v) for v in x] if isinstance(x, list) else x
-
+        calls = []
         write = cli._write_json
-        monkeypatch.setattr(cli, "_write_json", lambda outdir, name, payload, config: write(
-            outdir, name, per_value(payload), config))
+
+        def recording(outdir, name, payload, config):
+            calls.append((name, payload, config))
+            return write(outdir, name, payload, config)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
         assert run(*argv) == 0
-        assert (out / "taxonomic_fit.json").read_bytes() == plain
+        (name, payload, config), = calls
+        assert name == "taxonomic_fit"
+
+        def as_lists(x, one):
+            if isinstance(x, dict):
+                return {key: as_lists(v, one) for key, v in x.items()}
+            return [one(v) for v in x.tolist()] if isinstance(x, np.ndarray) else x
+
+        written = (out / "taxonomic_fit.json").read_text(encoding="utf-8")
+        for one in (float, lambda v: float("%.17g" % v)):
+            want = json.dumps(dict(as_lists(payload, one), _config=json.loads(config)),
+                              indent=1, sort_keys=True) + "\n"
+            assert written == want
+
+    def test_json_pieces_equal_json_dump(self):
+        rng = np.random.default_rng(3)
+        payload = {
+            "b": {"z": rng.gamma(0.3, size=40) * 10.0 ** rng.integers(-300, 300, size=40),
+                  "empty": np.array([]), "\u00e9": np.array([1.0, -0.0, 5e-324, 1e16, 0.1])},
+            "a": np.array([np.nan, 1.0, -np.inf]), "c": {}, "d": [1, 2.5, {"x": [None, True]}],
+            "ints": np.arange(3), "matrix": np.ones((2, 2)), "f": 3.5, "s": "line\nbreak",
+            "hyper": {"3": {"a_gamma": np.array([0.5]), "acceptance": 0.25}}}
+
+        def as_lists(x):
+            if isinstance(x, dict):
+                return {key: as_lists(v) for key, v in x.items()}
+            return x.tolist() if isinstance(x, np.ndarray) else x
+
+        assert "".join(cli._json_pieces(payload)) == json.dumps(as_lists(payload), indent=1,
+                                                                  sort_keys=True)
+
+    def test_fit_json_memory_bounded_by_one_branch(self, tmp_path, monkeypatch, traced_peak):
+        # 250 branches x 1,000 draws: as lists the payload alone took ~8 MiB
+        # (24-byte floats plus list slots); written a branch at a time, ~0.2 MiB
+        tree = tmp_path / "tree.csv"
+        tree.write_text("level1,level2,count\nf1,g1,5\nf1,g2,3\n", encoding="utf-8")
+        rng = np.random.default_rng(8)
+        n_keep, labels = 1_000, [f"f{i:03d}" for i in range(250)]
+        draws = rng.gamma(2.0, size=(n_keep, len(labels)))
+        fit = taxo.TaxonomicFit(
+            spec=None, mcmc=None, level1=PosteriorDraws("alpha", draws[:, 0], rho=1.0),
+            branches=[{lab: PosteriorDraws("gamma", draws[:, j], rho=0.25)
+                       for j, lab in enumerate(labels)}],
+            stats=[{lab: taxo.BranchSufficientStats(lab, 8, 2) for lab in labels}],
+            prior_only=[set()],
+            hyper={2: {"a_gamma": draws[:, 1], "b_gamma": draws[:, 2], "acceptance": 0.3}})
+        monkeypatch.setattr(taxo, "fit_taxonomic", lambda spec, data, mcmc: fit)
+        out = tmp_path / "tax"
+        code, peak = traced_peak(lambda: run("taxonomic", "--input", tree, "--levels", 2,
+                                             "--seed", 1, "--output-dir", out))
+        assert code == 0
+        assert peak < 2.0
+        written = json.loads((out / "taxonomic_fit.json").read_text(encoding="utf-8"))
+        assert written["level2"][labels[-1]] == draws[:, -1].tolist()
 
 
 class TestSimulate:

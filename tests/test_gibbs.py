@@ -61,6 +61,13 @@ class TestLogV:
         with pytest.raises(DomainError):
             gibbs.log_V(DP(1.0), 0, 0)
 
+    @pytest.mark.parametrize("make", [DP, gibbs.AldousPitman, lambda sigma: DM(sigma, 5)],
+                             ids=["dp-alpha", "ap-gamma", "dm-sigma"])
+    def test_nan_diversity_refused(self, make):
+        # NaN fails every comparison, so the checks read "not alpha > 0", not "alpha <= 0"
+        with pytest.raises(DomainError, match="nan"):
+            make(float("nan"))
+
 
 class TestEppf:
     def test_dp_example(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -273,14 +274,46 @@ class TestFitTaxonomic:
             assert (fit_a.branches[1][lab].values == fit_b.branches[1][lab].values).all()
 
     def test_threads_do_not_change_results(self):
+        # more workers than cores, switching threads as often as the interpreter can:
+        # a branch written to the wrong slot or lost would change the draws
         _, tree = simulate_three_level(6, n=200)
         spec = taxo.TaxonomicModelSpec.default_three_level(rho_species=1.0)
         one = taxo.fit_taxonomic(spec, tree, taxo.MCMCSettings(iters=300, burn_in=100,
                                                                seed=5, threads=1))
-        four = taxo.fit_taxonomic(spec, tree, taxo.MCMCSettings(iters=300, burn_in=100,
-                                                                seed=5, threads=4))
-        for lab in one.branches[0]:
-            assert (one.branches[0][lab].values == four.branches[0][lab].values).all()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = taxo.fit_taxonomic(spec, tree, taxo.MCMCSettings(iters=300, burn_in=100,
+                                                                    seed=5, threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.level1.values, four.level1.values)
+        for level_one, level_four in zip(one.branches, four.branches, strict=True):
+            assert list(level_one) == list(level_four)
+            for lab in level_one:
+                assert np.array_equal(level_one[lab].values, level_four[lab].values)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_thread_refused(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            taxo.MCMCSettings(threads=threads)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # a branch that fails on a worker thread fails the fit, after every worker stopped
+        _, tree = simulate_three_level(6, n=200)
+        spec = taxo.TaxonomicModelSpec.default_three_level(rho_species=1.0)
+        labels = sorted(tree.top)
+        fit_branch = taxo.sg_posterior_sample
+
+        def failing(post, n_draws, seed):
+            if seed == taxo._branch_seed(5, 2, labels[1]):
+                raise DomainError("branch failed")
+            return fit_branch(post, n_draws, seed)
+
+        monkeypatch.setattr(taxo, "sg_posterior_sample", failing)
+        with pytest.raises(DomainError, match="branch failed"):
+            taxo.fit_taxonomic(spec, tree, taxo.MCMCSettings(iters=300, burn_in=100,
+                                                             seed=5, threads=2))
 
     def test_hyper_shrinkage_plausible(self):
         _, tree = simulate_three_level(7, n=700)
