@@ -11,7 +11,6 @@ densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 _MAX_REJECTS = 10_000  # proposals of one rejection loop before SamplerError
 
 
-@dataclass(frozen=True)
 class APWeights:
     """Constructive weights: residuals R_h = (g^2/2) / (g^2/2 + sum Y_j^2).
 
@@ -48,9 +46,12 @@ class APWeights:
     the truncated remainder R_{H}.
     """
 
-    residuals: np.ndarray
-    weights: np.ndarray
-    tail_mass: float
+    __slots__ = ("residuals", "weights", "tail_mass")
+
+    def __init__(self, residuals: np.ndarray, weights: np.ndarray, tail_mass: float):
+        self.residuals = residuals
+        self.weights = weights
+        self.tail_mass = tail_mass
 
 
 def ap_stick_sample(gamma: float, H_trunc: int, rng_seed: int) -> APWeights:
@@ -67,23 +68,23 @@ def ap_stick_sample(gamma: float, H_trunc: int, rng_seed: int) -> APWeights:
                      tail_mass=float(residuals[-1]))
 
 
-@dataclass(frozen=True)
 class APAugmentedState:
     """Current (gamma, U) pair for the augmented sampler; (n, k) stay fixed."""
 
-    gamma: float
-    u: float
-    n: int
-    k: int
-    rho: float = 1.0
+    __slots__ = ("gamma", "u", "n", "k", "rho")
 
-    def __post_init__(self):
-        if self.gamma <= 0.0 or self.u <= 0.0:
+    def __init__(self, gamma: float, u: float, n: int, k: int, rho: float = 1.0):
+        if gamma <= 0.0 or u <= 0.0:
             raise DomainError("gamma and u must be positive")
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
-        if not 0.0 < self.rho <= 1.0:
-            raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
+        if not 1 <= k <= n:
+            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+        if not 0.0 < rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {rho}")
+        self.gamma = gamma
+        self.u = u
+        self.n = n
+        self.k = k
+        self.rho = rho
 
 
 def log_augmented_likelihood(state: APAugmentedState, abundances: Sequence[int]) -> float:
@@ -234,16 +235,16 @@ def _tail_envelope(rng, m, p, q, x_star):
     return propose
 
 
-@dataclass(frozen=True)
 class GammaPrior:
     """Gamma(a, b) prior for the AP diversity gamma (rate parameterization)."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise DomainError("Gamma prior needs a > 0 and b > 0")
+    def __init__(self, a: float, b: float):
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN included
+            raise DomainError(f"Gamma prior needs finite a > 0 and b > 0, got a={a}, b={b}")
+        self.a = a
+        self.b = b
 
 
 def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
@@ -257,7 +258,7 @@ def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
     gamma = rng.gamma(shape) / rate
     u = sample_modified_half_normal(rng, rho * (2 * n - k - 2), 0.5 * rho,
                                     rho * gamma / _SQRT2)
-    return replace(state, gamma=gamma, u=u)
+    return APAugmentedState(gamma, u, n, k, rho)
 
 
 def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
@@ -289,7 +290,7 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
         raise DomainError("iid two-step sampling requires n >= 2")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    GammaPrior(a_gamma, b_gamma)  # refuses a or b <= 0
+    GammaPrior(a_gamma, b_gamma)  # refuses a or b that is not finite and > 0
     if n_draws < 1:
         raise DomainError(f"n_draws must be >= 1, got {n_draws}")
     if not 0.0 < rho <= 1.0:

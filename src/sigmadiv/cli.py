@@ -56,34 +56,73 @@ def _config_line(args: argparse.Namespace, resolved: Dict) -> str:
 
 def _write_table(outdir: str, name: str, columns: Dict[str, Sequence], fmt: str,
                  config: str, value_fmt: str = _SUMMARY_FMT) -> str:
-    """Write equal-length columns (arrays or lists) under their headers.  CSV goes out
-    _CSV_CHUNK rows at a time, through one %-template over the interleaved cells: each
-    column's spec comes once from its dtype or single element type, and a column of
-    bools or of mixed types is formatted cell by cell."""
-    cols = list(columns.values())
+    """Write equal-length columns (arrays or lists) under their headers, as CSV or as
+    JSON rows {header: cell}.  Either goes out _CSV_CHUNK rows at a time, through one
+    %-template over the interleaved cells (_chunks): each column's spec comes once from
+    its dtype or single element type, and a column without one is formatted cell by
+    cell (bools, mixed types; in JSON also strings and floats that are not finite)."""
     if fmt == "json":
-        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
-        return _write_json(outdir, name, {
-            "rows": [{c: (float(v) if isinstance(v, (float, np.floating)) else v)
-                      for c, v in zip(columns, row)} for row in zip(*cols, strict=True)]},
-            config)
+        columns = dict(sorted(columns.items()))  # the key order of sort_keys
+    cols = list(columns.values())
     rows, = {len(c) for c in cols}  # a ValueError unless the columns have one length
     kinds = [{c.dtype.type} if isinstance(c, np.ndarray) else set(map(type, c)) for c in cols]
+    if fmt == "json":
+        specs = [_json_spec(k.pop(), c) if len(k) == 1 else None for k, c in zip(kinds, cols)]
+        return _write_json(outdir, name, {"rows": lambda depth: _json_rows(
+            list(columns), cols, specs, rows, depth)}, config)
     specs = [_spec(k.pop(), value_fmt) if len(k) == 1 else None for k in kinds]
     line = ",".join(spec or "%s" for spec in specs) + "\n"
     path = os.path.join(outdir, f"{name}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {config}\n")
         fh.write(",".join(columns) + "\n")
-        for lo in range(0, rows, _CSV_CHUNK):
-            size = min(_CSV_CHUNK, rows - lo)
-            cells = [None] * (size * len(cols))
-            for j, (spec, c) in enumerate(zip(specs, cols)):
-                c = c[lo:lo + size]
-                cells[j::len(cols)] = ((c.tolist() if isinstance(c, np.ndarray) else c) if spec
-                                       else [_cell(v, value_fmt) for v in c])
-            fh.write(line * size % tuple(cells))
+        fh.writelines(_chunks(cols, specs, rows, lambda v: _cell(v, value_fmt), line))
     return path
+
+
+def _chunks(cols: List[Sequence], specs: List[Optional[str]], rows: int, cell, line: str,
+            first: Optional[str] = None) -> Iterator[str]:
+    """The text of each run of _CSV_CHUNK rows, formatted by the row template line (the
+    first row by `first`, if given) over the cells row by row: a column with a spec as it
+    is (an array's by tolist), one without formatted by cell."""
+    for lo in range(0, rows, _CSV_CHUNK):
+        size = min(_CSV_CHUNK, rows - lo)
+        cells = [None] * (size * len(cols))
+        for j, (spec, c) in enumerate(zip(specs, cols)):
+            c = c[lo:lo + size]
+            cells[j::len(cols)] = ((c.tolist() if isinstance(c, np.ndarray) else c) if spec
+                                   else [cell(v) for v in c])
+        yield (first + line * (size - 1) if first and not lo else line * size) % tuple(cells)
+
+
+def _json_spec(tp: type, column: Sequence) -> Optional[str]:
+    """The %-format of a JSON column of cells of type tp: "%d" for ints and "%r" for
+    finite floats (json writes both by their repr); None for the rest, which _json_cell
+    encodes.  An array gives its cells by tolist, so there numpy types stand for both."""
+    array = isinstance(column, np.ndarray)
+    if tp is int or (array and issubclass(tp, np.integer)):
+        return "%d"
+    if (tp is float or (array and issubclass(tp, np.floating))) and np.isfinite(column).all():
+        return "%r"
+    return None
+
+
+def _json_cell(value) -> str:
+    return _JSON.encode(value.item() if isinstance(value, np.generic) else value)
+
+
+def _json_rows(names: List[str], cols: List[Sequence], specs: List[Optional[str]],
+               rows: int, depth: int) -> Iterator[str]:
+    """The text of _JSON for the list of row objects {names[j]: cols[j][i]} nested
+    `depth` deep, one piece per chunk of _chunks."""
+    if not rows:
+        yield "[]"
+        return
+    pad = "\n" + " " * (depth + 1)
+    row = "," + pad + "{" + ",".join(pad + " " + json.dumps(h).replace("%", "%%") + ": "
+                                     + (spec or "%s") for h, spec in zip(names, specs)) + pad + "}"
+    yield from _chunks(cols, specs, rows, _json_cell, row, "[" + row[1:])
+    yield pad[:-1] + "]"
 
 
 def _write_json(outdir: str, name: str, payload: Dict, config: str) -> str:
@@ -104,7 +143,8 @@ def _json_pieces(value, depth: int = 0) -> Iterator[str]:
     string keys key by key, a 1-D float array of finite values as one piece
     (repr of its list, whose floats json writes by the same repr, with ", " turned
     into the separator at that depth), and anything else by _JSON.iterencode,
-    re-indented.  So no piece holds more than one array's text."""
+    re-indented; a callable value gives its own pieces at its depth (_json_rows).  So
+    no piece holds more than one array's or one chunk's text."""
     pad = "\n" + " " * (depth + 1)
     if isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
@@ -114,6 +154,8 @@ def _json_pieces(value, depth: int = 0) -> Iterator[str]:
     elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
           and value.dtype.kind == "f" and np.isfinite(value).all()):
         yield "[" + pad + repr(value.tolist())[1:-1].replace(", ", "," + pad) + pad[:-1] + "]"
+    elif callable(value):
+        yield from value(depth)
     else:
         for piece in _JSON.iterencode(value.tolist() if isinstance(value, np.ndarray)
                                       else value):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -28,18 +27,28 @@ __all__ = [
 ObservationStream = Sequence[Hashable]
 
 
-@dataclass(frozen=True)
 class PartitionData:
     """Abundance multiset with derived sufficient statistics.
 
     abundances are stored sorted in descending order; the order carries no
     meaning (exchangeability), sorting just makes serialization deterministic.
+    Two partitions are equal when all four fields are.
     """
 
-    abundances: Tuple[int, ...]
-    n: int
-    k: int
-    freq_counts: Dict[int, int]
+    __slots__ = ("abundances", "n", "k", "freq_counts")
+
+    def __init__(self, abundances: Tuple[int, ...], n: int, k: int,
+                 freq_counts: Dict[int, int]):
+        self.abundances = abundances
+        self.n = n
+        self.k = k
+        self.freq_counts = freq_counts
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.abundances, self.n, self.k, self.freq_counts)
+                == (other.abundances, other.n, other.k, other.freq_counts))
 
     @classmethod
     def from_abundances(cls, counts: Iterable[int]) -> "PartitionData":
@@ -66,13 +75,16 @@ class PartitionData:
                 "freq_counts": {str(r): m for r, m in self.freq_counts.items()}}
 
 
-@dataclass
 class TaxonNode:
     """A node of the taxonomy tree: a taxon with its sample count and children."""
 
-    label: str
-    count: int = 0
-    children: Dict[str, "TaxonNode"] = field(default_factory=dict)
+    __slots__ = ("label", "count", "children")
+
+    def __init__(self, label: str, count: int = 0,
+                 children: Optional[Dict[str, "TaxonNode"]] = None):
+        self.label = label
+        self.count = count
+        self.children = {} if children is None else children
 
     def to_json(self) -> dict:
         out = {"label": self.label, "count": self.count}
@@ -81,12 +93,14 @@ class TaxonNode:
         return out
 
 
-@dataclass
 class TaxonomicDataset:
     """Rooted L-level tree of taxon labels with per-node counts."""
 
-    levels: int
-    top: Dict[str, TaxonNode]
+    __slots__ = ("levels", "top")
+
+    def __init__(self, levels: int, top: Dict[str, TaxonNode]):
+        self.levels = levels
+        self.top = top
 
     @property
     def n(self) -> int:

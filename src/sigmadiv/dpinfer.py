@@ -10,7 +10,6 @@ Poisson approximation to the out-of-sample discovery count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,27 +30,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class StirlingGammaSpec:
     """SG(a, b, n_ref) prior; a/b is the location (prior guess of K_{n_ref})."""
 
-    a: float
-    b: float
-    n_ref: int
+    __slots__ = ("a", "b", "n_ref")
 
-    def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
+    def __init__(self, a: float, b: float, n_ref: int):
+        if a <= 0.0 or b <= 0.0:
             raise DomainError("a and b must be positive")
-        if not 1.0 <= self.a / self.b <= self.n_ref:
-            raise DomainError(
-                f"need 1 <= a/b <= n_ref, got a/b={self.a / self.b}, n_ref={self.n_ref}")
+        if not 1.0 <= a / b <= n_ref:
+            raise DomainError(f"need 1 <= a/b <= n_ref, got a/b={a / b}, n_ref={n_ref}")
+        self.a = a
+        self.b = b
+        self.n_ref = n_ref
 
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return (self.a - 1.0) * np.log(alpha) - self.b * specfun.log_rising(alpha, self.n_ref)
 
 
-@dataclass(frozen=True)
 class CoarsenedPosterior:
     """Posterior kernel alpha^(a + rho k - 1) under a rho-tempered DP likelihood.
 
@@ -59,16 +56,17 @@ class CoarsenedPosterior:
     otherwise the prior and likelihood rising factorials stay separate.
     """
 
-    prior: StirlingGammaSpec
-    n: int
-    k: int
-    rho: float
+    __slots__ = ("prior", "n", "k", "rho")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
-        if not 0.0 < self.rho <= 1.0:
-            raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
+    def __init__(self, prior: StirlingGammaSpec, n: int, k: int, rho: float):
+        if not 1 <= k <= n:
+            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+        if not 0.0 < rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {rho}")
+        self.prior = prior
+        self.n = n
+        self.k = k
+        self.rho = rho
 
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -137,16 +135,19 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return j.astype(np.int64)
 
 
-@dataclass
 class RichnessPrediction:
     """Posterior draws of the total richness K_N under N ~ Uniform(.5, 1.5) N-hat."""
 
-    draws: np.ndarray
-    N_hat: float
-    n: int
-    k: int
-    rho: float
-    seed: int
+    __slots__ = ("draws", "N_hat", "n", "k", "rho", "seed")
+
+    def __init__(self, draws: np.ndarray, N_hat: float, n: int, k: int, rho: float,
+                 seed: int):
+        self.draws = draws
+        self.N_hat = N_hat
+        self.n = n
+        self.k = k
+        self.rho = rho
+        self.seed = seed
 
     def summary(self) -> Dict:
         return summarize_draws(self.draws.astype(float))

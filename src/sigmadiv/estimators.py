@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,12 +23,14 @@ _BRACKET_LO = 1e-8
 _BRACKET_HI = 1e12
 
 
-@dataclass(frozen=True)
 class AlphaEstimate:
-    value: float
-    method: str
-    iterations: int
-    residual: float
+    __slots__ = ("value", "method", "iterations", "residual")
+
+    def __init__(self, value: float, method: str, iterations: int, residual: float):
+        self.value = value
+        self.method = method
+        self.iterations = iterations
+        self.residual = residual
 
 
 def _solve_increasing(f, fprime, method: str) -> AlphaEstimate:

@@ -14,7 +14,6 @@ posterior_Km_pmf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,44 +43,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DirichletMultinomial:
     """Finite model: at most H taxa, discount sigma < 0."""
 
-    sigma: float
-    H: int
+    __slots__ = ("sigma", "H")
 
-    def __post_init__(self):
-        if not self.sigma < 0.0:  # NaN included
-            raise DomainError(f"Dirichlet-multinomial needs sigma < 0, got {self.sigma}")
-        if self.H < 1:
-            raise DomainError(f"H must be a positive integer, got {self.H}")
+    def __init__(self, sigma: float, H: int):
+        if not sigma < 0.0:  # NaN included
+            raise DomainError(f"Dirichlet-multinomial needs sigma < 0, got {sigma}")
+        if H < 1:
+            raise DomainError(f"H must be a positive integer, got {H}")
+        self.sigma = sigma
+        self.H = H
+
+    def __repr__(self) -> str:  # the resolved_model of the config lines
+        return f"DirichletMultinomial(sigma={self.sigma!r}, H={self.H!r})"
 
     @property
     def discount(self) -> float:
         return self.sigma
 
 
-@dataclass(frozen=True)
 class DirichletProcess:
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not self.alpha > 0.0:  # NaN included
-            raise DomainError(f"Dirichlet process needs alpha > 0, got {self.alpha}")
+    def __init__(self, alpha: float):
+        if not alpha > 0.0:  # NaN included
+            raise DomainError(f"Dirichlet process needs alpha > 0, got {alpha}")
+        self.alpha = alpha
+
+    def __repr__(self) -> str:
+        return f"DirichletProcess(alpha={self.alpha!r})"
 
     @property
     def discount(self) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
 class AldousPitman:
-    gamma: float
+    __slots__ = ("gamma",)
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:  # NaN included
-            raise DomainError(f"Aldous-Pitman needs gamma > 0, got {self.gamma}")
+    def __init__(self, gamma: float):
+        if not gamma > 0.0:  # NaN included
+            raise DomainError(f"Aldous-Pitman needs gamma > 0, got {gamma}")
+        self.gamma = gamma
+
+    def __repr__(self) -> str:
+        return f"AldousPitman(gamma={self.gamma!r})"
 
     @property
     def discount(self) -> float:
@@ -139,7 +147,6 @@ def log_eppf(model: GibbsModel, data: PartitionData) -> float:
     return total
 
 
-@dataclass(frozen=True)
 class PredictiveSplit:
     """One-step predictive law: discovery mass plus per-taxon reuse mass.
 
@@ -147,8 +154,11 @@ class PredictiveSplit:
     (proportional to n_j - sigma); p_new + reuse_weights.sum() = 1.
     """
 
-    p_new: float
-    reuse_weights: np.ndarray
+    __slots__ = ("p_new", "reuse_weights")
+
+    def __init__(self, p_new: float, reuse_weights: np.ndarray):
+        self.p_new = p_new
+        self.reuse_weights = reuse_weights
 
 
 def predictive(model: GibbsModel, n: int, k: int,
@@ -403,14 +413,16 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
     return np.exp(_log_V_ratio(model, n, k, m) + row)
 
 
-@dataclass(frozen=True)
 class Curve:
     """Accumulation curve: expected distinct count values[i] at sample size sizes[i],
     with Monte Carlo standard errors se, or None where the values are exact."""
 
-    sizes: np.ndarray
-    values: np.ndarray
-    se: Optional[np.ndarray] = None
+    __slots__ = ("sizes", "values", "se")
+
+    def __init__(self, sizes: np.ndarray, values: np.ndarray, se: Optional[np.ndarray] = None):
+        self.sizes = sizes
+        self.values = values
+        self.se = se
 
 
 _CURVE_BLOCK = 256  # sizes per block of an AP rarefaction: a few MB of temporaries
@@ -570,10 +582,12 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DiversityIndices:
-    expected_simpson: float
-    expected_shannon: float
+    __slots__ = ("expected_simpson", "expected_shannon")
+
+    def __init__(self, expected_simpson: float, expected_shannon: float):
+        self.expected_simpson = expected_simpson
+        self.expected_shannon = expected_shannon
 
 
 def diversity_indices(model: GibbsModel) -> DiversityIndices:

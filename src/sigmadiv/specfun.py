@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -711,7 +710,6 @@ def _log_hermite_ratio(order: int, t: float) -> float:
     return math.log(float(np.dot(w, np.exp(-x))) / float(w.sum())) + math.log(-order - 1.0)
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
     """Rows of the sigma-scaled non-central generalized factorial coefficients.
 
@@ -727,14 +725,15 @@ class CoefficientTable:
     coefficient at (m + 1, j + 1), whose row weighs K_{m+1} under the prior.
     """
 
-    sigma: float
-    shift: float
+    __slots__ = ("sigma", "shift")
 
-    def __post_init__(self):
-        if not self.sigma < 1.0:
-            raise DomainError(f"coefficient tables need sigma < 1, got {self.sigma}")
-        if not self.shift > 0.0:
-            raise DomainError(f"coefficient tables need shift > 0, got {self.shift}")
+    def __init__(self, sigma: float, shift: float):
+        if not sigma < 1.0:
+            raise DomainError(f"coefficient tables need sigma < 1, got {sigma}")
+        if not shift > 0.0:
+            raise DomainError(f"coefficient tables need shift > 0, got {shift}")
+        self.sigma = sigma
+        self.shift = shift
 
     def log_row(self, m: int) -> np.ndarray:
         """log E(m, j) for j = 0..m, rolled forward from row 0 in two row buffers."""

@@ -14,7 +14,6 @@ import hashlib
 import math
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
 Diversity = Union[float, Sequence[float], Mapping[str, float]]
 
 
-@dataclass(frozen=True)
 class LevelModel:
     """A level with fully specified diversities (for simulation and likelihoods).
 
@@ -53,16 +51,18 @@ class LevelModel:
     For the dm family `diversity` is the taxon bound H and sigma defaults to -1.
     """
 
-    family: str
-    diversity: Diversity
-    sigma: Optional[float] = None
-    rho: float = 1.0
+    __slots__ = ("family", "diversity", "sigma", "rho")
 
-    def __post_init__(self):
-        if self.family not in ("dm", "dp", "ap"):
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.family == "dm" and self.sigma is None:
-            object.__setattr__(self, "sigma", -1.0)
+    def __init__(self, family: str, diversity: Diversity, sigma: Optional[float] = None,
+                 rho: float = 1.0):
+        if family not in ("dm", "dp", "ap"):
+            raise DomainError(f"unknown family {family!r}")
+        if family == "dm" and sigma is None:
+            sigma = -1.0
+        self.family = family
+        self.diversity = diversity
+        self.sigma = sigma
+        self.rho = rho
 
     def model_for(self, value: float) -> gibbs.GibbsModel:
         if self.family == "dm":
@@ -132,13 +132,15 @@ def nested_urn_sample(levels: Sequence[LevelModel], n_steps: int,
     return dataset
 
 
-@dataclass(frozen=True)
 class BranchSufficientStats:
     """Children statistics of one observed parent node."""
 
-    label: str
-    n: int
-    k: int
+    __slots__ = ("label", "n", "k")
+
+    def __init__(self, label: str, n: int, k: int):
+        self.label = label
+        self.n = n
+        self.k = k
 
 
 def branch_stats(data: TaxonomicDataset, level: int) -> List[BranchSufficientStats]:
@@ -164,15 +166,16 @@ def log_taxonomic_likelihood(levels: Sequence[LevelModel],
     return float(total)
 
 
-@dataclass(frozen=True)
 class DPLevelPrior:
     """Dirichlet-process level with independent Stirling-gamma branch priors."""
 
-    sg: StirlingGammaSpec
-    rho: float = 1.0
+    __slots__ = ("sg", "rho")
+
+    def __init__(self, sg: StirlingGammaSpec, rho: float = 1.0):
+        self.sg = sg
+        self.rho = rho
 
 
-@dataclass(frozen=True)
 class APLevelPrior:
     """Aldous-Pitman level with a hierarchical Gamma(a, b) prior on diversities.
 
@@ -180,29 +183,39 @@ class APLevelPrior:
     Metropolis update, scale-adapted toward 0.3 acceptance during burn-in.
     """
 
-    hyper_mu: Tuple[float, float] = (0.0, 0.0)
-    hyper_sd: float = 10.0
-    rho: float = 1.0
+    __slots__ = ("hyper_mu", "hyper_sd", "rho")
 
-    def __post_init__(self):
-        if not self.hyper_sd > 0.0:
-            raise DomainError(f"hyper_sd must be > 0, got {self.hyper_sd}")
-        if not 0.0 < self.rho <= 1.0:
-            raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
+    def __init__(self, hyper_mu: Tuple[float, float] = (0.0, 0.0), hyper_sd: float = 10.0,
+                 rho: float = 1.0):
+        try:  # a and b are exp(hyper_mu) at the chain's start
+            mu_ok = len(hyper_mu) == 2 and all(math.isfinite(m) and math.exp(m) < math.inf
+                                               for m in hyper_mu)
+        except OverflowError:
+            mu_ok = False
+        if not mu_ok:
+            raise DomainError(f"hyper_mu must be two finite numbers whose exp is finite, "
+                              f"got {hyper_mu}")
+        if not hyper_sd > 0.0:
+            raise DomainError(f"hyper_sd must be > 0, got {hyper_sd}")
+        if not 0.0 < rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {rho}")
+        self.hyper_mu = hyper_mu
+        self.hyper_sd = hyper_sd
+        self.rho = rho
 
 
 LevelPrior = Union[DPLevelPrior, APLevelPrior]
 
 
-@dataclass(frozen=True)
 class TaxonomicModelSpec:
-    levels: Tuple[LevelPrior, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        if len(self.levels) < 2:
+    def __init__(self, levels: Tuple[LevelPrior, ...]):
+        if len(levels) < 2:
             raise DomainError("a taxonomic model needs at least 2 levels")
-        if not isinstance(self.levels[0], DPLevelPrior):
+        if not isinstance(levels[0], DPLevelPrior):
             raise DomainError("level 1 must be a Dirichlet process with an SG prior")
+        self.levels = levels
 
     @classmethod
     def default_three_level(cls, rho_species: float = 0.25) -> "TaxonomicModelSpec":
@@ -214,29 +227,38 @@ class TaxonomicModelSpec:
                            APLevelPrior(rho=rho_species)))
 
 
-@dataclass(frozen=True)
 class MCMCSettings:
-    iters: int = 10_000
-    burn_in: int = 1_000
-    seed: int = 0
-    threads: int = 1
+    __slots__ = ("iters", "burn_in", "seed", "threads")
 
-    def __post_init__(self):
-        if not 0 <= self.burn_in < self.iters:
+    def __init__(self, iters: int = 10_000, burn_in: int = 1_000, seed: int = 0,
+                 threads: int = 1):
+        if not 0 <= burn_in < iters:
             raise DomainError("need 0 <= burn_in < iters")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
+        if threads < 1:
+            raise DomainError(f"threads must be >= 1, got {threads}")
+        self.iters = iters
+        self.burn_in = burn_in
+        self.seed = seed
+        self.threads = threads
 
 
-@dataclass
 class TaxonomicFit:
-    spec: TaxonomicModelSpec
-    mcmc: MCMCSettings
-    level1: PosteriorDraws
-    branches: List[Dict[str, PosteriorDraws]]  # levels 2..L
-    stats: List[Dict[str, BranchSufficientStats]]
-    prior_only: List[set]
-    hyper: Dict[int, Dict[str, object]]  # level -> {"a_gamma", "b_gamma", "acceptance"}
+    """Draws of every level: branches and stats hold levels 2..L, and hyper maps an
+    AP level to its {"a_gamma", "b_gamma", "acceptance"}."""
+
+    __slots__ = ("spec", "mcmc", "level1", "branches", "stats", "prior_only", "hyper")
+
+    def __init__(self, spec: TaxonomicModelSpec, mcmc: MCMCSettings, level1: PosteriorDraws,
+                 branches: List[Dict[str, PosteriorDraws]],
+                 stats: List[Dict[str, BranchSufficientStats]], prior_only: List[set],
+                 hyper: Dict[int, Dict[str, object]]):
+        self.spec = spec
+        self.mcmc = mcmc
+        self.level1 = level1
+        self.branches = branches
+        self.stats = stats
+        self.prior_only = prior_only
+        self.hyper = hyper
 
 
 def _branch_seed(seed: int, level: int, label: str) -> int:
@@ -383,16 +405,19 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
                         stats=all_stats, prior_only=prior_only, hyper=hyper)
 
 
-@dataclass(frozen=True)
 class BranchSummary:
-    level: int
-    label: str
-    mean: float
-    q01: float
-    q99: float
-    n_branch: int
-    k_branch: int
-    prior_only: bool
+    __slots__ = ("level", "label", "mean", "q01", "q99", "n_branch", "k_branch", "prior_only")
+
+    def __init__(self, level: int, label: str, mean: float, q01: float, q99: float,
+                 n_branch: int, k_branch: int, prior_only: bool):
+        self.level = level
+        self.label = label
+        self.mean = mean
+        self.q01 = q01
+        self.q99 = q99
+        self.n_branch = n_branch
+        self.k_branch = k_branch
+        self.prior_only = prior_only
 
 
 def branch_summaries(fit: TaxonomicFit) -> List[BranchSummary]:

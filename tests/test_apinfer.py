@@ -256,6 +256,14 @@ class TestIidTwoStep:
         with pytest.raises(DomainError):
             apinfer.iid_two_step_sample(1, 1, 1.0, 1.0, 10, rng_seed=0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0),
+                                      (1.0, float("nan")), (float("inf"), 1.0)])
+    def test_gamma_prior_needs_finite_positive_a_b(self, a, b):
+        with pytest.raises(DomainError, match="Gamma prior"):
+            apinfer.GammaPrior(a, b)
+        with pytest.raises(DomainError, match="Gamma prior"):
+            apinfer.iid_two_step_sample(40, 12, a, b, 10, rng_seed=0)
+
     @pytest.mark.parametrize("n_draws, rho", [(0, 1.0), (-2, 1.0), (10, 2.0), (10, 0.0),
                                               (10, -1.0), (10, float("nan"))])
     def test_refuses_draws_and_rho_out_of_range(self, n_draws, rho):

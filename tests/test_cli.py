@@ -109,7 +109,7 @@ class TestImport:
         # one cold interpreter runs every subcommand on tiny inputs: none loads
         # scipy or numpy.polynomial, no np.quantile or np.unique pulls in
         # numpy.ma, and the threaded taxonomic fit runs on plain threads, without
-        # concurrent.futures
+        # concurrent.futures, and no module builds classes through dataclasses
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
@@ -137,7 +137,8 @@ class TestImport:
                 "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
                 "loaded = sorted(m for m in sys.modules\n"
                 "                if (m + '.').startswith(('scipy.', 'numpy.polynomial.',\n"
-                "                                         'numpy.ma.', 'concurrent.')))\n"
+                "                                         'numpy.ma.', 'concurrent.',\n"
+                "                                         'dataclasses.')))\n"
                 "print(json.dumps([codes, loaded, dict(os.environ) == env]))")
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
@@ -274,18 +275,30 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["extrapolate", "--family", "ap", "--gamma", "nan", "--n", 100, "--k", 10, "--m", 5],
     ["simulate", "--n", 30, "--family", "dm", "--sigma", "nan", "--bound-h", 5],
     ["simulate", "--n", 30, "--levels-spec", "dp:nan;dp:2"],
+    ["taxonomic", "--input", "{tree}", "--hyper-mu", 800, 0],
+    ["taxonomic", "--input", "{tree}", "--hyper-mu", 0, "inf"],
+    ["taxonomic", "--input", "{tree}", "--hyper-mu", "nan", 0],
+    ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", "nan", 1],
+    ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", 1, "nan"],
+    ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", "inf", 1],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
         "taxonomic-hyper-sd-negative", "taxonomic-threads-0", "taxonomic-threads-negative",
         "extrapolate-dp-alpha-nan", "extrapolate-ap-gamma-nan", "simulate-dm-sigma-nan",
-        "simulate-spec-nan"])
+        "simulate-spec-nan", "taxonomic-hyper-mu-overflow", "taxonomic-hyper-mu-inf",
+        "taxonomic-hyper-mu-nan", "fit-ap-gamma-prior-a-nan", "fit-ap-gamma-prior-b-nan",
+        "fit-ap-gamma-prior-a-inf"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")
     argv = [str(a).format(csv=tiny_csv, tree=tree) for a in argv]
     assert run(*argv, "--seed", 1, "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for flag, name in (("--hyper-mu", "hyper_mu"), ("--gamma-prior", "Gamma prior")):
+        if flag in argv:  # refused by the prior itself, not by the sampler it feeds
+            assert name in err
 
 
 class TestTaxonomic:
@@ -398,6 +411,15 @@ class TestSimulate:
             config = json.loads(fh.readline()[len("# config: "):])
         assert config["family"] == "dp" and "sigma" not in config
         assert config["resolved_model"] == "DirichletProcess(alpha=3.0)"
+        # the model reprs are the resolved_model of every config line
+        for flags, want in ((["--family", "dm", "--bound-h", 5],
+                             "DirichletMultinomial(sigma=-1.0, H=5)"),
+                            (["--family", "dm", "--bound-h", 7, "--sigma", -0.25],
+                             "DirichletMultinomial(sigma=-0.25, H=7)"),
+                            (["--family", "ap", "--gamma", 0.8], "AldousPitman(gamma=0.8)")):
+            assert run("simulate", *flags, "--n", 20, "--seed", 8, "--output-dir", out) == 0
+            with open(out / "accumulation.csv", encoding="utf-8") as fh:
+                assert json.loads(fh.readline()[len("# config: "):])["resolved_model"] == want
 
     def test_dp_amazon_scale_terminal_k(self, tmp_path):
         # E(K_n | alpha-hat) = k by the ML first-order condition; SD ~ sqrt(k)
@@ -529,6 +551,50 @@ class TestWriteTable:
             lines = fh.read().splitlines()
         assert lines[1] == "size,value" and len(lines) == 2 + size.size
         assert lines[-1] == "20000,%s" % (cli._SUMMARY_FMT % value[-1])
+
+    def test_json_rows_equal_json_dump(self, tmp_path, monkeypatch):
+        # int, float, bool and str columns, as arrays and as lists, with chunks that
+        # end mid-table; finite float columns go through the chunk template, columns
+        # with nan or inf cell by cell
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+        floats = [0.1, -2.5e-300, 1e16, -0.0, float("nan"), float("inf"), -float("inf")]
+        finite = [-0.0, 5e-324, 0.1, 1e16, 1.7976931348623157e308, -2.5, 3.0]
+        columns = {"i64": np.arange(7) * -9, "f64": np.array(floats),
+                   "finite": finite, "finite64": np.array(finite),
+                   "flags": np.arange(7) % 3 == 0, "u8": np.arange(7, dtype=np.uint8),
+                   "ints": [2 ** 70, 0, -1, 3, 4, 5, 6], "floats": floats[::-1],
+                   "bools": [True, False] * 3 + [True],
+                   "label": ["a", "", "b\u00e9\n\"q\"", "%s", "50%", "\t", "z"],
+                   "mixed": [1, 2.5, "s", True, None, np.float32(0.5), np.float64(-0.0)],
+                   "a key\u00e9": np.linspace(0.0, 1.0, 7)}
+        config = json.dumps({"command": "test"})
+        for n_rows in (0, 1, 3, 7):
+            cols = {h: c[:n_rows] for h, c in columns.items()}
+            rows = [{h: (float(v) if isinstance(v, (float, np.floating)) else v)
+                     for h, v in zip(cols, row)}
+                    for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                     for c in cols.values()))]
+            path = cli._write_table(str(tmp_path), "t", cols, "json", config)
+            want = json.dumps({"rows": rows, "_config": json.loads(config)}, indent=1,
+                              sort_keys=True) + "\n"
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == want
+
+    def test_json_memory_bounded_by_chunk(self, tmp_path, traced_peak):
+        # the accumulation table of an Amazon-scale simulate: as one dict per row it
+        # took ~195 MiB of RSS; a chunk of _CSV_CHUNK rows at a time, ~0.8 MiB traced.
+        # Each traced row costs ~9 us
+        n = 553_949
+        size = np.arange(1, n + 1)
+        distinct = np.sqrt(size).astype(np.int64)
+        path, peak = traced_peak(lambda: cli._write_table(
+            str(tmp_path), "acc", {"size": size, "distinct": distinct}, "json", "{}"))
+        assert peak < 2.0
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count('"size": ') == n
+        assert text.endswith('{\n   "distinct": %d,\n   "size": %d\n  }\n ]\n}\n'
+                             % (distinct[-1], n))
 
 
 class TestJsonMirror:

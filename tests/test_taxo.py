@@ -207,9 +207,16 @@ class TestFitTaxonomic:
         mcmc = taxo.MCMCSettings(seed=0)
         assert mcmc.iters == 10_000 and mcmc.burn_in == 1_000
 
+    # exp(hyper_mu) must be finite: 800 overflowed math.exp mid-fit, inf gave a NaN
+    # log-posterior
     @pytest.mark.parametrize("kwargs", [{"rho": 2.0}, {"rho": 0.0}, {"rho": -1.0},
                                         {"hyper_sd": 0.0}, {"hyper_sd": -1.0},
-                                        {"hyper_sd": float("nan")}])
+                                        {"hyper_sd": float("nan")},
+                                        {"hyper_mu": (800.0, 0.0)},
+                                        {"hyper_mu": (0.0, float("inf"))},
+                                        {"hyper_mu": (float("nan"), 0.0)},
+                                        {"hyper_mu": (0.0, -float("inf"))},
+                                        {"hyper_mu": (0.0,)}])
     def test_ap_level_prior_domain(self, kwargs):
         with pytest.raises(DomainError):
             taxo.APLevelPrior(**kwargs)
