@@ -6,7 +6,8 @@ from .datamodel import (PartitionData, TaxonomicDataset, accumulate,
 from .gibbs import (AldousPitman, Curve, DirichletMultinomial, DirichletProcess,
                     DiversityIndices, GibbsModel, PredictiveSplit, diversity_indices,
                     expected_freq_counts, extrapolation, log_V, log_eppf,
-                    posterior_Km_pmf, predictive, prior_Kn_pmf, rarefaction, urn_sample)
+                    posterior_Km_pmf, predictive, prior_Kn_pmf, rarefaction, taxon_counts,
+                    urn_sample)
 from .estimators import (AlphaEstimate, classical_rarefaction, fisher_alpha, mle_alpha,
                          sample_coverage)
 from .dpinfer import (CoarsenedPosterior, RichnessPrediction, StirlingGammaSpec,

@@ -218,7 +218,9 @@ def _load_stats(args) -> tuple:
 
 
 def _start_outputs(args, resolved: Dict, data) -> Tuple[str, str]:
-    """Make --output-dir, write data_summary.json under --format json; (dir, config)."""
+    """Make --output-dir, write data_summary.json under --format json; (dir, config).
+    Commands call it once their arguments have passed every check, so a refused run
+    writes nothing."""
     config = _config_line(args, resolved)
     os.makedirs(args.output_dir, exist_ok=True)
     if args.format == "json" and data is not None:
@@ -238,7 +240,6 @@ def cmd_fit(args) -> int:
         if args.gamma_prior is not None:
             raise DomainError("--gamma-prior is the ap prior; the dp prior is --sg")
         prior, resolved = _sg_prior(args, n)
-        outdir, config = _start_outputs(args, resolved, data)
         post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
         draws = dpinfer.sg_posterior_sample(post, args.draws, args.seed)
         param = "alpha"
@@ -246,11 +247,11 @@ def cmd_fit(args) -> int:
         if args.sg is not None:
             raise DomainError("--sg is the dp prior; the ap prior is --gamma-prior")
         a_g, b_g = args.gamma_prior if args.gamma_prior else (1.0, 1.0)
-        outdir, config = _start_outputs(
-            args, {"resolved_prior": f"gamma({a_g},{b_g})"}, data)
+        resolved = {"resolved_prior": f"gamma({a_g},{b_g})"}
         draws = apinfer.iid_two_step_sample(n, k, a_g, b_g, args.draws, args.seed,
                                             rho=args.rho)
         param = "gamma"
+    outdir, config = _start_outputs(args, resolved, data)
     _write_json(outdir, "point_estimates", estimates, config)
     _write_table(outdir, "draws", {"draw": np.arange(len(draws.values)), param: draws.values},
                  args.format, config, value_fmt=_DRAW_FMT)
@@ -277,9 +278,11 @@ def cmd_validate(args) -> int:
     data = ingest_abundance_csv(args.input)
     n, k = data.n, data.k
     model = _model_from_args(args, n, k)
+    sizes = _grid_sizes(n, args.grid_points)
+    if args.r_max < 1:
+        raise DomainError(f"--r-max must be >= 1, got {args.r_max}")
     outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
 
-    sizes = _grid_sizes(n, args.grid_points)
     classical = estimators.classical_rarefaction(data, sizes)
     curve = gibbs.rarefaction(model, n, sizes=sizes)
     _write_table(outdir, "rarefaction",
@@ -292,14 +295,18 @@ def cmd_validate(args) -> int:
         "expected": gibbs.expected_freq_counts(model, n, r.size)}, args.format, config)
 
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7ad)))
-    acc = np.zeros((2, 0))  # sums of the ranked sizes and of their squares
+    acc = np.zeros((2, k))  # sums of the ranked sizes and of their squares
     for _ in range(args.replicates):
-        ranked = np.sort(np.bincount(gibbs.urn_sample(model, n, rng)))[::-1].astype(float)
-        acc = np.pad(acc, ((0, 0), (0, max(ranked.size - acc.shape[1], 0))))
+        # ranked by counting: hist[c] taxa of size c, so each size c repeats hist[c] times
+        hist = np.bincount(gibbs.taxon_counts(gibbs.urn_sample(model, n, rng)))
+        ranked = np.repeat(np.arange(hist.size - 1, 0, -1), hist[:0:-1])
+        if ranked.size > acc.shape[1]:
+            acc = np.concatenate((acc, np.zeros((2, ranked.size - acc.shape[1]))), axis=1)
         acc[:, :ranked.size] += ranked, ranked ** 2
-    width = max(len(data.abundances), acc.shape[1])
-    obs = np.pad(np.asarray(data.abundances, dtype=np.int64), (0, width - data.k))
-    mean, sq = np.pad(acc, ((0, 0), (0, width - acc.shape[1]))) / args.replicates
+    width = acc.shape[1]
+    obs = np.zeros(width, dtype=np.int64)
+    obs[:k] = data.abundances
+    mean, sq = acc / args.replicates
     se = np.sqrt(np.maximum(sq - mean ** 2, 0.0) / args.replicates)
     _write_table(outdir, "rad", {"rank": np.arange(1, width + 1), "observed": obs,
                                  "expected": mean, "se": se}, args.format, config)
@@ -309,9 +316,9 @@ def cmd_validate(args) -> int:
 def cmd_richness(args) -> int:
     data, n, k = _load_stats(args)
     prior, resolved = _sg_prior(args, n)
-    outdir, config = _start_outputs(args, resolved, data)
     post = dpinfer.CoarsenedPosterior(prior=prior, n=n, k=k, rho=args.rho)
     pred = dpinfer.richness_posterior(post, args.nhat, args.draws, args.seed)
+    outdir, config = _start_outputs(args, resolved, data)
     _write_table(outdir, "richness_draws", {"draw": np.arange(len(pred.draws)), "K_N": pred.draws},
                  args.format, config, value_fmt=_DRAW_FMT)
     _write_json(outdir, "richness_summary", _summary_payload(pred.summary()), config)
@@ -322,9 +329,9 @@ def cmd_extrapolate(args) -> int:
     _check_replicates(args)
     data, n, k = _load_stats(args)
     model = _model_from_args(args, n, k)
-    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
     curve = gibbs.extrapolation(model, n, k, args.m, replicates=args.replicates,
                                 rng_seed=args.seed)
+    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
     se = [""] * args.m if curve.se is None else curve.se
     _write_table(outdir, "extrapolation", {"size": curve.sizes, "expected": curve.values,
                                            "se": se}, args.format, config)
@@ -342,8 +349,8 @@ def cmd_taxonomic(args) -> int:
     spec = taxo.TaxonomicModelSpec(levels=tuple(level_priors))
     mcmc = taxo.MCMCSettings(iters=args.mcmc_iters, burn_in=args.burn_in,
                              seed=args.seed, threads=args.threads)
-    outdir, config = _start_outputs(args, resolved, tree)
     fit = taxo.fit_taxonomic(spec, tree, mcmc)
+    outdir, config = _start_outputs(args, resolved, tree)
 
     # arrays, not lists: _write_json writes them one branch at a time
     payload: Dict = {"level1": fit.level1.values}
@@ -390,9 +397,9 @@ def cmd_simulate(args) -> int:
     outdir = args.output_dir
     if args.levels_spec:
         levels = _parse_levels_spec(args.levels_spec)
+        tree = taxo.nested_urn_sample(levels, args.n, args.seed)
         os.makedirs(outdir, exist_ok=True)
         config = _config_line(args, {})
-        tree = taxo.nested_urn_sample(levels, args.n, args.seed)
         write_taxonomy_csv(tree, os.path.join(outdir, "simulated_taxonomy.csv"))
         if args.format == "json":
             _write_json(outdir, "simulated_taxonomy", tree.to_json(), config)
@@ -400,14 +407,17 @@ def cmd_simulate(args) -> int:
     if args.family is None:
         args.family = "dp"
     model = _model_from_args(args)
+    stream = gibbs.urn_sample(model, args.n, args.seed)
     os.makedirs(outdir, exist_ok=True)
     config = _config_line(args, {"resolved_model": repr(model)})
-    stream = gibbs.urn_sample(model, args.n, args.seed)
-    data = PartitionData.from_abundances(np.bincount(stream))
+    data = PartitionData.from_abundances(gibbs.taxon_counts(stream))
     write_abundance_csv(data, os.path.join(outdir, "simulated_abundance.csv"))
-    _write_table(outdir, "accumulation", {"size": np.arange(1, args.n + 1),
-                                          "distinct": np.maximum.accumulate(stream) + 1},
-                 args.format, config)
+    # labels come in discovery order, so K after each draw is their running max + 1,
+    # written over the labels
+    distinct = np.maximum.accumulate(stream, out=stream)
+    distinct += 1
+    _write_table(outdir, "accumulation", {"size": np.arange(1, args.n + 1, dtype=np.int32),
+                                          "distinct": distinct}, args.format, config)
     if args.format == "json":
         _write_json(outdir, "data_summary", data.to_json(), config)
     return 0

@@ -100,7 +100,13 @@ def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> Po
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact Poisson quantile, elementwise: the smallest j >= 0 with P(X <= j) >= u, u in [0, 1).
+    """Exact Poisson quantile (int64), elementwise: the smallest j >= 0 with P(X <= j) >= u,
+    u in [0, 1), taken by specfun._blockwise, so its temporaries cover one block."""
+    return specfun._blockwise(_poisson_ppf_block, np.empty(u.size, dtype=np.int64), u, lam)
+
+
+def _poisson_ppf_block(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The Poisson quantiles of _poisson_ppf, as floats.
 
     A Cornish-Fisher guess lam + sqrt(lam) z + (z^2 - 1)/6, z the normal quantile of u,
     lands on the answer or next to it.  There the incomplete gamma functions give
@@ -132,7 +138,7 @@ def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         j[down] -= 1.0
         cdf[down] = below[move]
         down = down[j[down] > 0.0]
-    return j.astype(np.int64)
+    return j
 
 
 class RichnessPrediction:
@@ -174,9 +180,9 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
         N = np.maximum(np.floor(rng.uniform(0.5 * N_hat, 1.5 * N_hat, size=n_draws)),
                        float(post.n))
     lam = specfun.discovery_mean(alpha, post.n, N - post.n)
-    u = rng.random(n_draws)
-    new = _poisson_ppf(u, lam)
-    return RichnessPrediction(draws=post.k + new, N_hat=N_hat, n=post.n, k=post.k,
+    draws = _poisson_ppf(rng.random(n_draws), lam)
+    draws += post.k
+    return RichnessPrediction(draws=draws, N_hat=N_hat, n=post.n, k=post.k,
                               rho=post.rho, seed=rng_seed)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "log_eppf",
     "predictive",
     "urn_sample",
+    "taxon_counts",
     "prior_Kn_pmf",
     "posterior_Km_pmf",
     "rarefaction",
@@ -239,7 +240,7 @@ def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
 
 
 # Urn draws are processed in blocks of this many, so the temporaries of one
-# urn stay below 1 MB at any n; only a handful of n-length arrays are kept.
+# urn stay below 1 MB at any n; only its flags and one int32 array are kept.
 _URN_BLOCK = 1 << 13
 
 # A path of K is thinned in windows of at most _PATH_WINDOW draws; the AP bound
@@ -300,13 +301,16 @@ def _path_flags(model: GibbsModel, n: int, k: int, u: np.ndarray, p_new=None) ->
     return flags
 
 
-def _discovery_flags(model: GibbsModel, u: np.ndarray) -> np.ndarray:
-    """flags[i]: draw i of one urn discovers a new taxon, reading uniform u[i].
-
-    Draw 0 always discovers (u[0] is not read); the rest are one path of K from K_1 = 1.
+def _discovery_flags(model: GibbsModel, u: np.ndarray, n: int = 0, k: int = 0,
+                     p_new=None) -> np.ndarray:
+    """flags[i]: draw n + i of one urn, with k taxa before it, discovers a new taxon,
+    reading uniform u[i].  Draw 0 always discovers (u[0] is not read); the rest are
+    one path of K from K_1 = 1, whose p_new a caller may pass (see _path_flags).
     """
+    if n:
+        return _path_flags(model, n, k, u, p_new)
     flags = np.ones(len(u), dtype=bool)
-    flags[1:] = _path_flags(model, 1, 1, u[1:])
+    flags[1:] = _path_flags(model, 1, 1, u[1:], p_new)
     return flags
 
 
@@ -322,11 +326,12 @@ def _urn_labels(flags: np.ndarray, sigma: float, rng: np.random.Generator,
     each its own label, and the nodes after them the reusing draws in order, which
     take their labels _URN_BLOCK at a time: a copy reads a label already set, unless
     its source lies in its own block, and those chains are followed by pointer
-    jumping.  Beside flags and the labels, only the int32 nodes are held.
+    jumping.  The node array then becomes the label stream in place, front to back:
+    with f(p) founders before draw p, a founder takes label f(p), and a reusing draw
+    that of node K + p - f(p) >= p, so each block is gathered before it is written.
+    Beside flags, only this one int32 array is held.
     """
-    labels = np.zeros(flags.size, dtype=np.int32)  # a founder's label: the founders before it
-    np.add.accumulate(flags[1:], dtype=np.int32, out=labels[1:])  # draw 0 founds taxon 0
-    n_taxa = int(labels[-1]) + 1
+    n_taxa = int(np.count_nonzero(flags))
     node = np.arange(flags.size, dtype=np.int32)
     # the reusing draws of the block from lo move to node n_taxa + lo - (founders
     # before lo) >= lo; back to front, no block reads a node that has moved
@@ -335,15 +340,18 @@ def _urn_labels(flags: np.ndarray, sigma: float, rng: np.random.Generator,
         reuse = node[lo:lo + _URN_BLOCK][~flags[lo:lo + _URN_BLOCK]]
         node[end - reuse.size:end] = reuse
         end -= reuse.size
+    if starts.size > 1:  # the reusing draws and the founders of the urns before each:
+        # nodes n_taxa.. now hold the reusing draws' positions, in order
+        reuse_before = node[n_taxa:].searchsorted(starts.astype(np.int32))
+        taxa_before = starts - reuse_before
     for lo in range(n_taxa, flags.size, _URN_BLOCK):
         reuse = node[lo:lo + _URN_BLOCK].astype(np.intp)
         g = np.arange(lo - n_taxa, lo - n_taxa + reuse.size)  # reusing draws before each
         k, m = reuse - g, g  # the founders up to each draw and the reusing draws before it
         first_taxon, first_node = 0, n_taxa
         if starts.size > 1:  # counted from the start of each draw's own urn
-            start = starts[starts.searchsorted(reuse, "right") - 1]
-            first_taxon = labels[start]  # a founder's label: the founders of earlier urns
-            first_reuse = start - first_taxon  # the reusing draws of earlier urns
+            urn = starts.searchsorted(reuse, "right") - 1
+            first_taxon, first_reuse = taxa_before[urn], reuse_before[urn]
             k, m = k - first_taxon, g - first_reuse
             first_node = first_reuse + n_taxa
         v = rng.random((2, reuse.size))
@@ -354,17 +362,42 @@ def _urn_labels(flags: np.ndarray, sigma: float, rng: np.random.Generator,
         while pick.max() >= n_taxa:  # a copy of a draw in this block: jump
             pick = node[pick]
             node[lo:lo + _URN_BLOCK] = pick
-        labels[reuse] = pick
-    return labels
+    founders = 0
+    for lo in range(0, flags.size, _URN_BLOCK):
+        new = flags[lo:lo + _URN_BLOCK]
+        n_new = np.count_nonzero(new)
+        first = n_taxa + lo - founders  # the node of the block's first reusing draw
+        label = np.empty(new.size, dtype=np.int32)
+        label[new] = np.arange(founders, founders + n_new)
+        label[~new] = node[first:first + new.size - n_new]
+        node[lo:lo + new.size] = label
+        founders += n_new
+    return node
+
+
+def taxon_counts(labels: np.ndarray) -> np.ndarray:
+    """counts[j]: the draws of taxon j in a label stream in discovery order (as
+    np.bincount), counted _URN_BLOCK labels at a time, so no copy of the stream is made."""
+    counts = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    for lo in range(0, labels.size, _URN_BLOCK):
+        np.add.at(counts, labels[lo:lo + _URN_BLOCK], 1)
+    return counts
 
 
 def urn_sample(model: GibbsModel, n_steps: int,
                rng_seed: Union[int, np.random.Generator]) -> np.ndarray:
-    """Draw a stream of n_steps taxon labels (int32, in discovery order)."""
+    """Draw a stream of n_steps taxon labels (int32, in discovery order).  The flags'
+    uniforms are drawn _URN_BLOCK at a time, in the order of one draw of n_steps."""
     if not 1 <= n_steps < 2**31:
         raise DomainError(f"n_steps must lie in [1, 2**31), got {n_steps}")
     rng = np.random.default_rng(rng_seed)
-    flags = _discovery_flags(model, rng.random(n_steps))
+    p_new = _discovery_fn(model, n_steps)
+    flags = np.empty(n_steps, dtype=bool)
+    k = 0
+    for lo in range(0, n_steps, _URN_BLOCK):
+        block = flags[lo:lo + _URN_BLOCK]
+        block[:] = _discovery_flags(model, rng.random(block.size), lo, k, p_new)
+        k += np.count_nonzero(block)
     return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
 
 

@@ -443,7 +443,12 @@ _TEMME_FROM = 100.0  # a above which Q(a, x) near x = a comes from Temme's expan
 _TEMME_WIDTH = 0.3  # ... when |x - a| <= _TEMME_WIDTH a
 _TEMME_ROWS = _temme_rows()
 _GAMMA_TERMS = 2000  # bound on the terms of one series or continued fraction
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc of a 1-D array, one value at a time into a float64 array: an object
+    array of the results would hold a Python float per entry."""
+    return np.fromiter(map(math.erfc, x), float, x.size)
 
 
 def _gamma_series_cf(a: np.ndarray, x: np.ndarray,
@@ -556,7 +561,7 @@ def gammainc_pq(a, x):
             rem += _horner(eta, row)
         rem *= np.exp(-an * phi) / np.sqrt(2.0 * math.pi * an)  # R
         upper = eta >= 0.0  # x >= a: Q is the smaller, so compute it; else P
-        small = 0.5 * _erfc(np.abs(eta) * np.sqrt(0.5 * an)).astype(float)
+        small = 0.5 * _erfc(np.abs(eta) * np.sqrt(0.5 * an))
         small += np.where(upper, rem, -rem)
         at = pos[near]
         p[at] = np.where(upper, 1.0 - small, small)

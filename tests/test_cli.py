@@ -281,6 +281,7 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", "nan", 1],
     ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", 1, "nan"],
     ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", "inf", 1],
+    ["validate", "--input", "{csv}", "--family", "dp", "--alpha", 2, "--r-max", 0],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
@@ -288,12 +289,13 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
         "extrapolate-dp-alpha-nan", "extrapolate-ap-gamma-nan", "simulate-dm-sigma-nan",
         "simulate-spec-nan", "taxonomic-hyper-mu-overflow", "taxonomic-hyper-mu-inf",
         "taxonomic-hyper-mu-nan", "fit-ap-gamma-prior-a-nan", "fit-ap-gamma-prior-b-nan",
-        "fit-ap-gamma-prior-a-inf"])
+        "fit-ap-gamma-prior-a-inf", "validate-r-max-0"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")
     argv = [str(a).format(csv=tiny_csv, tree=tree) for a in argv]
     assert run(*argv, "--seed", 1, "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
+    assert not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     for flag, name in (("--hyper-mu", "hyper_mu"), ("--gamma-prior", "Gamma prior")):
@@ -428,6 +430,21 @@ class TestSimulate:
                    "--seed", 7, "--output-dir", out) == 0
         data = ingest_abundance_csv(str(out / "simulated_abundance.csv"))
         assert abs(data.k - 4962) < 3 * math.sqrt(4962)
+
+    def test_memory_bounded_by_stream(self, tmp_path, traced_peak):
+        # the urn's flags and int32 labels, then the distinct column written over the
+        # labels beside an int32 size column: 19.9 MiB traced with all the urn's
+        # uniforms, two int32 arrays and an int64 copy of the labels to count them
+        out = tmp_path / "sim1e6"
+        code, peak = traced_peak(lambda: run("simulate", "--family", "dp", "--alpha", 50,
+                                             "--n", 1_000_000, "--seed", 3,
+                                             "--output-dir", out))
+        assert code == 0
+        assert peak < 10.0
+        data = ingest_abundance_csv(str(out / "simulated_abundance.csv"))
+        with open(out / "accumulation.csv", encoding="utf-8") as fh:
+            *_, last = fh
+        assert data.n == 1_000_000 and last == f"1000000,{data.k}\n"
 
     def test_json_format_mirror(self, tmp_path):
         out = tmp_path / "simj"

@@ -226,6 +226,18 @@ class TestPoissonPpf:
             j = dpinfer._poisson_ppf(np.full(lam.size, u), lam)
             assert (np.diff(j) >= 0).all(), u
 
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    def test_blocks_do_not_change_the_draws(self, monkeypatch, block):
+        # elementwise in blocks of specfun._BLOCK entries: blocks of 1,000 and one
+        # block give the quantiles of 4,096 entries a block
+        rng = np.random.default_rng(12)
+        lam = 10.0 ** rng.uniform(-3.0, 11.0, size=20_000)
+        u = rng.random(lam.size)
+        want = dpinfer._poisson_ppf(u, lam)
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        got = dpinfer._poisson_ppf(u, lam)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_ends(self):
         # u = 0 gives 0 at any lam (the normal-quantile start is clipped near -37.5 there),
         # and lam = 0 gives 0 at any u

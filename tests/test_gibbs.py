@@ -170,6 +170,15 @@ class TestUrn:
             labels = gibbs.urn_sample(DM(-5.0, 40), 10_000, rng_seed=seed)
             assert labels.max() == 39  # all H = 40 taxa are found, and never a 41st
 
+    @pytest.mark.parametrize("block", [gibbs._URN_BLOCK, 3])
+    def test_taxon_counts_equal_bincount(self, monkeypatch, block):
+        monkeypatch.setattr(gibbs, "_URN_BLOCK", block)
+        for model, n in ((DP(2.0), 1), (DP(2.0), 500), (DM(-1.0, 5), 31), (AP(1.0), 200)):
+            labels = gibbs.urn_sample(model, n, 3)
+            counts = gibbs.taxon_counts(labels)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, np.bincount(labels))
+
     @pytest.mark.parametrize("block", [gibbs._URN_BLOCK, 2], ids=["one-block", "blocks-of-2"])
     @pytest.mark.parametrize("model, n", [(DP(1.3), 5), (DM(-0.7, 3), 6), (AP(0.9), 5)],
                              ids=["dp", "dm", "ap"])
@@ -522,8 +531,11 @@ class TestMemoryBounds:
     # calls.  Long elementwise evaluations run in fixed blocks; over whole arrays they
     # peaked at 3.1 and 29.6 MiB (DP extrapolation, full DP rarefaction), 42.3 (full DM
     # rarefaction), 21.1 (DP counts at r_max = n), 1.5 (the log sum of the DM counts)
-    # and 3.3 (the 32,769-node posterior grid).  An urn holds int32 index arrays and
-    # O(block) temporaries (3.2 MiB for DP and 3.6 for DM with int64 arrays of all draws).
+    # and 3.3 (the 32,769-node posterior grid).  An urn holds its flags, one int32
+    # array and O(block) temporaries (3.2 MiB for DP and 3.6 for DM at n = 1e5 with
+    # int64 arrays of all draws; 10.5 and 9.7 at n = 1e6 with all its uniforms and two
+    # int32 arrays).  The richness draws' Poisson quantiles run in blocks (180.0 MiB
+    # at 1e6 draws over whole arrays).
     ALPHA = 751.23
 
     def test_dp_extrapolation(self, amazon_stats, traced_peak):
@@ -537,14 +549,19 @@ class TestMemoryBounds:
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
 
     def test_dp_urn(self, traced_peak):
-        self._check_urn(DP(50.0), 2.0, traced_peak)
+        self._check_urn(DP(50.0), 100_000, 2.0, traced_peak)
 
     def test_dm_urn(self, traced_peak):
-        self._check_urn(DM(-1.0, 2000), 2.5, traced_peak)
+        self._check_urn(DM(-1.0, 2000), 100_000, 2.5, traced_peak)
+
+    def test_dp_urn_million(self, traced_peak):
+        self._check_urn(DP(50.0), 1_000_000, 6.5, traced_peak)
+
+    def test_dm_urn_million(self, traced_peak):
+        self._check_urn(DM(-1.0, 2000), 1_000_000, 6.5, traced_peak)
 
     @staticmethod
-    def _check_urn(model, bound, traced_peak):
-        n = 100_000
+    def _check_urn(model, n, bound, traced_peak):
         labels, peak = traced_peak(lambda: gibbs.urn_sample(model, n, 11))
         assert peak < bound
         new = np.diff(np.maximum.accumulate(labels), prepend=-1)
@@ -603,6 +620,17 @@ class TestMemoryBounds:
             lambda: gibbs.expected_freq_counts(DM(-1.0, 2000), 100_000, 100))
         assert peak < 0.5
         assert counts.shape == (100,) and (counts > 0.0).all()
+
+    def test_richness_posterior(self, amazon_stats, traced_peak):
+        # alpha, N, lambda and the uniforms (7.6 MiB each at 1e6 draws), the draws,
+        # and the blocks of the sampler's grid and of the Poisson quantiles
+        n, k = amazon_stats
+        post = CP(SG(1.0, 0.0002, n), n=n, k=k, rho=0.01)
+        pred, peak = traced_peak(lambda: dpinfer.richness_posterior(post, 3.949e11,
+                                                                    1_000_000, 5))
+        assert peak < 48.0
+        assert pred.draws.shape == (1_000_000,) and pred.draws.dtype == np.int64
+        assert pred.draws.min() >= k
 
     def test_dp_branch_posterior(self, traced_peak):
         # the posterior of one taxonomic branch, drawn on the full sampler grid

@@ -215,6 +215,10 @@ class TestGammaincPQ:
         assert q == pytest.approx(2.0 / math.e, rel=1e-15)
         assert isinstance(specfun.poisson_pmf(2.0, 1.0), float)
 
+    def test_erfc_is_math_erfc(self):
+        x = np.concatenate(([0.0, 1e-300, 5.0, 27.0], np.random.default_rng(4).random(50) * 6))
+        assert specfun._erfc(x).tolist() == [math.erfc(v) for v in x.tolist()]
+
     def test_temme_coefficients(self):
         # c_0 = -1/3 + eta/12 - 2 eta^2/135 + ..., c_1 = -1/540 - eta/288, c_2 = 25/6048
         rows = specfun._TEMME_ROWS
