@@ -1,5 +1,18 @@
 """Bayesian nonparametric biodiversity inference with Gibbs-type priors."""
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts an idle worker that spins 2^28 cycles before it sleeps,
+# ~60 ms of CPU in every short process; load it with the shortest timeout, 2^4
+if "numpy" not in _sys.modules and not _os.environ.keys() & {"OPENBLAS_THREAD_TIMEOUT",
+                                                             "GOTO_THREAD_TIMEOUT"}:
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 from .datamodel import (PartitionData, TaxonomicDataset, accumulate,
                         ingest_abundance_csv, ingest_taxonomy_csv,
                         stream_to_partition, stream_to_taxonomy)

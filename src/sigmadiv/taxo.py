@@ -100,29 +100,31 @@ def nested_urn_sample(levels: Sequence[LevelModel], n_steps: int,
     if len(levels) < 1:
         raise DomainError("at least one level is required")
     rng = np.random.default_rng(rng_seed)
-    taxon = np.zeros(n_steps, dtype=np.int64)  # each individual's taxon at the level above
+    taxon = np.zeros(n_steps, dtype=np.int32)  # each individual's taxon at the level above
     dataset = TaxonomicDataset(levels=len(levels), top={})
     nodes = [TaxonNode(label="", children=dataset.top)]  # the root, parent of level 1
     for depth, level in enumerate(levels, start=1):
         order = taxon.argsort(kind="stable")  # grouped by parent, in stream order
         sizes = np.bincount(taxon)
         starts = sizes.cumsum() - sizes
-        u = rng.random(n_steps)
         flags = np.ones(n_steps, dtype=bool)
         for b, (s, c) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            u = rng.random(c)  # branch by branch, the stream of one n_steps draw
             if c > 1:  # a lone individual founds its taxon without a draw
                 model = level.model_for(level.value_for_branch(b))
-                flags[s:s + c] = gibbs._discovery_flags(model, u[s:s + c])
+                flags[s:s + c] = gibbs._discovery_flags(model, u)
         sigma = level.model_for(level.value_for_branch(0)).discount
         labels = gibbs._urn_labels(flags, sigma, rng, starts)
         # a taxon's founder is its first individual, so founders in stream
         # order number the taxa by first appearance
         first = order[flags]
         by_first = first.argsort()
-        rank = np.empty_like(by_first)
-        rank[by_first] = np.arange(by_first.size)
+        rank = np.empty(by_first.size, dtype=np.int32)
+        rank[by_first] = np.arange(by_first.size, dtype=np.int32)
         parent_of = taxon[first[by_first]].tolist()
-        taxon[order] = rank[labels]
+        # every label indexes rank, so "clip" clips nothing; it skips the copy
+        # of out that the default mode makes
+        taxon[order] = np.take(rank, labels, out=labels, mode="clip")
         above, nodes = nodes, []
         for r, (p, c) in enumerate(zip(parent_of, np.bincount(taxon).tolist()), start=1):
             node = TaxonNode(label=f"l{depth}_{r:05d}", count=c)

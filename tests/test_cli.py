@@ -149,6 +149,59 @@ class TestImport:
         assert loaded == []
         assert env_kept
 
+    @staticmethod
+    def _cold(code, **env):
+        """stdout of a fresh interpreter running code, with no BLAS timeout inherited."""
+        src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+        return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                              text=True, env=dict(base, PYTHONPATH=src, **env)).stdout
+
+    def test_import_leaves_environment_unchanged(self):
+        # the BLAS timeout is set only while numpy loads: neither os.environ nor
+        # the C environment that a child process inherits keeps it
+        code = ("import json, os, subprocess, sys\n"
+                "before = dict(os.environ)\n"
+                "import sigmadiv\n"
+                "child = subprocess.run([sys.executable, '-c', 'import os; "
+                "print(os.environ.get(\"OPENBLAS_THREAD_TIMEOUT\"))'],\n"
+                "                       capture_output=True, text=True).stdout.strip()\n"
+                "print(json.dumps([dict(os.environ) == before, child]))")
+        assert json.loads(self._cold(code)) == [True, "None"]
+
+    def test_import_keeps_user_blas_timeout(self):
+        code = "import os, sigmadiv; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        assert self._cold(code, OPENBLAS_THREAD_TIMEOUT="28").strip() == "28"
+
+    def test_import_after_numpy_sets_nothing(self):
+        code = ("import os, numpy\n"
+                "class Recording(dict):\n"
+                "    keys_set = []\n"
+                "    def __setitem__(self, key, value):\n"
+                "        self.keys_set.append(key)\n"
+                "        super().__setitem__(key, value)\n"
+                "os.environ = Recording(os.environ)\n"
+                "import sigmadiv\n"
+                "print(Recording.keys_set)")
+        assert self._cold(code).strip() == "[]"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_idle_blas_worker_does_not_spin(self):
+        # OpenBLAS's default idle worker spins 2^28 cycles after numpy loads (3-6
+        # clock ticks on a 2-core host); with the shortest timeout it sleeps at once
+        code = ("import os, threading, time\n"
+                "import sigmadiv.cli\n"
+                "time.sleep(0.3)\n"
+                "ticks = 0\n"
+                "for tid in os.listdir('/proc/self/task'):\n"
+                "    if int(tid) != threading.get_native_id():\n"
+                "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+                "            fields = fh.read().rsplit(')', 1)[1].split()\n"
+                "        ticks += int(fields[11]) + int(fields[12])  # utime, stime\n"
+                "print(ticks)")
+        assert int(self._cold(code)) <= 1
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tiny_csv, tmp_path):
