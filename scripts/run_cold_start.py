@@ -43,7 +43,9 @@ COMMANDS = {
 
 
 def run(argv, env):
-    """(wall s, CPU s, peak RSS in MiB) of one child process running argv."""
+    """(wall s, CPU s, peak RSS in MiB) of one child process running argv, from the
+    rusage that wait4 reports; exits if the child fails.  The other run_*_scale
+    scripts time their children with it too."""
     start = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)

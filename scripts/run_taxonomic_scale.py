@@ -6,7 +6,8 @@ Simulates n = 553,949 individuals from a family/genus/species tree
 18,496 species), then runs `sigmadiv taxonomic --rho 0.25 --seed 7` on it in a
 child process with the given number of MCMC iterations (burn-in one tenth of
 them).  Prints the fit's wall seconds, the peak RSS of the fit's process (its
-`ru_maxrss`, from wait4) and the size of the `taxonomic_fit.json` it wrote.
+`ru_maxrss`, from wait4; see run_cold_start.run) and the size of the
+`taxonomic_fit.json` it wrote.
 Run from the root of a source checkout:
 
     python3 scripts/run_taxonomic_scale.py 2000
@@ -17,7 +18,8 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
+
+from run_cold_start import run
 
 
 def main():
@@ -38,15 +40,10 @@ def main():
                       "--mcmc-iters", str(args.mcmc_iters),
                       "--burn-in", str(args.mcmc_iters // 10), "--rho", "0.25",
                       "--seed", "7", "--output-dir", out]
-        start = time.perf_counter()
-        child = subprocess.Popen(argv, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-        if os.waitstatus_to_exitcode(status) != 0:
-            sys.exit(f"taxonomic exited with {os.waitstatus_to_exitcode(status)}")
+        wall, _, peak = run(argv, env)
         size = os.path.getsize(os.path.join(out, "taxonomic_fit.json"))
     print(f"mcmc_iters {args.mcmc_iters}: wall {wall:.1f} s, "
-          f"peak RSS {usage.ru_maxrss / 1024:.0f} MiB, taxonomic_fit.json {size / 2**20:.1f} MiB")
+          f"peak RSS {peak:.0f} MiB, taxonomic_fit.json {size / 2**20:.1f} MiB")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ each in a fresh child process:
 - `simulate --family dp --alpha 751.23` (the Amazon ML alpha),
 - `simulate --family dm --bound-h 20000 --sigma -1`,
 - `simulate --family ap --gamma 6.67` (the Amazon AP fit),
-- `validate --family dp --alpha 751.23` on the DP simulation's abundances, with
+- `validate --family dp --alpha 751.23` on the DP simulation's abundances and
+  `validate --family ap --gamma 6.67` on the AP simulation's, each with
   `--replicates` urns (default 3),
 
 all with `--seed 1`, and prints each command's wall seconds and the peak RSS of its
-process (VmHWM, the `ru_maxrss` that wait4 reports), so memory per draw can be read
-as the growth of the peak with n.  Run from the root of a source checkout:
+process (VmHWM, the `ru_maxrss` that wait4 reports; see run_cold_start.run), so
+memory per draw can be read as the growth of the peak with n.  Run from the root of
+a source checkout:
 
     python3 scripts/run_urn_scale.py
     python3 scripts/run_urn_scale.py 100000 2000000 --replicates 5
@@ -20,25 +22,14 @@ as the growth of the peak with n.  Run from the root of a source checkout:
 
 import argparse
 import os
-import subprocess
 import sys
 import tempfile
-import time
+
+from run_cold_start import run
 
 SIZES = (100_000, 553_949, 2_000_000)
 MODELS = {"dp": ["--alpha", "751.23"], "dm": ["--bound-h", "20000", "--sigma", "-1"],
           "ap": ["--gamma", "6.67"]}
-
-
-def run(argv, env):
-    """(wall seconds, peak RSS in MiB) of one child process running argv."""
-    start = time.perf_counter()
-    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit(f"{' '.join(argv)} exited with {os.waitstatus_to_exitcode(status)}")
-    return wall, usage.ru_maxrss / 1024
 
 
 def main():
@@ -56,15 +47,18 @@ def main():
         for n in args.sizes:
             for family, flags in MODELS.items():
                 out = os.path.join(work, f"simulate-{family}-{n}")
-                wall, peak = run(cli + ["simulate", "--family", family, *flags, "--n", str(n),
-                                        "--seed", "1", "--output-dir", out], env)
+                wall, _, peak = run(cli + ["simulate", "--family", family, *flags,
+                                           "--n", str(n), "--seed", "1", "--output-dir", out],
+                                    env)
                 print(f"{'simulate ' + family:<14}{n:>10}{wall:>9.2f}{peak:>11.1f}")
-            table = os.path.join(work, f"simulate-dp-{n}", "simulated_abundance.csv")
-            wall, peak = run(cli + ["validate", "--input", table, "--family", "dp",
-                                    *MODELS["dp"], "--replicates", str(args.replicates),
-                                    "--seed", "1",
-                                    "--output-dir", os.path.join(work, f"validate-dp-{n}")], env)
-            print(f"{'validate dp':<14}{n:>10}{wall:>9.2f}{peak:>11.1f}")
+            for family in ("dp", "ap"):
+                table = os.path.join(work, f"simulate-{family}-{n}", "simulated_abundance.csv")
+                out = os.path.join(work, f"validate-{family}-{n}")
+                wall, _, peak = run(cli + ["validate", "--input", table, "--family", family,
+                                           *MODELS[family], "--replicates",
+                                           str(args.replicates), "--seed", "1",
+                                           "--output-dir", out], env)
+                print(f"{'validate ' + family:<14}{n:>10}{wall:>9.2f}{peak:>11.1f}")
 
 
 if __name__ == "__main__":

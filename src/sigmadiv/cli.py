@@ -197,6 +197,8 @@ def _sg_prior(args, n: Optional[int] = None) -> Tuple[dpinfer.StirlingGammaSpec,
     observed n with location min(5000, n) and a = 1; SG(0.3, 0.1, 100) without n."""
     if args.sg is not None:
         a, b, n_ref = args.sg
+        if not n_ref.is_integer():  # False for nan and inf too
+            raise DomainError(f"--sg NREF must be a whole number, got {n_ref}")
     elif n is None:
         a, b, n_ref = 0.3, 0.1, 100
     else:
@@ -504,6 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's seeds are non-negative
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

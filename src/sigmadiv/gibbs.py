@@ -182,8 +182,8 @@ def _discovery_fn(model: GibbsModel, n_max: int, n0: int = 1, k0: int = 1):
     DM and DP use their closed forms.  For AP, p_new(n, k) = t h_{k-2n}(t) /
     h_{k+1-2n}(t) is entry 2n - k - 1 of the Hermite ratio table.  A step adds
     2 to 2n and at most 1 to k, so the paths read entries from 2 n0 - k0 - 1 up
-    to 2 n_max - 4; the closure holds those as one float64 array.  n may be an
-    integer array, and for AP k too.
+    to 2 n_max - 4; the closure reads them through one view of the table.  n may
+    be an integer array, and for AP k too.
     """
     if isinstance(model, DirichletProcess):
         alpha = model.alpha
@@ -192,26 +192,18 @@ def _discovery_fn(model: GibbsModel, n_max: int, n0: int = 1, k0: int = 1):
         H, s = model.H, abs(model.sigma)
         return lambda n, k: (H - k) * s / (H * s + n) if k < H else 0.0
     lowest = 2 * n0 - k0 - 1
-    ratios = _ap_ratios(model.gamma / math.sqrt(2.0), max(2 * n_max - 3, lowest + 1), lowest)
+    ratios = specfun.hermite_ratios(model.gamma / math.sqrt(2.0), lowest,
+                                    max(2 * n_max - 3, lowest + 1))
     return lambda n, k: ratios[2 * n - k - 1 - lowest]
 
 
 def _p_new(model: GibbsModel, n: int, k: int) -> float:
     """One discovery probability; loops build _discovery_fn once instead.  For AP it
-    reads entry 2n - k - 1 of the Hermite ratio table from its one block."""
+    reads entry 2n - k - 1 of the Hermite ratio table alone."""
     if isinstance(model, AldousPitman):
-        i, B = 2 * n - k - 1, specfun.HERMITE_BLOCK
-        return float(specfun.hermite_ratio_block(model.gamma / math.sqrt(2.0), i // B)[i % B])
+        i = 2 * n - k - 1
+        return float(specfun.hermite_ratios(model.gamma / math.sqrt(2.0), i, i + 1)[0])
     return float(_discovery_fn(model, n + 1)(n, k))
-
-
-def _ap_ratios(t: float, stop: int, start: int = 0) -> np.ndarray:
-    """Entries start .. stop - 1 of the Hermite ratio table at t, from its cached blocks."""
-    B = specfun.HERMITE_BLOCK
-    first, last = start // B, max(stop - 1, start) // B
-    blocks = [specfun.hermite_ratio_block(t, b) for b in range(first, last + 1)]
-    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return table[start - first * B:stop - first * B]
 
 
 def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
@@ -233,7 +225,7 @@ def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
     # top = k + 1 - 2n <= 0; log h_nu - log h_top for nu = top, top - 1, ...
     # are cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t)
     t = model.gamma / math.sqrt(2.0)
-    p = _ap_ratios(t, 2 * n - k - 1 + 2 * m, 2 * n - k - 1)
+    p = specfun.hermite_ratios(t, 2 * n - k - 1, 2 * n - k - 1 + 2 * m)
     drop = np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
     return ((m - j / 2.0) * math.log(2.0) + j * math.log(model.gamma / 2.0)
             + drop[2 * m - j])

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +42,7 @@ __all__ = [
     "log_grid_rule",
     "log_hermite",
     "HERMITE_BLOCK",
-    "hermite_ratio_block",
+    "hermite_ratios",
 ]
 
 # Arguments below _SHIFT climb to z = x + m in [_SHIFT, _SHIFT + 1) by the recurrences
@@ -620,10 +619,10 @@ def normal_quantile(p) -> np.ndarray:
     return out
 
 
-HERMITE_BLOCK = 4096  # orders per block of the Hermite ratio table
-_HERMITE_CACHE_BLOCKS = 512  # LRU bound: 2^21 orders, ~17 MB of float64
+HERMITE_BLOCK = 4096  # entries per block of the Hermite ratio table, each seeded apart
+_HERMITE_CACHE_ORDERS = 1 << 21  # bound on the cached entries over all t: ~17 MB of float64
 
-_hermite_blocks: "OrderedDict[Tuple[float, int], np.ndarray]" = OrderedDict()
+_hermite_tables: Dict[float, Tuple[int, np.ndarray]] = {}  # t -> (first entry, entries)
 _hermite_lock = threading.Lock()
 
 
@@ -658,47 +657,52 @@ def log_hermite(order: float, t: float) -> float:
     return logsumexp(terms, np.ones_like(terms)) - gammaln(-order)
 
 
-def hermite_ratio_block(t: float, block: int) -> np.ndarray:
-    """One block of the Hermite ratio table t h_nu(t) / h_{nu+1}(t), nu < 0.
+def hermite_ratios(t: float, start: int, stop: int) -> np.ndarray:
+    """Entries start .. stop - 1 of the Hermite ratio table t h_nu(t) / h_{nu+1}(t), nu < 0.
 
-    Entry i of block b is the ratio at order nu = -(b B + i + 1), B =
-    HERMITE_BLOCK, so the blocks laid end to end index the table by -nu - 1.
-    For the Aldous-Pitman model with t = gamma / sqrt(2) the ratio at
-    nu = k - 2n is the probability of a new taxon after n draws and k taxa.
+    Entry i is the ratio at order nu = -(i + 1).  For the Aldous-Pitman model with
+    t = gamma / sqrt(2), entry 2n - k - 1 is the probability of a new taxon after n
+    draws and k taxa.
 
     In ratio form the three-term recurrence h_{nu+1} = t h_nu - nu h_{nu-1}
     reads q_nu = t + |nu| / q_{nu-1} with q_nu = h_{nu+1} / h_nu.  Both terms
     are positive, so climbing upward is stable (an error in q_{nu-1} reaches
-    q_nu scaled by 1 - t / q_nu, between 0 and 1).  Each block is seeded at
-    its own bottom order by one quadrature of the ratio and climbed to its
-    top, so a value depends only on (t, order), never on which blocks were
-    built before.  The returned float64 array is shared with the cache, so it
-    is read-only.  Blocks are kept in an LRU of at most _HERMITE_CACHE_BLOCKS.
+    q_nu scaled by 1 - t / q_nu, between 0 and 1).  The table is built in blocks
+    of HERMITE_BLOCK entries, each seeded at its own bottom order by one
+    quadrature of the ratio and climbed to its top, so a value depends only on
+    (t, order), never on which blocks were built before.  Per t the cache holds
+    one float64 array of the contiguous blocks read so far; a read outside them
+    grows it to span both, writing each missing block in place.  The result is a
+    view of that array, so it is read-only.  Past _HERMITE_CACHE_ORDERS cached
+    entries the arrays of other t's are dropped, least recently read first.
     """
-    if t <= 0.0 or block < 0:
-        raise DomainError(f"hermite_ratio_block needs t > 0 and block >= 0, got {t}, {block}")
-    key = (t, block)
-    with _hermite_lock:
-        ratios = _hermite_blocks.get(key)
-        if ratios is not None:
-            _hermite_blocks.move_to_end(key)
-            return ratios
+    if not (0.0 < t < math.inf and 0 <= start < stop):
+        raise DomainError(f"hermite_ratios needs finite t > 0 and 0 <= start < stop, "
+                          f"got {t}, {start}, {stop}")
     B = HERMITE_BLOCK
-    top = block * B + 1  # |nu| of entry 0
-    ratios = [0.0] * B
-    q = math.exp(_log_hermite_ratio(-(top + B - 1), t))
-    ratios[B - 1] = t / q
-    for i in range(B - 2, -1, -1):
-        q = t + (top + i) / q
-        ratios[i] = t / q
-    ratios = np.array(ratios)
-    ratios.flags.writeable = False
     with _hermite_lock:
-        _hermite_blocks[key] = ratios
-        _hermite_blocks.move_to_end(key)
-        while len(_hermite_blocks) > _HERMITE_CACHE_BLOCKS:
-            _hermite_blocks.popitem(last=False)
-    return ratios
+        first, table = _hermite_tables.pop(t, None) or (start - start % B, np.empty(0))
+        end = first + table.size
+        if start < first or stop > end:
+            lo, hi = min(start - start % B, first), max(stop + -stop % B, end)
+            grown = np.empty(hi - lo)
+            grown[first - lo:end - lo] = table
+            for b in [*range(lo, first, B), *range(end, hi, B)]:
+                nu = float(b + B)  # |nu| of entry b + B - 1, the bottom; exact below 2^53
+                q = math.exp(_log_hermite_ratio(-(b + B), t))
+                block = memoryview(grown[b - lo:b - lo + B])  # written in place, no list
+                block[B - 1] = t / q
+                for i in range(B - 2, -1, -1):
+                    nu -= 1.0
+                    q = t + nu / q
+                    block[i] = t / q
+            grown.flags.writeable = False
+            first, table = lo, grown
+            cached = table.size + sum(entries.size for _, entries in _hermite_tables.values())
+            while cached > _HERMITE_CACHE_ORDERS and _hermite_tables:  # t's, popped, stays
+                cached -= _hermite_tables.pop(next(iter(_hermite_tables)))[1].size
+        _hermite_tables[t] = first, table  # last: the most recently read
+    return table[start - first:stop - first]
 
 
 def _log_hermite_ratio(order: int, t: float) -> float:

@@ -381,10 +381,8 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
     """
     if len(spec.levels) != data.levels:
         raise DomainError(f"spec has {len(spec.levels)} levels, data has {data.levels}")
-    n_keep = mcmc.iters - mcmc.burn_in
-    lvl1 = spec.levels[0]
-    post1 = CoarsenedPosterior(prior=lvl1.sg, n=data.n, k=len(data.top), rho=lvl1.rho)
-    level1 = sg_posterior_sample(post1, n_keep, _branch_seed(mcmc.seed, 1, ""))
+    root = BranchSufficientStats("", data.n, len(data.top))  # level 1: one branch
+    level1 = _fit_dp_level(spec.levels[0], [root], mcmc, 1)[""]
 
     branches: List[Dict[str, PosteriorDraws]] = []
     all_stats: List[Dict[str, BranchSufficientStats]] = []

@@ -335,6 +335,15 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", 1, "nan"],
     ["fit", "--input", "{csv}", "--family", "ap", "--gamma-prior", "inf", 1],
     ["validate", "--input", "{csv}", "--family", "dp", "--alpha", 2, "--r-max", 0],
+    ["fit", "--input", "{csv}", "--sg", 1, 0.02, "nan"],
+    ["fit", "--input", "{csv}", "--sg", 1, 0.02, "inf"],
+    ["fit", "--input", "{csv}", "--sg", 1, 0.02, 52.5],
+    ["richness", "--input", "{csv}", "--nhat", 500, "--sg", 1, 0.02, "nan"],
+    ["richness", "--input", "{csv}", "--nhat", 500, "--sg", 1, 0.02, "inf"],
+    ["richness", "--input", "{csv}", "--nhat", 500, "--sg", 1, 0.02, 52.5],
+    ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, "nan"],
+    ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, "inf"],
+    ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, 2.5],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
@@ -342,7 +351,10 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
         "extrapolate-dp-alpha-nan", "extrapolate-ap-gamma-nan", "simulate-dm-sigma-nan",
         "simulate-spec-nan", "taxonomic-hyper-mu-overflow", "taxonomic-hyper-mu-inf",
         "taxonomic-hyper-mu-nan", "fit-ap-gamma-prior-a-nan", "fit-ap-gamma-prior-b-nan",
-        "fit-ap-gamma-prior-a-inf", "validate-r-max-0"])
+        "fit-ap-gamma-prior-a-inf", "validate-r-max-0", "fit-sg-nref-nan", "fit-sg-nref-inf",
+        "fit-sg-nref-fraction", "richness-sg-nref-nan", "richness-sg-nref-inf",
+        "richness-sg-nref-fraction", "taxonomic-sg-nref-nan", "taxonomic-sg-nref-inf",
+        "taxonomic-sg-nref-fraction"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")
@@ -354,6 +366,26 @@ def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     for flag, name in (("--hyper-mu", "hyper_mu"), ("--gamma-prior", "Gamma prior")):
         if flag in argv:  # refused by the prior itself, not by the sampler it feeds
             assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "{csv}", "--draws", 50],
+    ["richness", "--input", "{csv}", "--nhat", 500, "--draws", 50],
+    ["validate", "--input", "{csv}", "--alpha", 2, "--replicates", 2],
+    ["simulate", "--n", 30, "--alpha", 2],
+    ["simulate", "--n", 30, "--levels-spec", "dp:3;dp:2;ap:0.8"],
+    ["extrapolate", "--input", "{csv}", "--family", "ap", "--gamma", 1, "--m", 3],
+    ["extrapolate", "--input", "{csv}", "--family", "dp", "--alpha", 2, "--m", 3],
+    ["taxonomic", "--input", "{tree}", "--mcmc-iters", 40, "--burn-in", 10],
+], ids=["fit", "richness", "validate", "simulate", "simulate-nested", "extrapolate-ap",
+        "extrapolate-dp", "taxonomic"])
+def test_negative_seed_is_domain_error(argv, tiny_csv, tmp_path, capsys):
+    tree = tmp_path / "tree.csv"
+    tree.write_text(TREE, encoding="utf-8")
+    argv = [str(a).format(csv=tiny_csv, tree=tree) for a in argv]
+    assert run(*argv, "--seed", -1, "--output-dir", tmp_path / "x") == cli.EXIT_DOMAIN
+    assert not (tmp_path / "x").exists()
+    assert capsys.readouterr().err.startswith("error: --seed")
 
 
 class TestTaxonomic:

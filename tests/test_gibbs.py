@@ -235,19 +235,19 @@ def assert_partition_law(model, n, draw, reps=20_000):
 class TestDiscoveryFn:
     def test_values_independent_of_horizon(self):
         # built for a long horizon, or for each point's own short one on a cache
-        # that grows block by block, or read from one deep block alone: the same
+        # that grows block by block, or read from deep in the table alone: the same
         # bits at every order
         model = AP(2.0)
         points = [(1, 1), (2, 1), (2048, 1), (2049, 1), (3000, 700), (10_000, 300)]
-        specfun._hermite_blocks.clear()
+        specfun._hermite_tables.clear()
         long_first = gibbs._discovery_fn(model, 10_001)
         want = [long_first(n, k) for n, k in points]
-        specfun._hermite_blocks.clear()
+        specfun._hermite_tables.clear()
         assert [gibbs._discovery_fn(model, n + 1)(n, k) for n, k in points] == want
-        specfun._hermite_blocks.clear()
-        B = specfun.HERMITE_BLOCK
+        specfun._hermite_tables.clear()
+        assert gibbs._p_new(model, 10_000, 300) == want[-1]
         i = 2 * 10_000 - 300 - 1
-        assert specfun.hermite_ratio_block(2.0 / math.sqrt(2.0), i // B)[i % B] == want[-1]
+        assert specfun.hermite_ratios(2.0 / math.sqrt(2.0), i, i + 1)[0] == want[-1]
 
 
 def _flags_draw_by_draw(model, n, k, u):
@@ -305,17 +305,17 @@ class TestPathFlags:
     def test_ap_table_non_increasing(self, t):
         # the premise of the AP bound: p_new(n, k) = entry 2n - k - 1 never falls
         # as k grows, so the entry at k + stride bounds every count up to it
-        table = gibbs._ap_ratios(t, 1 << 18)
+        table = specfun.hermite_ratios(t, 0, 1 << 18)
         assert table.size == 1 << 18
         assert (np.diff(table) <= 0.0).all()
 
     def test_cached_blocks_read_only(self):
-        block = specfun.hermite_ratio_block(1.0, 0)
-        view = gibbs._ap_ratios(1.0, 100, 10)  # inside one block: a view of the cache
+        block = specfun.hermite_ratios(1.0, 0, specfun.HERMITE_BLOCK)
+        view = specfun.hermite_ratios(1.0, 10, 100)  # inside the cached table: a view of it
         for table in (block, view):
             with pytest.raises(ValueError):
                 table[0] = 0.5
-        assert view[0] == block[10]
+        assert view[0] == block[10] and np.shares_memory(view, block)
 
 
 class TestPriorKnPmf:
@@ -559,6 +559,16 @@ class TestMemoryBounds:
 
     def test_dm_urn_million(self, traced_peak):
         self._check_urn(DM(-1.0, 2000), 1_000_000, 6.5, traced_peak)
+
+    # An AP urn reads a view of its Hermite ratio table (8.5 MiB at the Amazon n); with a
+    # copy of the table read from cached blocks it peaked at 11.7 MiB warm and 20.9 cold.
+    def test_ap_urn_amazon_warm(self, amazon_stats, traced_peak):
+        gibbs.urn_sample(AP(6.67), amazon_stats[0], 11)
+        self._check_urn(AP(6.67), amazon_stats[0], 5.0, traced_peak)
+
+    def test_ap_urn_amazon_cold(self, amazon_stats, traced_peak):
+        specfun._hermite_tables.clear()
+        self._check_urn(AP(6.67), amazon_stats[0], 14.0, traced_peak)
 
     @staticmethod
     def _check_urn(model, n, bound, traced_peak):

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -363,11 +366,8 @@ class TestLogHermite:
             specfun.log_hermite(-1.0, 0.0)
 
 
-def _ratio_table(t, n_orders):
-    """t h_nu / h_{nu+1} for nu = -1 .. -n_orders (index -nu - 1)."""
-    B = specfun.HERMITE_BLOCK
-    blocks = [specfun.hermite_ratio_block(t, b) for b in range((n_orders - 1) // B + 1)]
-    return np.concatenate(blocks)[:n_orders]
+def _cached_entries():
+    return sum(entries.size for _, entries in specfun._hermite_tables.values())
 
 
 class TestHermiteRatioTable:
@@ -375,14 +375,14 @@ class TestHermiteRatioTable:
         # log h_nu = sum_{mu=nu}^{-1} log(p_mu / t) from h_0 = 1, against quadrature
         orders = -np.arange(1, 400, dtype=float)
         for t in (0.1, 1.0, 7.0):
-            table = np.cumsum(np.log(_ratio_table(t, 399)) - math.log(t))
+            table = np.cumsum(np.log(specfun.hermite_ratios(t, 0, 399)) - math.log(t))
             scalar = np.array([specfun.log_hermite(v, t) for v in orders])
             assert np.abs(table - scalar).max() < 1e-9
 
     def test_deep_orders(self):
         n_orders = 400_000
         for t in (0.05, 1.41, 10.0):
-            p = _ratio_table(t, n_orders)
+            p = specfun.hermite_ratios(t, 0, n_orders)
             for nu in (-1, -2, -399, -4095, -4096, -4097, -65_537, -200_000, -400_000):
                 want = math.log(t) + (specfun.log_hermite(nu, t)
                                       - (specfun.log_hermite(nu + 1, t) if nu < -1 else 0.0))
@@ -392,22 +392,94 @@ class TestHermiteRatioTable:
             climb = math.fsum(math.log(t) - np.log(p))
             assert specfun.log_hermite(-n_orders, t) + climb == pytest.approx(0.0, abs=3e-9)
 
-    def test_cache_bounded(self):
-        specfun._hermite_blocks.clear()
-        bound = specfun._HERMITE_CACHE_BLOCKS
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_same_bits_in_any_read_order(self, order):
+        # a deep read, a read from 0 and a read in the gap between them, in every
+        # order on a cleared cache: each returns the bits of one read of the whole table
+        t, B = 2.0 / math.sqrt(2.0), specfun.HERMITE_BLOCK
+        reads = [(20 * B + 5, 22 * B + 7), (0, 100), (8 * B - 3, 9 * B + 1)]
+        specfun._hermite_tables.clear()
+        whole = specfun.hermite_ratios(t, 0, 22 * B + 7).copy()
+        specfun._hermite_tables.clear()
+        for i in order:
+            start, stop = reads[i]
+            assert np.array_equal(specfun.hermite_ratios(t, start, stop), whole[start:stop])
+        first, table = specfun._hermite_tables[t]
+        assert first == 0 and table.size == 23 * B  # one array of contiguous blocks
+
+    def test_threads_read_one_table(self, monkeypatch):
+        # more readers than cores, switching often: every read has the bits of one read
+        # of the whole table, and no grown table is lost, so no block is built twice
+        B = specfun.HERMITE_BLOCK
+        reads = [(t, start, start + 2 * B + 1) for t in (0.7, 3.0)
+                 for start in range(0, 10 * B, 3 * B - 7)]
+        specfun._hermite_tables.clear()
+        whole = {t: specfun.hermite_ratios(t, 0, 12 * B).copy() for t in (0.7, 3.0)}
+        specfun._hermite_tables.clear()
+        bad, seeds = [], []
+        seed = specfun._log_hermite_ratio
+        monkeypatch.setattr(specfun, "_log_hermite_ratio",
+                            lambda order, t: seeds.append(order) or seed(order, t))
+
+        def reader(w):
+            for t, start, stop in reads[w:] + reads[:w]:
+                if not np.array_equal(specfun.hermite_ratios(t, start, stop),
+                                      whole[t][start:stop]):
+                    bad.append((t, start))
+
+        threads = [threading.Thread(target=reader, args=(w,)) for w in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and bad == []
+        blocks = -(-max(stop for _, _, stop in reads) // B)
+        assert len(seeds) == 2 * blocks  # each block of each t seeded once
+        for t in (0.7, 3.0):
+            first, table = specfun._hermite_tables[t]
+            assert first == 0 and table.size == blocks * B
+
+    def test_views_read_only(self):
+        t, B = 1.0, specfun.HERMITE_BLOCK
+        whole = specfun.hermite_ratios(t, 0, 3 * B)
+        view = specfun.hermite_ratios(t, 10, 2 * B + 100)  # across block seams
+        for table in (whole, view):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+        assert np.shares_memory(view, whole) and view[0] == whole[10]
+
+    def test_cache_bounded(self, monkeypatch):
+        specfun._hermite_tables.clear()
+        B = specfun.HERMITE_BLOCK
         for i in range(150):
             t = 0.05 + 0.1 * i
-            for b in range(4):
-                specfun.hermite_ratio_block(t, b)
-            assert len(specfun._hermite_blocks) <= bound
-        assert len(specfun._hermite_blocks) == bound  # 600 blocks asked for, the LRU kept the bound
-        assert (t, 3) in specfun._hermite_blocks and (0.05, 0) not in specfun._hermite_blocks
+            specfun.hermite_ratios(t, 0, 4 * B)
+            assert _cached_entries() <= specfun._HERMITE_CACHE_ORDERS
+        # 600 blocks asked for; the cache kept the tables of the most recent t's
+        assert _cached_entries() == specfun._HERMITE_CACHE_ORDERS
+        assert t in specfun._hermite_tables and 0.05 not in specfun._hermite_tables
+        # least recently read goes first: a read within the oldest kept table renews it
+        oldest, next_oldest = list(specfun._hermite_tables)[:2]
+        specfun.hermite_ratios(oldest, 5, 6)
+        specfun.hermite_ratios(99.0, 0, 4 * B)
+        assert oldest in specfun._hermite_tables and next_oldest not in specfun._hermite_tables
+        # a table in use stays, even alone above the bound
+        monkeypatch.setattr(specfun, "_HERMITE_CACHE_ORDERS", 3 * B)
+        table = specfun.hermite_ratios(0.3, 0, 5 * B)
+        assert list(specfun._hermite_tables) == [0.3] and _cached_entries() == 5 * B
+        assert specfun._hermite_tables[0.3][1] is table.base
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.hermite_ratio_block(0.0, 0)
-        with pytest.raises(DomainError):
-            specfun.hermite_ratio_block(1.0, -1)
+        for t, start, stop in [(0.0, 0, 1), (-1.0, 0, 1), (math.nan, 0, 1), (math.inf, 0, 1),
+                               (1.0, -1, 1), (1.0, 5, 5)]:
+            with pytest.raises(DomainError):
+                specfun.hermite_ratios(t, start, stop)
 
 
 class TestCoefficientTables:
