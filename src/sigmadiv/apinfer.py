@@ -55,8 +55,8 @@ class APWeights:
 
 
 def ap_stick_sample(gamma: float, H_trunc: int, rng_seed: int) -> APWeights:
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:  # NaN included
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
     if H_trunc < 1:
         raise DomainError("H_trunc must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -93,8 +93,7 @@ def log_augmented_likelihood(state: APAugmentedState, abundances: Sequence[int])
     if n < 2:
         raise DomainError("the augmented likelihood requires n >= 2")
     abundances = tuple(abundances)
-    if len(abundances) != k or sum(abundances) != n:
-        raise DomainError("abundances inconsistent with (n, k)")
+    gibbs._check_abundances(abundances, n, k)
     u, g = state.u, state.gamma
     core = ((n - k / 2.0 - 0.5) * math.log(2.0)
             - specfun.gammaln(2 * n - k - 1)
@@ -264,6 +263,8 @@ def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
 def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
                  rng_seed: int, rho: float = 1.0) -> PosteriorDraws:
     """Convenience chain runner; returns the gamma draws after burn-in."""
+    if n_draws < 1 or burn_in < 0:
+        raise DomainError(f"need n_draws >= 1 and burn_in >= 0, got {n_draws}, {burn_in}")
     rng = np.random.default_rng(rng_seed)
     m0 = max(rho * (2 * n - k - 2), 1.0)
     state = APAugmentedState(gamma=prior.a / prior.b, u=math.sqrt(m0 / rho),
@@ -291,8 +292,6 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     GammaPrior(a_gamma, b_gamma)  # refuses a or b that is not finite and > 0
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     M = rho * (2 * n - k - 2)
@@ -317,11 +316,8 @@ def ap_predictive_sample(gamma: float, n: int, k: int, abundances: Sequence[int]
     The latent step draws U-tilde from a two-component modified-half-normal
     mixture and then the discovery indicator with odds sqrt(2) gamma u : u^2.
     """
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
+    gibbs._check_abundances(abundances, n, k)
     abundances = np.asarray(abundances, dtype=float)
-    if len(abundances) != k or abundances.sum() != n:
-        raise DomainError("abundances inconsistent with (n, k)")
     t = gamma / _SQRT2
     p_new = gibbs._p_new(gibbs.AldousPitman(gamma), n, k)
     if n == 1:
@@ -339,13 +335,19 @@ def ap_predictive_sample(gamma: float, n: int, k: int, abundances: Sequence[int]
     return int(rng.choice(k, p=w / w.sum()))
 
 
+def _check_gamma_points(gamma) -> np.ndarray:
+    """The points at which a prior density of gamma is read, as floats."""
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all((gamma > 0.0) & (gamma < math.inf)):  # NaN included
+        raise DomainError("gamma must be finite and positive")
+    return gamma
+
+
 def py_prior_density(gamma, theta: float):
     """sigma = 1/2 Pitman-Yor prior density for gamma: gamma^2 ~ Gamma(theta + 1/2, 1/4)."""
-    if theta <= -0.5:
-        raise DomainError("theta must exceed -1/2")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise DomainError("gamma must be positive")
+    if not -0.5 < theta < math.inf:  # NaN included
+        raise DomainError(f"theta must be finite and exceed -1/2, got {theta}")
+    gamma = _check_gamma_points(gamma)
     out = np.exp(-theta * math.log(4.0) - specfun.gammaln(theta + 0.5)
                  + 2.0 * theta * np.log(gamma) - gamma * gamma / 4.0)
     return float(out) if out.ndim == 0 else out
@@ -353,10 +355,8 @@ def py_prior_density(gamma, theta: float):
 
 def ig_prior_density(gamma, beta: float):
     """sigma = 1/2 normalized-inverse-Gaussian prior density for gamma."""
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise DomainError("gamma must be positive")
+    if not 0.0 < beta < math.inf:  # NaN included
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+    gamma = _check_gamma_points(gamma)
     out = np.exp(beta - beta * beta / (gamma * gamma) - gamma * gamma / 4.0) / math.sqrt(math.pi)
     return float(out) if out.ndim == 0 else out

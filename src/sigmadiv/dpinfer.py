@@ -85,8 +85,6 @@ def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
     The draws are exact iid draws by log-grid inverse CDF, so no thinning or
     convergence check applies: thin is 1 and ess equals n_draws.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be >= 1")
     values = log_grid_sample(post.log_kernel, n_draws, np.random.default_rng(rng_seed))
     return PosteriorDraws(name="alpha", values=values, rho=post.rho, seed=rng_seed,
                           ess=float(n_draws))

@@ -12,6 +12,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .errors import DomainError
 from .specfun import _blockwise, _log_grid
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
@@ -57,6 +58,8 @@ def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int
     inverse CDF on the _log_grid of _GRID_NODES.  The CDF is the trapezoid rule, built
     in one array: the terms by _blockwise, then a cumulative sum and a normalisation
     in place."""
+    if n_draws < 1:
+        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
     grid, f = _log_grid(log_kernel, _GRID_NODES)
     f -= f.max()
     np.exp(f, out=f)

@@ -17,9 +17,5 @@ class ParseError(SigmadivError, ValueError):
     """Malformed input file."""
 
 
-class TableSizeError(SigmadivError, ValueError):
-    """An exact pmf longer than the cap was requested."""
-
-
 class SamplerError(SigmadivError, RuntimeError):
     """A rejection loop exceeded its retry budget."""

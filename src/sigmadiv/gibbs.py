@@ -6,9 +6,11 @@ richness H), Dirichlet process (sigma = 0, precision alpha) and Aldous-Pitman
 them through log_V(n, k), the log partition weights.  Every prior expectation
 is exact: closed forms for DP and DM, and for AP one integral over the
 size-biased pick (rarefaction, frequency counts, diversity indices) on the
-log-grid rule of specfun.log_grid_rule.  Monte Carlo is left for AP's
-extrapolation from an observed state and the long-horizon fallback of
-posterior_Km_pmf.
+log-grid rule of specfun.log_grid_rule.  The exact law of the distinct count
+(prior_Kn_pmf at any n, posterior_Km_pmf) is one forward chain over the
+discovery probability p_new(n, k) of _discovery_fn, which the urns read too.
+Monte Carlo is left for AP's extrapolation from an observed state and the
+long-horizon fallback of posterior_Km_pmf.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .datamodel import PartitionData
-from .errors import DomainError, TableSizeError
+from .errors import DomainError
 
 __all__ = [
     "DirichletMultinomial",
@@ -50,9 +52,9 @@ class DirichletMultinomial:
     __slots__ = ("sigma", "H")
 
     def __init__(self, sigma: float, H: int):
-        if not sigma < 0.0:  # NaN included
-            raise DomainError(f"Dirichlet-multinomial needs sigma < 0, got {sigma}")
-        if H < 1:
+        if not -math.inf < sigma < 0.0:  # NaN included
+            raise DomainError(f"Dirichlet-multinomial needs a finite sigma < 0, got {sigma}")
+        if not (H >= 1 and H % 1 == 0):  # NaN and inf included
             raise DomainError(f"H must be a positive integer, got {H}")
         self.sigma = sigma
         self.H = H
@@ -69,8 +71,8 @@ class DirichletProcess:
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        if not alpha > 0.0:  # NaN included
-            raise DomainError(f"Dirichlet process needs alpha > 0, got {alpha}")
+        if not 0.0 < alpha < math.inf:  # NaN included
+            raise DomainError(f"Dirichlet process needs a finite alpha > 0, got {alpha}")
         self.alpha = alpha
 
     def __repr__(self) -> str:
@@ -85,8 +87,8 @@ class AldousPitman:
     __slots__ = ("gamma",)
 
     def __init__(self, gamma: float):
-        if not gamma > 0.0:  # NaN included
-            raise DomainError(f"Aldous-Pitman needs gamma > 0, got {gamma}")
+        if not 0.0 < gamma < math.inf:  # NaN included
+            raise DomainError(f"Aldous-Pitman needs a finite gamma > 0, got {gamma}")
         self.gamma = gamma
 
     def __repr__(self) -> str:
@@ -162,12 +164,19 @@ class PredictiveSplit:
         self.reuse_weights = reuse_weights
 
 
+def _check_abundances(abundances: Sequence[int], n: int, k: int) -> None:
+    """Refuse abundances unless they are k positive integers summing to n."""
+    if len(abundances) != k or sum(abundances) != n:
+        raise DomainError("abundances inconsistent with (n, k)")
+    if not all(a >= 1 and a % 1 == 0 for a in abundances):  # NaN included
+        raise DomainError("abundances must be positive integers")
+
+
 def predictive(model: GibbsModel, n: int, k: int,
                abundances: Sequence[int]) -> PredictiveSplit:
     _check_state(model, n, k)
+    _check_abundances(abundances, n, k)
     abundances = np.asarray(abundances, dtype=float)
-    if len(abundances) != k or abundances.sum() != n:
-        raise DomainError("abundances inconsistent with (n, k)")
     # V_{n,k} = (n - sigma k) V_{n+1,k} + V_{n+1,k+1}, so the reuse scale
     # V_{n+1,k} / V_{n,k} is (1 - p_new) / (n - sigma k)
     p_new = _p_new(model, n, k)
@@ -182,19 +191,19 @@ def _discovery_fn(model: GibbsModel, n_max: int, n0: int = 1, k0: int = 1):
     DM and DP use their closed forms.  For AP, p_new(n, k) = t h_{k-2n}(t) /
     h_{k+1-2n}(t) is entry 2n - k - 1 of the Hermite ratio table.  A step adds
     2 to 2n and at most 1 to k, so the paths read entries from 2 n0 - k0 - 1 up
-    to 2 n_max - 4; the closure reads them through one view of the table.  n may
-    be an integer array, and for AP k too.
+    to 2 n_max - 4; the closure reads them through one view of the table.  n and k
+    may be integer arrays (DP's p_new reads n alone).
     """
     if isinstance(model, DirichletProcess):
         alpha = model.alpha
         return lambda n, k: alpha / (alpha + n)
     if isinstance(model, DirichletMultinomial):
         H, s = model.H, abs(model.sigma)
-        return lambda n, k: (H - k) * s / (H * s + n) if k < H else 0.0
+        return lambda n, k: (H - k) * s / (H * s + n)
     lowest = 2 * n0 - k0 - 1
     ratios = specfun.hermite_ratios(model.gamma / math.sqrt(2.0), lowest,
                                     max(2 * n_max - 3, lowest + 1))
-    return lambda n, k: ratios[2 * n - k - 1 - lowest]
+    return lambda n, k: ratios[2 * n - 1 - lowest - k]
 
 
 def _p_new(model: GibbsModel, n: int, k: int) -> float:
@@ -204,31 +213,6 @@ def _p_new(model: GibbsModel, n: int, k: int) -> float:
         i = 2 * n - k - 1
         return float(specfun.hermite_ratios(model.gamma / math.sqrt(2.0), i, i + 1)[0])
     return float(_discovery_fn(model, n + 1)(n, k))
-
-
-def _log_V_ratio(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
-    """log V_{n+m,k+j} - log V_{n,k} for j = 0..m; -inf where k + j exceeds DM's H."""
-    j = np.arange(m + 1)
-    if isinstance(model, DirichletProcess):
-        a = model.alpha
-        if a > specfun.STIRLING_FROM:  # m log a cancels out of log (a+n)_m; take it out exactly
-            return ((j - m) * math.log(a)
-                    - (m * math.log1p(n / a) + specfun.log_rising_excess(a + n, m)))
-        return j * math.log(a) - specfun.log_rising(a + n, m)
-    if isinstance(model, DirichletMultinomial):
-        s, H = abs(model.sigma), model.H
-        with np.errstate(divide="ignore"):  # log 0 from the (H+1)-th taxon on
-            log_taxa = np.log(np.maximum(H - np.arange(k, k + m), 0.0))
-        return (j * math.log(s) + np.concatenate(([0.0], np.cumsum(log_taxa)))
-                - specfun.log_rising(H * s + n, m))
-    # the Hermite order k + j + 1 - 2(n+m) sits 2m - j below the base order
-    # top = k + 1 - 2n <= 0; log h_nu - log h_top for nu = top, top - 1, ...
-    # are cumulative sums of the ratio table's log h_nu / h_{nu+1} = log(p_nu / t)
-    t = model.gamma / math.sqrt(2.0)
-    p = specfun.hermite_ratios(t, 2 * n - k - 1, 2 * n - k - 1 + 2 * m)
-    drop = np.concatenate([[0.0], np.cumsum(np.log(p) - math.log(t))])
-    return ((m - j / 2.0) * math.log(2.0) + j * math.log(model.gamma / 2.0)
-            + drop[2 * m - j])
 
 
 # Urn draws are processed in blocks of this many, so the temporaries of one
@@ -393,21 +377,40 @@ def urn_sample(model: GibbsModel, n_steps: int,
     return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
 
 
-DEFAULT_TABLE_CAP = 10_000
+def _k_law(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
+    """P(K_{n+m} - k = j | K_n = k) for j = 0..m, rolled forward from K_n = k: the draw
+    after n + i observations moves mass pmf[j] p_new(n + i, k + j) from j to j + 1
+    (Gnedin & Pitman 2006).  Each step is a convex combination, so the law stays
+    normalised; only the band pmf[lo:hi] is stepped, and an end entry that falls
+    below 1e-300 is set to 0 and leaves it."""
+    p_new = _discovery_fn(model, n + m, n, k)
+    counts = np.arange(k, k + m + 1)
+    pmf = np.zeros(m + 1)
+    pmf[0] = 1.0
+    lo, hi = 0, 1
+    for i in range(m):
+        p = p_new(n + i, counts[lo:hi])
+        moved = pmf[lo:hi] * p
+        pmf[lo:hi] *= 1.0 - p
+        pmf[lo + 1:hi + 1] += moved
+        hi += 1
+        while pmf[lo] < 1e-300:
+            pmf[lo] = 0.0
+            lo += 1
+        while pmf[hi - 1] < 1e-300:
+            hi -= 1
+            pmf[hi] = 0.0
+    return pmf
 
 
-def prior_Kn_pmf(model: GibbsModel, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
-    """P(K_n = k) for k = 1..n: the law of the new taxa among n - 1 draws after K_1 = 1.
-
-    V_{1,1} = 1, so this is posterior_Km_pmf(model, 1, 1, n - 1).
-    """
+def prior_Kn_pmf(model: GibbsModel, n: int) -> np.ndarray:
+    """P(K_n = k) for k = 1..n: the law of the new taxa among n - 1 draws after K_1 = 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > table_cap:
-        raise TableSizeError(f"n={n} exceeds table cap {table_cap}")
-    if n == 1:
-        return np.array([1.0])
-    return posterior_Km_pmf(model, 1, 1, n - 1, table_cap)
+    return _k_law(model, 1, 1, n - 1)
+
+
+DEFAULT_TABLE_CAP = 10_000
 
 
 def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
@@ -415,10 +418,10 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
                      mc_replicates: int = 20_000, rng_seed: int = 0) -> np.ndarray:
     """P(K^{(n)}_m = j | K_n = k) for j = 0..m, the law of newly discovered taxa.
 
-    For m up to table_cap it is exact: V_{n+m,k+j} / V_{n,k} times row m of the
-    non-central coefficients at shift n - sigma k.  A longer horizon is a Monte
-    Carlo histogram of mc_replicates paths of K from K_n = k, seeded by
-    rng_seed.  A state that no path reaches (k > H for DM) is a domain error.
+    For m up to table_cap it is exact, the forward chain of _k_law.  A longer
+    horizon is a Monte Carlo histogram of mc_replicates paths of K from K_n = k,
+    seeded by rng_seed.  A state that no path reaches (k > H for DM) is a domain
+    error.
     """
     _check_state(model, n, k)
     if m < 1:
@@ -433,9 +436,7 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
         for _ in range(mc_replicates):
             pmf[np.count_nonzero(_path_flags(model, n, k, rng.random(m), p_new))] += 1.0
         return pmf / pmf.sum()
-    sigma = model.discount
-    row = specfun.CoefficientTable(sigma, n - sigma * k).log_row(m)
-    return np.exp(_log_V_ratio(model, n, k, m) + row)
+    return _k_law(model, n, k, m)
 
 
 class Curve:

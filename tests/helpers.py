@@ -1,6 +1,7 @@
 """Test-side oracles, kept independent of the library code paths they check."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -93,6 +94,22 @@ def noncentral_by_convolution(sigma: Fraction, shift: Fraction, m: int, j: int):
     for ell in range(j, m + 1):
         total += comb(m, ell) * central[ell][j] * rising(shift, m - ell)
     return total
+
+
+def k_law_40_digits(p_new, n: int, k: int, m: int) -> np.ndarray:
+    """P(K_{n+m} - k = j | K_n = k), j = 0..m, by the forward chain in 40-digit decimal
+    arithmetic on the float discovery probabilities p_new(n + i, k + j): each float
+    enters exactly, every step is rounded to 40 digits, and no entry is dropped."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pmf = [Decimal(1)]
+        for i in range(m):
+            p = np.broadcast_to(p_new(n + i, np.arange(k, k + i + 1)), (i + 1,))
+            moved = [mass * Decimal(float(q)) for mass, q in zip(pmf, p)]
+            pmf = [mass - out for mass, out in zip(pmf, moved)] + [Decimal(0)]
+            for j, out in enumerate(moved):
+                pmf[j + 1] += out
+        return np.array([float(mass) for mass in pmf])
 
 
 def perm_average_rarefaction(abundances, i):

@@ -67,8 +67,9 @@ class TestStickConstruction:
         assert abs(sims.mean() - want) < 3 * sims.std() / math.sqrt(len(sims))
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            apinfer.ap_stick_sample(0.0, 10, 0)
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                apinfer.ap_stick_sample(gamma, 10, 0)
         with pytest.raises(DomainError):
             apinfer.ap_stick_sample(1.0, 0, 0)
 
@@ -121,6 +122,12 @@ class TestAugmentedLikelihood:
         state = apinfer.APAugmentedState(gamma=1.0, u=1.0, n=1, k=1)
         with pytest.raises(DomainError):
             apinfer.log_augmented_likelihood(state, (1,))
+
+    @pytest.mark.parametrize("abundances", [(2.5, 0.5), (3, 0), (4, -1)])
+    def test_abundances_must_be_positive_integers(self, abundances):
+        state = apinfer.APAugmentedState(gamma=1.0, u=2.0, n=3, k=2)
+        with pytest.raises(DomainError, match="positive integers"):
+            apinfer.log_augmented_likelihood(state, abundances)
 
 
 class TestModifiedHalfNormal:
@@ -199,6 +206,11 @@ class TestGibbsSweep:
         vals = np.array([apinfer.sample_modified_half_normal(rng, m, p, q)
                          for _ in range(50_000)])
         assert abs(vals.mean() - want) < 3 * vals.std() / math.sqrt(len(vals))
+
+    @pytest.mark.parametrize("n_draws, burn_in", [(0, 5), (-1, 5), (5, -3)])
+    def test_refuses_draws_and_burn_in_out_of_range(self, n_draws, burn_in):
+        with pytest.raises(DomainError):
+            apinfer.run_ap_gibbs(20, 8, apinfer.GammaPrior(2.0, 1.0), n_draws, burn_in, 1)
 
     def test_stationary_distribution_matches_grid(self):
         n, k, a, b = 20, 8, 2.0, 1.0
@@ -331,6 +343,17 @@ class TestPredictiveSampler:
         outs = {apinfer.ap_predictive_sample(2.0, 1, 1, (1,), rng) for _ in range(200)}
         assert outs <= {None, 0}
 
+    @pytest.mark.parametrize("abundances", [[3, 0], [4, -1], [2.5, 0.5]])
+    def test_abundances_must_be_positive_integers(self, abundances):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="positive integers"):
+            apinfer.ap_predictive_sample(1.0, 3, 2, abundances, rng)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(DomainError, match="Aldous-Pitman"):
+            apinfer.ap_predictive_sample(gamma, 3, 2, [2, 1], np.random.default_rng(0))
+
 
 class TestPriorDensities:
     def test_py_normalizes(self):
@@ -369,6 +392,14 @@ class TestPriorDensities:
     def test_domains(self):
         with pytest.raises(DomainError):
             apinfer.py_prior_density(1.0, -0.6)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                apinfer.py_prior_density(1.0, bad)
+            with pytest.raises(DomainError):
+                apinfer.ig_prior_density(1.0, bad)
+            for density in (apinfer.py_prior_density, apinfer.ig_prior_density):
+                with pytest.raises(DomainError):
+                    density(np.array([1.0, bad]), 1.0)
         with pytest.raises(DomainError):
             apinfer.ig_prior_density(-1.0, 1.0)
         with pytest.raises(DomainError):

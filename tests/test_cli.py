@@ -344,6 +344,11 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, "nan"],
     ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, "inf"],
     ["taxonomic", "--input", "{tree}", "--sg", 0.3, 0.1, 2.5],
+    ["extrapolate", "--family", "dp", "--alpha", "inf", "--n", 10, "--k", 3, "--m", 3],
+    ["simulate", "--family", "dp", "--alpha", "inf", "--n", 5],
+    ["simulate", "--family", "ap", "--gamma", "inf", "--n", 5],
+    ["simulate", "--levels-spec", "dp:inf;dp:2", "--n", 20],
+    ["simulate", "--levels-spec", "dp:2;dm:5:-inf", "--n", 20],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
@@ -354,7 +359,8 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
         "fit-ap-gamma-prior-a-inf", "validate-r-max-0", "fit-sg-nref-nan", "fit-sg-nref-inf",
         "fit-sg-nref-fraction", "richness-sg-nref-nan", "richness-sg-nref-inf",
         "richness-sg-nref-fraction", "taxonomic-sg-nref-nan", "taxonomic-sg-nref-inf",
-        "taxonomic-sg-nref-fraction"])
+        "taxonomic-sg-nref-fraction", "extrapolate-dp-alpha-inf", "simulate-dp-alpha-inf",
+        "simulate-ap-gamma-inf", "simulate-spec-dp-inf", "simulate-spec-dm-sigma-inf"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")

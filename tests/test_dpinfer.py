@@ -116,6 +116,14 @@ class TestImproper:
         with pytest.raises(DomainError):
             dpinfer.sg_posterior_sample(post, 100, rng_seed=0)
 
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_fewer_than_one_draw(self, n_draws):
+        prior = SG(2.0, 0.5, 50)
+        with pytest.raises(DomainError, match="n_draws"):
+            dpinfer.sg_prior_sample(prior, n_draws, rng_seed=0)
+        with pytest.raises(DomainError, match="n_draws"):
+            dpinfer.sg_posterior_sample(CP(prior=prior, n=50, k=10, rho=1.0), n_draws, 0)
+
     @pytest.mark.parametrize("a,b", [(1.0, 1.0 / 50), (0.5, 0.5)])
     def test_prior_raises(self, a, b):
         with pytest.raises(DomainError):

@@ -12,10 +12,11 @@ from scipy.stats import chi2
 
 from sigmadiv import dpinfer, gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
-from sigmadiv.errors import DomainError, TableSizeError
+from sigmadiv.errors import DomainError
 
-from helpers import (dm_freq_counts_beta_binomial, dp_log_eppf, log_coeff_row,
-                     scaled_coeff_table_exact, set_partitions, stirling1_by_cycles)
+from helpers import (dm_freq_counts_beta_binomial, dp_log_eppf, k_law_40_digits,
+                     log_coeff_row, scaled_coeff_table_exact, set_partitions,
+                     stirling1_by_cycles)
 
 DM = gibbs.DirichletMultinomial
 DP = gibbs.DirichletProcess
@@ -67,6 +68,15 @@ class TestLogV:
         # NaN fails every comparison, so the checks read "not alpha > 0", not "alpha <= 0"
         with pytest.raises(DomainError, match="nan"):
             make(float("nan"))
+
+    @pytest.mark.parametrize("make", [lambda: DP(math.inf), lambda: AP(math.inf),
+                                      lambda: DM(-math.inf, 5), lambda: DM(-1.0, math.nan),
+                                      lambda: DM(-1.0, math.inf), lambda: DM(-1.0, 5.5)],
+                             ids=["dp-alpha-inf", "ap-gamma-inf", "dm-sigma-inf", "dm-H-nan",
+                                  "dm-H-inf", "dm-H-fractional"])
+    def test_non_finite_or_fractional_refused(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestEppf:
@@ -129,6 +139,12 @@ class TestPredictive:
     def test_inconsistent_abundances(self):
         with pytest.raises(DomainError):
             gibbs.predictive(DP(1.0), 5, 2, [2, 1])
+
+    @pytest.mark.parametrize("abundances", [[3, 0], [4, -1], [2.5, 0.5]])
+    def test_abundances_must_be_positive_integers(self, abundances):
+        # each has k = 2 entries summing to n = 3
+        with pytest.raises(DomainError, match="positive integers"):
+            gibbs.predictive(DM(-1.0, 5), 3, 2, abundances)
 
     def test_dm_k_above_H(self):
         with pytest.raises(DomainError, match="k exceeds H"):
@@ -369,9 +385,15 @@ class TestPriorKnPmf:
         assert np.abs(got[live] / want[live] - 1).max() < 1e-9
         assert got[~live].max() < 1e-240
 
-    def test_cap(self):
-        with pytest.raises(TableSizeError):
-            gibbs.prior_Kn_pmf(DP(1.0), 50, table_cap=10)
+    @pytest.mark.parametrize("model", [AP(2.0), DP(5.0), DM(-1.0, 300)])
+    def test_large_n_mean_matches_rarefaction(self, model):
+        # the mean against the rarefaction's closed form (DP, DM) or pick integral (AP)
+        n = 20_000
+        pmf = gibbs.prior_Kn_pmf(model, n)
+        assert pmf.size == n
+        assert abs(pmf.sum() - 1.0) < 1e-13
+        mean = np.arange(1, n + 1) @ pmf
+        assert mean == pytest.approx(gibbs.rarefaction(model, n).values[-1], rel=1e-12)
 
 
 class TestPosteriorKmPmf:
@@ -414,6 +436,25 @@ class TestPosteriorKmPmf:
         live = want > 1e-250
         assert np.abs(got[live] / want[live] - 1).max() < 1e-9
         assert got[~live].max() < 1e-240
+
+    @pytest.mark.parametrize("model, n, k, m", [(DP(2.0), 200, 30, 400),
+                                                (AP(2.0), 1_000, 60, 300)])
+    def test_matches_40_digit_chain(self, model, n, k, m):
+        # the same float discovery probabilities, rolled forward in 40 digits
+        want = k_law_40_digits(gibbs._discovery_fn(model, n + m, n, k), n, k, m)
+        got = gibbs.posterior_Km_pmf(model, n, k, m)
+        live = want > 1e-250
+        assert np.abs(got[live] / want[live] - 1).max() < 1e-14
+        assert got[~live].max() < 1e-240
+
+    @pytest.mark.parametrize("model", [AP(2.0), DP(2.0), DM(-1.0, 500)])
+    def test_normalized_long_horizon(self, model):
+        assert abs(gibbs.posterior_Km_pmf(model, 2_000, 90, 4_000).sum() - 1.0) < 1e-13
+
+    def test_dm_at_H(self):
+        # with all H taxa seen no draw discovers
+        pmf = gibbs.posterior_Km_pmf(DM(-1.0, 5), 10, 5, 4)
+        assert pmf.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_dm_k_above_H(self):
         # no path of K reaches k > H; both the exact and the Monte Carlo branch refuse it
