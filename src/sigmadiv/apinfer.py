@@ -74,8 +74,8 @@ class APAugmentedState:
     __slots__ = ("gamma", "u", "n", "k", "rho")
 
     def __init__(self, gamma: float, u: float, n: int, k: int, rho: float = 1.0):
-        if gamma <= 0.0 or u <= 0.0:
-            raise DomainError("gamma and u must be positive")
+        if not (0.0 < gamma < math.inf and 0.0 < u < math.inf):  # NaN included
+            raise DomainError(f"gamma and u must be finite and positive, got {gamma}, {u}")
         if not 1 <= k <= n:
             raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
         if not 0.0 < rho <= 1.0:
@@ -136,8 +136,8 @@ def sample_modified_half_normal(rng: np.random.Generator, m, p, q):
     """
     if np.ndim(m) or np.ndim(p) or np.ndim(q):
         return _sample_mhn_lanes(rng, m, p, q)
-    if not (m >= 0.0 and p > 0.0):
-        raise DomainError(f"need m >= 0 and p > 0, got m={m}, p={p}")
+    if not (0.0 <= m < math.inf and 0.0 < p < math.inf and -math.inf < q < math.inf):
+        raise DomainError(f"need finite m >= 0, p > 0 and q, got m={m}, p={p}, q={q}")
     if m == 0.0:
         return _sample_trunc_normal(rng, -q / (2.0 * p), 1.0 / math.sqrt(2.0 * p))
     x_star = (-q + math.sqrt(q * q + 8.0 * p * m)) / (4.0 * p)
@@ -171,8 +171,9 @@ def _sample_mhn_lanes(rng: np.random.Generator, m, p, q) -> np.ndarray:
     """
     zero = np.zeros(np.broadcast(m, p, q).shape)
     m, p, q = ((a + zero).ravel() for a in (m, p, q))
-    if not ((m >= 0.0).all() and (p > 0.0).all() and np.isfinite(q).all()):
-        raise DomainError("need m >= 0, p > 0 and a finite q in every lane")
+    # one pass: the sum is not finite where any of m, p and q is not
+    if not ((m >= 0.0) & (p > 0.0) & np.isfinite(m + p + q)).all():
+        raise DomainError("need finite m >= 0, p > 0 and q in every lane")
     x_star = (np.sqrt(q * q + 8.0 * p * m) - q) / (4.0 * p)
     gauss = q <= 0.0
     tail = ~gauss & (m == 0.0)
@@ -265,6 +266,8 @@ def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
     """Convenience chain runner; returns the gamma draws after burn-in."""
     if n_draws < 1 or burn_in < 0:
         raise DomainError(f"need n_draws >= 1 and burn_in >= 0, got {n_draws}, {burn_in}")
+    if not n < math.inf:  # NaN included
+        raise DomainError(f"n must be finite, got {n}")
     rng = np.random.default_rng(rng_seed)
     m0 = max(rho * (2 * n - k - 2), 1.0)
     state = APAugmentedState(gamma=prior.a / prior.b, u=math.sqrt(m0 / rho),
@@ -285,7 +288,7 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     u^M e^{-rho u^2/2} (b + rho u / sqrt(2))^(-c), M = rho (2n - k - 2) and
     c = a + rho (k - 1).  It is log-concave in x = log u (with beta = rho / sqrt(2),
     the second derivative is -2 rho u^2 - c b beta u / (b + beta u)^2 < 0), so
-    draws.log_grid_sample inverts it; gamma | U is Gamma(c, b + rho U / sqrt(2)).
+    draws.log_grid_sample draws it; gamma | U is Gamma(c, b + rho U / sqrt(2)).
     """
     if n < 2:
         raise DomainError("iid two-step sampling requires n >= 2")

@@ -283,18 +283,17 @@ def cmd_validate(args) -> int:
     sizes = _grid_sizes(n, args.grid_points)
     if args.r_max < 1:
         raise DomainError(f"--r-max must be >= 1, got {args.r_max}")
-    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
-
     classical = estimators.classical_rarefaction(data, sizes)
     curve = gibbs.rarefaction(model, n, sizes=sizes)
+    r = np.arange(1, min(args.r_max, n) + 1)
+    expected = gibbs.expected_freq_counts(model, n, r.size)
+    outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
     _write_table(outdir, "rarefaction",
                  {"size": curve.sizes, "classical": classical, "model": curve.values},
                  args.format, config)
-
-    r = np.arange(1, min(args.r_max, n) + 1)
     _write_table(outdir, "freq_counts", {
         "r": r, "observed": [data.freq_counts.get(i, 0) for i in r.tolist()],
-        "expected": gibbs.expected_freq_counts(model, n, r.size)}, args.format, config)
+        "expected": expected}, args.format, config)
 
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7ad)))
     acc = np.zeros((2, k))  # sums of the ranked sizes and of their squares
@@ -489,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="taxonomy CSV path")
     priors(p, rho=0.25)
     p.add_argument("--threads", type=int, default=1,
-                   help="threads that fit the Dirichlet-process branches")
+                   help="checked (>= 1) but without effect: the fit runs on one thread")
     p.add_argument("--mcmc-iters", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1_000)
     p.add_argument("--levels", type=int, default=3)

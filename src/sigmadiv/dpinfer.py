@@ -82,7 +82,7 @@ def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
                         rng_seed: int) -> PosteriorDraws:
     """Draw the coarsened Stirling-gamma posterior of alpha.
 
-    The draws are exact iid draws by log-grid inverse CDF, so no thinning or
+    The draws are exact iid draws by log-grid rejection, so no thinning or
     convergence check applies: thin is 1 and ess equals n_draws.
     """
     values = log_grid_sample(post.log_kernel, n_draws, np.random.default_rng(rng_seed))

@@ -55,8 +55,8 @@ def _solve_increasing(f, fprime, method: str) -> AlphaEstimate:
 
 
 def _check_estimable(n: int, k: int) -> None:
-    if k > n or k < 1 or n < 1:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if not 1 <= k <= n < math.inf:  # NaN included
+        raise DomainError(f"need 1 <= k <= n < inf, got n={n}, k={k}")
     if k == n:
         raise NoFiniteSolutionError(
             f"k = n = {n}: every observation distinct, the estimating equation "

@@ -103,8 +103,8 @@ GibbsModel = Union[DirichletMultinomial, DirichletProcess, AldousPitman]
 
 
 def _check_nk(n: int, k: int) -> None:
-    if not (1 <= k <= n):
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if not 1 <= k <= n < math.inf:  # NaN included
+        raise DomainError(f"need 1 <= k <= n < inf, got n={n}, k={k}")
 
 
 def _check_state(model: GibbsModel, n: int, k: int) -> None:

@@ -4,15 +4,16 @@ Everything here returns plain floats (natural logs) or sign/log pairs, so
 that partition statistics remain finite for sample sizes in the 1e5-1e6
 range where raw factorial-type magnitudes overflow immediately.
 
-A long elementwise evaluation (discovery_mean here, the log-grid sampler in
-draws) runs through _blockwise in blocks of _BLOCK entries into one
-preallocated output, so its temporaries stay O(_BLOCK) at any length; every
-operation is elementwise, so the floats do not depend on the block size.
+A long elementwise evaluation (discovery_mean and the fill of a _log_grid here,
+the Poisson quantiles of dpinfer) runs through _blockwise in blocks of _BLOCK
+entries into one preallocated output, so its temporaries stay O(_BLOCK) at any
+length; every operation is elementwise, so the floats do not depend on the
+block size.
 
 Every 1-D integral of a log-concave kernel (the Hermite functions and their ratio
 seeds here, the AP pick integrals in gibbs) is one trapezoid rule, log_grid_rule,
-in x = log v on the bracket of _log_grid, which the log-grid sampler in draws
-shares.  This module imports no other sigmadiv module but errors.
+in x = log v on the grid of _log_grid; the log-grid sampler in draws draws from
+that grid's envelope.  This module imports no other sigmadiv module but errors.
 """
 
 from __future__ import annotations
@@ -220,6 +221,18 @@ _TAIL_DROP = 60.0  # bracket ends sit this far below the log-density peak
 _X_LIMIT = 700.0  # |log v| beyond which exp over- or underflows
 
 
+def _log_density(log_kernel: Callable[[np.ndarray], np.ndarray]
+                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> log_kernel(e^x) + x, the log density of x = log v, with -inf where that
+    is not finite."""
+    def logf(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = log_kernel(np.exp(x)) + x  # Jacobian of v = e^x
+        return np.where(np.isfinite(val), val, -np.inf)
+
+    return logf
+
+
 def _log_grid(log_kernel: Callable[[np.ndarray], np.ndarray],
               nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     """A grid of `nodes` points in x = log v and, on it, the log density of x,
@@ -232,11 +245,7 @@ def _log_grid(log_kernel: Callable[[np.ndarray], np.ndarray],
     first means the density is not integrable (an SG endpoint a/b = 1 or
     a/b = n_ref, k = n) or too heavy-tailed for float range: DomainError.
     """
-    def logf(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = log_kernel(np.exp(x)) + x  # Jacobian of v = e^x
-        return np.where(np.isfinite(val), val, -np.inf)
-
+    logf = _log_density(log_kernel)
     coarse = np.linspace(math.log(1e-8), math.log(1e12), _COARSE_NODES)
     fc = logf(coarse)
     i = int(np.argmax(fc))

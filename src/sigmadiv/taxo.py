@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -230,6 +229,9 @@ class TaxonomicModelSpec:
 
 
 class MCMCSettings:
+    """Chain length, burn-in and seed of a taxonomic fit.  threads is checked and kept
+    but changes nothing: every branch is fit on the calling thread."""
+
     __slots__ = ("iters", "burn_in", "seed", "threads")
 
     def __init__(self, iters: int = 10_000, burn_in: int = 1_000, seed: int = 0,
@@ -270,35 +272,12 @@ def _branch_seed(seed: int, level: int, label: str) -> int:
 
 def _fit_dp_level(prior: DPLevelPrior, stats: List[BranchSufficientStats],
                   mcmc: MCMCSettings, level: int) -> Dict[str, PosteriorDraws]:
-    """Every branch's coarsened SG posterior, seeded by its label.  Worker w of
-    min(mcmc.threads, branches) fits branches w, w + workers, ... into their
-    slots; the calling thread is worker 0 and the others are plain threads, so
-    the draws do not depend on the thread count.  A worker's error is raised
-    here once every worker has stopped."""
+    """Every branch's coarsened SG posterior, seeded by its label, one after another."""
     n_keep = mcmc.iters - mcmc.burn_in
-    draws: List[Optional[PosteriorDraws]] = [None] * len(stats)
-    errors: List[Exception] = []
-    workers = max(min(mcmc.threads, len(stats)), 1)
-
-    def work(w: int) -> None:
-        try:
-            for i in range(w, len(stats), workers):
-                s = stats[i]
-                post = CoarsenedPosterior(prior=prior.sg, n=s.n, k=s.k, rho=prior.rho)
-                draws[i] = sg_posterior_sample(post, n_keep,
-                                               _branch_seed(mcmc.seed, level, s.label))
-        except Exception as exc:  # noqa: BLE001 - re-raised by the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return {s.label: d for s, d in zip(stats, draws)}
+    return {s.label: sg_posterior_sample(
+                CoarsenedPosterior(prior=prior.sg, n=s.n, k=s.k, rho=prior.rho), n_keep,
+                _branch_seed(mcmc.seed, level, s.label))
+            for s in stats}
 
 
 def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
@@ -375,9 +354,9 @@ def fit_taxonomic(spec: TaxonomicModelSpec, data: TaxonomicDataset,
     """Posterior sampling for every observed branch diversity.
 
     Dirichlet-process branches are mutually independent coarsened SG
-    posteriors (fit on mcmc.threads threads, one deterministic seed per branch
-    label); each Aldous-Pitman level runs the blocked data-augmented
-    Gibbs sampler with the Metropolis hyperparameter step.
+    posteriors (one deterministic seed per branch label); each Aldous-Pitman
+    level runs the blocked data-augmented Gibbs sampler with the Metropolis
+    hyperparameter step.
     """
     if len(spec.levels) != data.levels:
         raise DomainError(f"spec has {len(spec.levels)} levels, data has {data.levels}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestAugmentedLikelihood:
         assert apinfer.log_augmented_likelihood(quarter, ab) == pytest.approx(
             0.25 * apinfer.log_augmented_likelihood(base, ab), rel=1e-12)
 
+    @pytest.mark.parametrize("gamma, u", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                          (1.0, math.inf)])
+    def test_non_finite_state_is_refused(self, gamma, u):
+        # the likelihood of such a state was NaN
+        with pytest.raises(DomainError, match="finite"):
+            apinfer.log_augmented_likelihood(apinfer.APAugmentedState(gamma, u, 3, 2), [2, 1])
+
     def test_requires_two_observations(self):
         state = apinfer.APAugmentedState(gamma=1.0, u=1.0, n=1, k=1)
         with pytest.raises(DomainError):
@@ -182,6 +190,18 @@ class TestModifiedHalfNormal:
             with pytest.raises(DomainError):
                 apinfer.sample_modified_half_normal(rng, np.array([2.0, m]), p, q)
 
+    @pytest.mark.parametrize("m, p, q", [(3.0, 0.5, math.nan), (3.0, math.inf, 0.5),
+                                         (math.inf, 0.5, 0.5), (3.0, 0.5, -math.inf)])
+    def test_non_finite_input_is_refused_up_front(self, m, p, q):
+        # not SamplerError after the rejection loop's 10,000 proposals, nor a numpy warning
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="finite"):
+            apinfer.sample_modified_half_normal(rng, m, p, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                apinfer.sample_modified_half_normal(rng, np.array([2.0, m]), p, q)
+
 
 class TestGibbsSweep:
     def test_gamma_conditional_mean(self):
@@ -211,6 +231,11 @@ class TestGibbsSweep:
     def test_refuses_draws_and_burn_in_out_of_range(self, n_draws, burn_in):
         with pytest.raises(DomainError):
             apinfer.run_ap_gibbs(20, 8, apinfer.GammaPrior(2.0, 1.0), n_draws, burn_in, 1)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_refuses_non_finite_n(self, n):
+        with pytest.raises(DomainError, match="finite"):
+            apinfer.run_ap_gibbs(n, 3, apinfer.GammaPrior(1.0, 1.0), 5, 0, 1)
 
     def test_stationary_distribution_matches_grid(self):
         n, k, a, b = 20, 8, 2.0, 1.0

@@ -108,8 +108,8 @@ class TestImport:
     def test_no_command_loads_scipy(self, tiny_csv, tmp_path):
         # one cold interpreter runs every subcommand on tiny inputs: none loads
         # scipy or numpy.polynomial, no np.quantile or np.unique pulls in
-        # numpy.ma, and the threaded taxonomic fit runs on plain threads, without
-        # concurrent.futures, and no module builds classes through dataclasses
+        # numpy.ma, no module builds classes through dataclasses, and the taxonomic
+        # fit at --threads 2 fits every branch on the one thread of the process
         tree = tmp_path / "tree.csv"
         tree.write_text(TREE, encoding="utf-8")
         runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
@@ -131,23 +131,29 @@ class TestImport:
         argvs = [[str(a) for a in argv] + ["--seed", "1", "--output-dir",
                                            str(tmp_path / f"out{i}")]
                  for i, argv in enumerate(runs)]
-        code = ("import json, os, sys\n"
+        code = ("import json, os, sys, threading\n"
                 "env = dict(os.environ)\n"
-                "import sigmadiv.cli\n"
+                "import sigmadiv.cli, sigmadiv.taxo as taxo\n"
+                "fit_branch, active = taxo.sg_posterior_sample, set()\n"
+                "def counted(*args):\n"
+                "    active.add(threading.active_count())\n"
+                "    return fit_branch(*args)\n"
+                "taxo.sg_posterior_sample = counted\n"
                 "codes = [sigmadiv.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
                 "loaded = sorted(m for m in sys.modules\n"
                 "                if (m + '.').startswith(('scipy.', 'numpy.polynomial.',\n"
                 "                                         'numpy.ma.', 'concurrent.',\n"
                 "                                         'dataclasses.')))\n"
-                "print(json.dumps([codes, loaded, dict(os.environ) == env]))")
+                "print(json.dumps([codes, loaded, dict(os.environ) == env, sorted(active)]))")
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], check=True,
                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                              text=True).stdout
-        codes, loaded, env_kept = json.loads(out.strip().splitlines()[-1])
+        codes, loaded, env_kept, active = json.loads(out.strip().splitlines()[-1])
         assert codes == [0] * len(runs)
         assert loaded == []
         assert env_kept
+        assert active == [1]
 
     @staticmethod
     def _cold(code, **env):
@@ -349,6 +355,7 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["simulate", "--family", "ap", "--gamma", "inf", "--n", 5],
     ["simulate", "--levels-spec", "dp:inf;dp:2", "--n", 20],
     ["simulate", "--levels-spec", "dp:2;dm:5:-inf", "--n", 20],
+    ["validate", "--input", "{csv}", "--family", "ap", "--gamma", 1e200],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
@@ -360,7 +367,8 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
         "fit-sg-nref-fraction", "richness-sg-nref-nan", "richness-sg-nref-inf",
         "richness-sg-nref-fraction", "taxonomic-sg-nref-nan", "taxonomic-sg-nref-inf",
         "taxonomic-sg-nref-fraction", "extrapolate-dp-alpha-inf", "simulate-dp-alpha-inf",
-        "simulate-ap-gamma-inf", "simulate-spec-dp-inf", "simulate-spec-dm-sigma-inf"])
+        "simulate-ap-gamma-inf", "simulate-spec-dp-inf", "simulate-spec-dm-sigma-inf",
+        "validate-ap-gamma-huge"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")

@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaincinv, gammaln
 
-from sigmadiv import specfun
+from sigmadiv import draws, specfun
 from sigmadiv.dpinfer import CoarsenedPosterior, StirlingGammaSpec
 from sigmadiv.draws import log_grid_sample, quantiles
+from sigmadiv.errors import DomainError
 from sigmadiv.specfun import log_grid_rule
 
 LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
-
-
-class FixedUniforms:
-    """Stands in for a Generator: random(n) returns the fixed levels."""
-
-    def random(self, n):
-        assert n == LEVELS.size
-        return LEVELS.copy()
 
 
 def u_log_kernel(n, k, rho, a=2.0, b=1.0):
@@ -60,29 +53,94 @@ def quad_quantiles(log_kernel, levels):
                      for q in levels])
 
 
+def amazon_dp_log_kernel():
+    """The coarsened posterior of the Amazon alpha (n = 553,949, k = 4,962) at rho = 0.01."""
+    n, k = 553_949, 4_962
+    return CoarsenedPosterior(StirlingGammaSpec(1.0, 0.0002, n), n, k, 0.01).log_kernel
+
+
+U_CASES = [(2, 1, 1.0), (2, 2, 1.0), (5, 5, 0.25), (20, 8, 1.0), (3000, 200, 0.25)]
+KERNELS = ([u_log_kernel(*case) for case in U_CASES]
+           + [sg_log_kernel(200, 30, 1.0), amazon_dp_log_kernel()])
+KERNEL_IDS = [f"u-{n}-{k}-{rho}" for n, k, rho in U_CASES] + ["sg-200-30", "amazon-dp"]
+
+
+def assert_ecdf_at(values, quantiles):
+    """The share of values at or below each quantile of LEVELS is within 5 binomial SEs."""
+    got = (values[:, None] <= quantiles).mean(axis=0)
+    se = np.sqrt(LEVELS * (1.0 - LEVELS) / values.size)
+    assert np.all(np.abs(got - LEVELS) <= 5.0 * se), (got, LEVELS)
+
+
 class TestLogGridSample:
-    @pytest.mark.parametrize("n, k, rho", [(2, 1, 1.0), (2, 2, 1.0), (5, 5, 0.25),
-                                           (20, 8, 1.0), (3000, 200, 0.25)])
+    N = 200_000
+
+    @pytest.mark.parametrize("n, k, rho", U_CASES)
     def test_u_marginal_quantiles_vs_quadrature(self, n, k, rho):
         log_kernel = u_log_kernel(n, k, rho)
-        got = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
-        want = quad_quantiles(log_kernel, LEVELS)
-        assert np.abs(got / want - 1).max() < 1e-4
+        values = log_grid_sample(log_kernel, self.N, np.random.default_rng(21))
+        assert_ecdf_at(values, quad_quantiles(log_kernel, LEVELS))
 
     def test_sg_posterior_quantiles_vs_quadrature(self):
         log_kernel = sg_log_kernel(200, 30, 1.0)
-        got = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
-        want = quad_quantiles(log_kernel, LEVELS)
-        assert np.abs(got / want - 1).max() < 1e-4
+        values = log_grid_sample(log_kernel, self.N, np.random.default_rng(22))
+        assert_ecdf_at(values, quad_quantiles(log_kernel, LEVELS))
 
-    def test_reads_one_uniform_per_draw_from_the_stream(self):
-        log_kernel = u_log_kernel(20, 8, 1.0)
-        rng = np.random.default_rng(5)
-        log_grid_sample(log_kernel, 100, rng)
-        after = rng.random()
-        rng = np.random.default_rng(5)
-        rng.random(100)
-        assert rng.random() == after
+    def test_amazon_dp_posterior_quantiles_vs_quadrature(self):
+        log_kernel = amazon_dp_log_kernel()
+        values = log_grid_sample(log_kernel, self.N, np.random.default_rng(23))
+        assert_ecdf_at(values, quad_quantiles(log_kernel, LEVELS))
+
+    @pytest.mark.parametrize("log_kernel", KERNELS, ids=KERNEL_IDS)
+    def test_envelope_bounds_the_log_density(self, log_kernel):
+        # at every node, at 10 points in every cell and up to 10 cells past each end
+        x, f = specfun._log_grid(log_kernel, specfun._COARSE_NODES)
+        env = draws._Envelope(x, f)
+        h = (x[-1] - x[0]) / (x.size - 1)
+        past = h * np.geomspace(1e-3, 10.0, 20)
+        inner = np.concatenate([x[:-1], (x[:-1, None] + h * np.arange(1, 11) / 11).ravel()])
+        pts = np.concatenate([inner, x[-1:], x[0] - past, x[-1] + past])
+        logf = specfun._log_density(log_kernel)(pts) - env.top
+        assert np.all(env.upper(pts) >= logf - 1e-12)
+        assert np.all(env.lower(pts) <= logf + 1e-12)
+        assert np.all(env.lower(inner) > -np.inf)  # the squeeze is -inf only off the grid
+
+    def test_squeeze_failures_evaluate_the_kernel(self):
+        # Gamma(0.2, 1000): its left tail widens the bracket to ~300 in log v, so the
+        # cells are coarse and ~0.6% of the draws fall between squeeze and hull
+        sizes = []
+
+        def log_kernel(v):
+            sizes.append(np.size(v))
+            return -0.8 * np.log(v) - v / 1000.0
+
+        values = log_grid_sample(log_kernel, self.N, np.random.default_rng(24))
+        # the kernel is read once a round, and only where the squeeze falls short
+        checked = [size for size in sizes if size not in (1, specfun._COARSE_NODES)]
+        assert self.N // draws._CHUNK <= len(checked) <= self.N // draws._CHUNK + 3
+        assert 0.002 * self.N < sum(checked) < 0.02 * self.N
+        assert_ecdf_at(values, 1000.0 * gammaincinv(0.2, LEVELS))
+
+    def test_flat_pieces_are_drawn_uniformly(self):
+        # a log density with a flat top: the pieces of [-1, 1] have slope 0 exactly
+        # (every node and value is a binary fraction), so they invert apart
+        x = np.linspace(-4.0, 4.0, specfun._COARSE_NODES)
+        env = draws._Envelope(x, -5.0 * np.maximum(np.abs(x) - 1.0, 0.0))
+        assert env.flat.sum() > 200
+        u = np.random.default_rng(25).random(self.N)
+        values, p = env.propose(u)
+        assert np.all((env.edges[p] <= values) & (values <= env.edges[p + 1]))
+        middle = values[np.abs(values) < 0.5]
+        assert_ecdf_at(middle + 0.5, LEVELS)
+
+    def test_kernel_that_is_not_log_concave_is_refused(self):
+        # two modes in log v, 3 apart with sd 0.25: the chord slopes rise between them
+        def log_kernel(v):
+            x = np.log(v)
+            return np.logaddexp(-8.0 * x * x, -8.0 * (x - 3.0) ** 2) - x
+
+        with pytest.raises(DomainError, match="log-concave"):
+            log_grid_sample(log_kernel, 10, np.random.default_rng(0))
 
 
 class TestLogGridRule:
@@ -101,8 +159,8 @@ class TestLogGridRule:
         assert np.array_equal(x, np.linspace(x[0], x[-1], x.size))
         w = np.exp(t - x - log_kernel(np.exp(x)))
         assert np.allclose(w, np.r_[h / 2, np.full(x.size - 2, h), h / 2], rtol=1e-13, atol=0.0)
-        draws = log_grid_sample(log_kernel, LEVELS.size, FixedUniforms())
-        assert x[0] < np.log(draws).min() and np.log(draws).max() < x[-1]
+        assert np.array_equal(x, draws._Envelope(*specfun._log_grid(
+            log_kernel, specfun._COARSE_NODES)).edges[1:-1:2])
 
 
 class TestBlocks:

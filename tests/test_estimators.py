@@ -27,6 +27,12 @@ class TestFisherAlpha:
         with pytest.raises(DomainError):
             estimators.fisher_alpha(5, 6)
 
+    @pytest.mark.parametrize("n, k", [(math.nan, 5), (100, math.nan), (math.inf, 5)])
+    def test_non_finite_counts_are_refused(self, n, k):
+        # the estimate was NaN
+        with pytest.raises(DomainError):
+            estimators.fisher_alpha(n, k)
+
     def test_root_verified(self):
         est = estimators.fisher_alpha(100, 20)
         assert est.value * math.log1p(100 / est.value) == pytest.approx(20, abs=1e-9)
@@ -134,6 +140,12 @@ class TestSampleCoverage:
     def test_dm_state_beyond_h_is_domain_error(self):
         with pytest.raises(DomainError):
             estimators.sample_coverage(gibbs.DirichletMultinomial(-1.0, 5), 10, 7)
+
+    @pytest.mark.parametrize("n, k", [(math.inf, 3), (math.nan, 3), (10, math.nan)])
+    def test_non_finite_state_is_domain_error(self, n, k):
+        # the coverage at n = inf was NaN
+        with pytest.raises(DomainError):
+            estimators.sample_coverage(gibbs.DirichletProcess(2.0), n, k)
 
     def test_ap_against_mpmath(self):
         # 1 - t D_{k-2n}(t) / D_{k+1-2n}(t), t = gamma / sqrt 2, by 40-digit mpmath.pcfd

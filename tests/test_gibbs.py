@@ -12,6 +12,7 @@ from scipy.stats import chi2
 
 from sigmadiv import dpinfer, gibbs, specfun
 from sigmadiv.datamodel import PartitionData, stream_to_partition
+from sigmadiv.draws import log_grid_sample
 from sigmadiv.errors import DomainError
 
 from helpers import (dm_freq_counts_beta_binomial, dp_log_eppf, k_law_40_digits,
@@ -571,9 +572,9 @@ class TestMemoryBounds:
     # point; one object per point peaked at 8.4, 8.1 and 93 MB in the curve and urn
     # calls.  Long elementwise evaluations run in fixed blocks; over whole arrays they
     # peaked at 3.1 and 29.6 MiB (DP extrapolation, full DP rarefaction), 42.3 (full DM
-    # rarefaction), 21.1 (DP counts at r_max = n), 1.5 (the log sum of the DM counts)
-    # and 3.3 (the 32,769-node posterior grid).  An urn holds its flags, one int32
-    # array and O(block) temporaries (3.2 MiB for DP and 3.6 for DM at n = 1e5 with
+    # rarefaction), 21.1 (DP counts at r_max = n) and 1.5 (the log sum of the DM
+    # counts).  An urn holds its flags, one int32 array and O(block) temporaries
+    # (3.2 MiB for DP and 3.6 for DM at n = 1e5 with
     # int64 arrays of all draws; 10.5 and 9.7 at n = 1e6 with all its uniforms and two
     # int32 arrays).  The richness draws' Poisson quantiles run in blocks (180.0 MiB
     # at 1e6 draws over whole arrays).
@@ -674,7 +675,7 @@ class TestMemoryBounds:
 
     def test_richness_posterior(self, amazon_stats, traced_peak):
         # alpha, N, lambda and the uniforms (7.6 MiB each at 1e6 draws), the draws,
-        # and the blocks of the sampler's grid and of the Poisson quantiles
+        # and the sampler's rounds and the blocks of the Poisson quantiles
         n, k = amazon_stats
         post = CP(SG(1.0, 0.0002, n), n=n, k=k, rho=0.01)
         pred, peak = traced_peak(lambda: dpinfer.richness_posterior(post, 3.949e11,
@@ -684,11 +685,21 @@ class TestMemoryBounds:
         assert pred.draws.min() >= k
 
     def test_dp_branch_posterior(self, traced_peak):
-        # the posterior of one taxonomic branch, drawn on the full sampler grid
+        # the posterior of one taxonomic branch, drawn from its grid's envelope
         post = CP(SG(0.3, 0.1, 100), n=250, k=4, rho=1.0)
         draws, peak = traced_peak(lambda: dpinfer.sg_posterior_sample(post, 500, 1))
         assert peak < 1.5
         assert draws.values.shape == (500,) and np.all(draws.values > 0.0)
+
+    def test_sampler_million_draws(self, amazon_stats, traced_peak):
+        # the draws (7.6 MiB) and one round of _CHUNK proposals (~1 MiB); drawn through
+        # the inverse CDF of a 32,769-node grid, the uniforms doubled the draws (~16 MiB)
+        n, k = amazon_stats
+        post = CP(SG(1.0, 0.0002, n), n=n, k=k, rho=0.01)
+        values, peak = traced_peak(
+            lambda: log_grid_sample(post.log_kernel, 1_000_000, np.random.default_rng(5)))
+        assert peak < 9.0
+        assert values.shape == (1_000_000,) and np.all(values > 0.0)
 
 
 class TestReplicates:

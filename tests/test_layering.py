@@ -66,3 +66,15 @@ def test_import_graph_is_acyclic():
 def test_specfun_imports_only_errors():
     assert GRAPH["specfun"] == {"errors"}
     assert GRAPH["errors"] == set()
+
+
+def test_taxo_starts_no_threads():
+    # the Dirichlet-process branches are fit on the calling thread: worker threads
+    # never made the fit faster, since the branch fits are Python work under the GIL
+    names = set()
+    for node in ast.walk(_tree("taxo")):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    assert not {name.split(".")[0] for name in names} & {"threading", "concurrent"}
