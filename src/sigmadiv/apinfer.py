@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gibbs, specfun
 from .draws import PosteriorDraws, log_grid_sample
-from .errors import DomainError, SamplerError
+from .errors import DomainError, SamplerError, count, real
 
 __all__ = [
     "APWeights",
@@ -55,13 +55,10 @@ class APWeights:
 
 
 def ap_stick_sample(gamma: float, H_trunc: int, rng_seed: int) -> APWeights:
-    if not 0.0 < gamma < math.inf:  # NaN included
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
-    if H_trunc < 1:
-        raise DomainError("H_trunc must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    y2 = rng.standard_normal(H_trunc) ** 2
-    half_g2 = 0.5 * gamma * gamma
+    gamma = real("gamma", gamma, 0.0)
+    half_g2 = real("gamma^2 / 2", 0.5 * gamma * gamma)
+    H_trunc = count("H_trunc", H_trunc)
+    y2 = gibbs._rng(rng_seed).standard_normal(H_trunc) ** 2
     residuals = np.concatenate([[1.0], half_g2 / (half_g2 + np.cumsum(y2))])
     weights = residuals[:-1] - residuals[1:]
     return APWeights(residuals=residuals, weights=weights,
@@ -74,16 +71,12 @@ class APAugmentedState:
     __slots__ = ("gamma", "u", "n", "k", "rho")
 
     def __init__(self, gamma: float, u: float, n: int, k: int, rho: float = 1.0):
-        if not (0.0 < gamma < math.inf and 0.0 < u < math.inf):  # NaN included
-            raise DomainError(f"gamma and u must be finite and positive, got {gamma}, {u}")
-        if not 1 <= k <= n:
-            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
         if not 0.0 < rho <= 1.0:
             raise DomainError(f"rho must lie in (0, 1], got {rho}")
-        self.gamma = gamma
-        self.u = u
-        self.n = n
-        self.k = k
+        self.gamma = real("gamma", gamma, 0.0)
+        self.u = real("u", u, 0.0)
+        self.k = count("k", k)
+        self.n = count("n", n, self.k)
         self.rho = rho
 
 
@@ -136,11 +129,13 @@ def sample_modified_half_normal(rng: np.random.Generator, m, p, q):
     """
     if np.ndim(m) or np.ndim(p) or np.ndim(q):
         return _sample_mhn_lanes(rng, m, p, q)
-    if not (0.0 <= m < math.inf and 0.0 < p < math.inf and -math.inf < q < math.inf):
-        raise DomainError(f"need finite m >= 0, p > 0 and q, got m={m}, p={p}, q={q}")
+    disc, four_p = q * q + 8.0 * p * m, 4.0 * p  # of the mode x*, below
+    if not (0.0 <= m and 0.0 < p and disc + four_p < math.inf):  # NaN included
+        raise DomainError(f"need m >= 0, p > 0 and finite q^2 + 8pm and 4p, "
+                          f"got m={m}, p={p}, q={q}")
     if m == 0.0:
         return _sample_trunc_normal(rng, -q / (2.0 * p), 1.0 / math.sqrt(2.0 * p))
-    x_star = (-q + math.sqrt(q * q + 8.0 * p * m)) / (4.0 * p)
+    x_star = (-q + math.sqrt(disc)) / four_p
     if q <= 0.0:  # x* solves 2p x*^2 + q x* = m, so this is m / x*^2 <= 2p
         # Gaussian envelope centered at the mode
         sd = 1.0 / math.sqrt(2.0 * p)
@@ -171,10 +166,12 @@ def _sample_mhn_lanes(rng: np.random.Generator, m, p, q) -> np.ndarray:
     """
     zero = np.zeros(np.broadcast(m, p, q).shape)
     m, p, q = ((a + zero).ravel() for a in (m, p, q))
-    # one pass: the sum is not finite where any of m, p and q is not
-    if not ((m >= 0.0) & (p > 0.0) & np.isfinite(m + p + q)).all():
-        raise DomainError("need finite m >= 0, p > 0 and q in every lane")
-    x_star = (np.sqrt(q * q + 8.0 * p * m) - q) / (4.0 * p)
+    with np.errstate(invalid="ignore", over="ignore"):  # in lanes refused just below
+        disc, four_p = q * q + 8.0 * p * m, 4.0 * p
+        finite = np.isfinite(disc + four_p)
+    if not ((m >= 0.0) & (p > 0.0) & finite).all():
+        raise DomainError("need m >= 0, p > 0 and finite q^2 + 8pm and 4p in every lane")
+    x_star = (np.sqrt(disc) - q) / four_p
     gauss = q <= 0.0
     tail = ~gauss & (m == 0.0)
     out = np.empty(m.size)
@@ -241,10 +238,8 @@ class GammaPrior:
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN included
-            raise DomainError(f"Gamma prior needs finite a > 0 and b > 0, got a={a}, b={b}")
-        self.a = a
-        self.b = b
+        self.a = real("Gamma prior a", a, 0.0)
+        self.b = real("Gamma prior b", b, 0.0)
 
 
 def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
@@ -264,14 +259,12 @@ def gibbs_sweep(state: APAugmentedState, prior: GammaPrior,
 def run_ap_gibbs(n: int, k: int, prior: GammaPrior, n_draws: int, burn_in: int,
                  rng_seed: int, rho: float = 1.0) -> PosteriorDraws:
     """Convenience chain runner; returns the gamma draws after burn-in."""
-    if n_draws < 1 or burn_in < 0:
-        raise DomainError(f"need n_draws >= 1 and burn_in >= 0, got {n_draws}, {burn_in}")
-    if not n < math.inf:  # NaN included
-        raise DomainError(f"n must be finite, got {n}")
-    rng = np.random.default_rng(rng_seed)
-    m0 = max(rho * (2 * n - k - 2), 1.0)
-    state = APAugmentedState(gamma=prior.a / prior.b, u=math.sqrt(m0 / rho),
-                             n=n, k=k, rho=rho)
+    n_draws = count("n_draws", n_draws)
+    burn_in = count("burn_in", burn_in, 0)
+    state = APAugmentedState(gamma=prior.a / prior.b, u=1.0, n=n, k=k, rho=rho)
+    # U starts at its mode's scale, read from the n, k and rho the state has checked
+    state.u = math.sqrt(max(rho * (2 * state.n - state.k - 2), 1.0) / rho)
+    rng = gibbs._rng(rng_seed)
     out = np.empty(n_draws)
     for i in range(burn_in + n_draws):
         state = gibbs_sweep(state, prior, rng)
@@ -290,10 +283,8 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     the second derivative is -2 rho u^2 - c b beta u / (b + beta u)^2 < 0), so
     draws.log_grid_sample draws it; gamma | U is Gamma(c, b + rho U / sqrt(2)).
     """
-    if n < 2:
-        raise DomainError("iid two-step sampling requires n >= 2")
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    k = count("k", k)
+    n = count("n", n, max(k, 2))  # two-step sampling needs two observations
     GammaPrior(a_gamma, b_gamma)  # refuses a or b that is not finite and > 0
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
@@ -303,11 +294,11 @@ def iid_two_step_sample(n: int, k: int, a_gamma: float, b_gamma: float,
     def log_kernel(u: np.ndarray) -> np.ndarray:
         return M * np.log(u) - 0.5 * rho * u * u - c * np.log(b_gamma + rho * u / _SQRT2)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = gibbs._rng(rng_seed)
     u = log_grid_sample(log_kernel, n_draws, rng)
-    gamma = rng.gamma(c, size=n_draws) / (b_gamma + rho * u / _SQRT2)
+    gamma = rng.gamma(c, size=u.size) / (b_gamma + rho * u / _SQRT2)
     return PosteriorDraws(name="gamma", values=gamma, rho=rho, seed=rng_seed,
-                          ess=float(n_draws))
+                          ess=float(u.size))
 
 
 def ap_predictive_sample(gamma: float, n: int, k: int, abundances: Sequence[int],
@@ -347,9 +338,9 @@ def _check_gamma_points(gamma) -> np.ndarray:
 
 
 def py_prior_density(gamma, theta: float):
-    """sigma = 1/2 Pitman-Yor prior density for gamma: gamma^2 ~ Gamma(theta + 1/2, 1/4)."""
-    if not -0.5 < theta < math.inf:  # NaN included
-        raise DomainError(f"theta must be finite and exceed -1/2, got {theta}")
+    """sigma = 1/2 Pitman-Yor prior density for gamma: gamma^2 ~ Gamma(theta + 1/2, 1/4).
+    Past theta = 1e305 its normalizer, log Gamma(theta + 1/2), leaves the float range."""
+    theta = real("theta", theta, -0.5, 1e305)
     gamma = _check_gamma_points(gamma)
     out = np.exp(-theta * math.log(4.0) - specfun.gammaln(theta + 0.5)
                  + 2.0 * theta * np.log(gamma) - gamma * gamma / 4.0)
@@ -358,8 +349,7 @@ def py_prior_density(gamma, theta: float):
 
 def ig_prior_density(gamma, beta: float):
     """sigma = 1/2 normalized-inverse-Gaussian prior density for gamma."""
-    if not 0.0 < beta < math.inf:  # NaN included
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = real("beta", beta, 0.0)
     gamma = _check_gamma_points(gamma)
     out = np.exp(beta - beta * beta / (gamma * gamma) - gamma * gamma / 4.0) / math.sqrt(math.pi)
     return float(out) if out.ndim == 0 else out

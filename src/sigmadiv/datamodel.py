@@ -6,7 +6,7 @@ import csv
 from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, count
 
 __all__ = [
     "PartitionData",
@@ -25,6 +25,14 @@ __all__ = [
 # An observation stream is any ordered sequence of taxon labels, or of
 # label tuples for taxonomic data.
 ObservationStream = Sequence[Hashable]
+
+
+def _positive_integers(counts: Iterable) -> List[int]:
+    """counts as ints, if each is a positive integer: the rule of every abundance."""
+    try:
+        return [count("an abundance", c) for c in counts]
+    except DomainError as exc:
+        raise DomainError(f"abundances must be positive integers: {exc}") from None
 
 
 class PartitionData:
@@ -52,11 +60,9 @@ class PartitionData:
 
     @classmethod
     def from_abundances(cls, counts: Iterable[int]) -> "PartitionData":
-        abundances = tuple(sorted((int(c) for c in counts), reverse=True))
+        abundances = tuple(sorted(_positive_integers(counts), reverse=True))
         if not abundances:
             raise DomainError("at least one taxon is required")
-        if abundances[-1] < 1:
-            raise DomainError("abundances must be positive integers")
         freq = dict(sorted(Counter(abundances).items()))
         return cls(abundances=abundances, n=sum(abundances), k=len(abundances),
                    freq_counts=freq)
@@ -64,10 +70,8 @@ class PartitionData:
     @classmethod
     def from_freq_counts(cls, freq_counts: Dict[int, int]) -> "PartitionData":
         counts: List[int] = []
-        for r, m_r in freq_counts.items():
-            if r < 1 or m_r < 0:
-                raise DomainError("freq_counts must map positive sizes to counts >= 0")
-            counts.extend([int(r)] * int(m_r))
+        for r, m_r in zip(_positive_integers(freq_counts), freq_counts.values()):
+            counts.extend([r] * count("a frequency count", m_r, 0))
         return cls.from_abundances(counts)
 
     def to_json(self) -> dict:
@@ -99,7 +103,7 @@ class TaxonomicDataset:
     __slots__ = ("levels", "top")
 
     def __init__(self, levels: int, top: Dict[str, TaxonNode]):
-        self.levels = levels
+        self.levels = count("levels", levels)
         self.top = top
 
     @property
@@ -116,7 +120,8 @@ class TaxonomicDataset:
 
     def parents_at_level(self, level: int) -> List[TaxonNode]:
         """Nodes at depth level-1 (1-based), i.e. the parents of level `level`."""
-        if not 2 <= level <= self.levels:
+        level = count("level", level, 2)
+        if level > self.levels:
             raise DomainError(f"level must be in [2, {self.levels}]")
         nodes = list(self.top.values())
         for _ in range(level - 2):
@@ -179,14 +184,14 @@ def ingest_abundance_csv(path: str) -> PartitionData:
                 raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             taxon = row[0].strip()
             try:
-                count = int(row[1])
+                size = int(row[1])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: count {row[1]!r} is not an integer")
-            if count < 1:
+            if size < 1:
                 raise ParseError(f"{path}: line {lineno}: count must be positive")
             if taxon in counts:
                 raise ParseError(f"{path}: line {lineno}: duplicate taxon {taxon!r}")
-            counts[taxon] = count
+            counts[taxon] = size
     if not counts:
         raise ParseError(f"{path}: no data rows")
     return PartitionData.from_abundances(counts.values())
@@ -205,8 +210,7 @@ def write_abundance_csv(data: PartitionData, path: str) -> None:
 def ingest_taxonomy_csv(path: str, levels: int) -> TaxonomicDataset:
     """Read a `level1,...,levelL,count` CSV, after an optional `# config:` line, into a
     TaxonomicDataset."""
-    if levels < 2:
-        raise DomainError("a taxonomy needs at least 2 levels")
+    levels = count("levels", levels, 2)
     expected = [f"level{i}" for i in range(1, levels + 1)] + ["count"]
     dataset = TaxonomicDataset(levels=levels, top={})
     parent_of: Dict[Tuple[int, str], str] = {}
@@ -227,10 +231,10 @@ def ingest_taxonomy_csv(path: str, levels: int) -> TaxonomicDataset:
             if any(not lab for lab in labels):
                 raise ParseError(f"{path}: line {lineno}: empty taxon label")
             try:
-                count = int(row[levels])
+                size = int(row[levels])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: count {row[levels]!r} is not an integer")
-            if count < 1:
+            if size < 1:
                 raise ParseError(f"{path}: line {lineno}: count must be positive")
             path_key = tuple(labels)
             if path_key in seen_paths:
@@ -249,7 +253,7 @@ def ingest_taxonomy_csv(path: str, levels: int) -> TaxonomicDataset:
             node = None
             for label in labels:
                 node = node_map.setdefault(label, TaxonNode(label=label))
-                node.count += count
+                node.count += size
                 node_map = node.children
     if not dataset.top:
         raise ParseError(f"{path}: no data rows")
@@ -296,8 +300,8 @@ def stream_to_taxonomy(stream: Sequence[Tuple[str, ...]], levels: int) -> Taxono
     """Reduce a stream of label tuples to an aggregated taxonomy tree."""
     dataset = TaxonomicDataset(levels=levels, top={})
     for labels in stream:
-        if len(labels) != levels:
-            raise DomainError(f"tuple {labels!r} does not have {levels} levels")
+        if len(labels) != dataset.levels:
+            raise DomainError(f"tuple {labels!r} does not have {dataset.levels} levels")
         node_map = dataset.top
         for label in labels:
             node = node_map.setdefault(label, TaxonNode(label=str(label)))

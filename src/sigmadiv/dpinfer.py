@@ -16,7 +16,7 @@ import numpy as np
 
 from . import specfun
 from .draws import PosteriorDraws, log_grid_sample, summarize_draws
-from .errors import DomainError
+from .errors import DomainError, count, real
 
 __all__ = [
     "StirlingGammaSpec",
@@ -36,13 +36,11 @@ class StirlingGammaSpec:
     __slots__ = ("a", "b", "n_ref")
 
     def __init__(self, a: float, b: float, n_ref: int):
-        if a <= 0.0 or b <= 0.0:
-            raise DomainError("a and b must be positive")
-        if not 1.0 <= a / b <= n_ref:
+        self.a = real("a", a, 0.0)
+        self.b = real("b", b, 0.0)
+        self.n_ref = count("n_ref", n_ref)
+        if not 1.0 <= self.a / self.b <= self.n_ref:
             raise DomainError(f"need 1 <= a/b <= n_ref, got a/b={a / b}, n_ref={n_ref}")
-        self.a = a
-        self.b = b
-        self.n_ref = n_ref
 
     def log_kernel(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -59,13 +57,11 @@ class CoarsenedPosterior:
     __slots__ = ("prior", "n", "k", "rho")
 
     def __init__(self, prior: StirlingGammaSpec, n: int, k: int, rho: float):
-        if not 1 <= k <= n:
-            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
         if not 0.0 < rho <= 1.0:
             raise DomainError(f"rho must lie in (0, 1], got {rho}")
         self.prior = prior
-        self.n = n
-        self.k = k
+        self.k = count("k", k)
+        self.n = count("n", n, self.k)
         self.rho = rho
 
     def log_kernel(self, alpha):
@@ -85,16 +81,18 @@ def sg_posterior_sample(post: CoarsenedPosterior, n_draws: int,
     The draws are exact iid draws by log-grid rejection, so no thinning or
     convergence check applies: thin is 1 and ess equals n_draws.
     """
-    values = log_grid_sample(post.log_kernel, n_draws, np.random.default_rng(rng_seed))
+    values = log_grid_sample(post.log_kernel, n_draws,
+                             np.random.default_rng(count("rng_seed", rng_seed, 0)))
     return PosteriorDraws(name="alpha", values=values, rho=post.rho, seed=rng_seed,
-                          ess=float(n_draws))
+                          ess=float(values.size))
 
 
 def sg_prior_sample(prior: StirlingGammaSpec, n_draws: int, rng_seed: int) -> PosteriorDraws:
     """Draws from the SG prior itself (used for prior-only branches and checks)."""
-    values = log_grid_sample(prior.log_kernel, n_draws, np.random.default_rng(rng_seed))
+    values = log_grid_sample(prior.log_kernel, n_draws,
+                             np.random.default_rng(count("rng_seed", rng_seed, 0)))
     return PosteriorDraws(name="alpha", values=values, rho=0.0, seed=rng_seed,
-                          ess=float(n_draws))
+                          ess=float(values.size))
 
 
 def _poisson_ppf(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -170,15 +168,16 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
     if not post.n <= N_hat < np.inf:
         raise DomainError(f"N_hat must be finite and at least the observed sample size, "
                           f"got {N_hat}")
+    rng_seed = count("rng_seed", rng_seed, 0)
     alpha = sg_posterior_sample(post, n_draws, rng_seed).values
     rng = np.random.default_rng(np.random.SeedSequence((rng_seed, 0x5e1f)))
     if N_hat == post.n:
-        N = np.full(n_draws, float(post.n))
+        N = np.full(alpha.size, float(post.n))
     else:
-        N = np.maximum(np.floor(rng.uniform(0.5 * N_hat, 1.5 * N_hat, size=n_draws)),
+        N = np.maximum(np.floor(rng.uniform(0.5 * N_hat, 1.5 * N_hat, size=alpha.size)),
                        float(post.n))
     lam = specfun.discovery_mean(alpha, post.n, N - post.n)
-    draws = _poisson_ppf(rng.random(n_draws), lam)
+    draws = _poisson_ppf(rng.random(alpha.size), lam)
     draws += post.k
     return RichnessPrediction(draws=draws, N_hat=N_hat, n=post.n, k=post.k,
                               rho=post.rho, seed=rng_seed)
@@ -187,8 +186,8 @@ def richness_posterior(post: CoarsenedPosterior, N_hat: float, n_draws: int,
 def diversity_transforms(alpha_draws: np.ndarray) -> Dict[str, float]:
     """Posterior means of Simpson 1/(1+alpha) and Shannon psi(alpha+1) - psi(1)."""
     alpha = np.asarray(alpha_draws, dtype=float)
-    if alpha.size == 0:
-        raise DomainError("alpha_draws must be nonempty")
+    if not (alpha.size and np.all((alpha > 0.0) & (alpha < np.inf))):  # NaN included
+        raise DomainError("alpha_draws must be nonempty, finite and positive")
     simpson = float(np.mean(1.0 / (1.0 + alpha)))
     shannon = float(np.mean(specfun.digamma(alpha + 1.0) - specfun.digamma(1.0)))
     return {"simpson_mean": simpson, "shannon_mean": shannon}

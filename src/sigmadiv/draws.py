@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, count
 from .specfun import _COARSE_NODES, _log_density, _log_grid
 
 __all__ = ["PosteriorDraws", "autocorrelation", "effective_sample_size",
@@ -24,7 +24,7 @@ SUMMARY_QUANTILES = (0.01, 0.25, 0.50, 0.75, 0.99)
 
 def autocorrelation(x: np.ndarray, lag: int) -> float:
     x = np.asarray(x, dtype=float)
-    if lag <= 0 or lag >= x.size:
+    if count("lag", lag) >= x.size:
         return 0.0
     d = x - x.mean()
     denom = float(np.dot(d, d))
@@ -38,7 +38,7 @@ def effective_sample_size(x: np.ndarray, max_lag: int = 200) -> float:
     x = np.asarray(x, dtype=float)
     n = x.size
     s = 0.0
-    lags = range(1, min(max_lag, n - 1))
+    lags = range(1, min(count("max_lag", max_lag, 0), n - 1))
     if lags:
         d = x - x.mean()  # centred and normed once for every lag, as in autocorrelation()
         denom = float(np.dot(d, d))
@@ -154,8 +154,7 @@ def log_grid_sample(log_kernel: Callable[[np.ndarray], np.ndarray], n_draws: int
     places the point under the hull, the other, as an exponential E, accepts it when
     E clears the hull less the squeeze.  The rest evaluate the kernel, in one call a
     round, and are accepted when E clears the hull less the log density."""
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = count("n_draws", n_draws)
     env = _Envelope(*_log_grid(log_kernel, _COARSE_NODES))
     logf = _log_density(log_kernel)
     out = np.empty(n_draws)
@@ -182,8 +181,11 @@ def quantiles(values: np.ndarray, q) -> np.ndarray:
     v = (N - 1) q split into i = floor(v), clipped to [0, N - 1], and g = v - i;
     numpy's two-sided lerp gives a + (b - a) g, or b - (b - a)(1 - g) where g >= 0.5,
     for a = x[i] and b = x[min(i + 1, N - 1)]."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN included
+        raise DomainError("quantiles need q in [0, 1]")
     x = np.sort(values, axis=None)
-    v = (x.size - 1) * np.asarray(q, dtype=float)
+    v = (x.size - 1) * q
     i = np.clip(np.floor(v).astype(np.intp), 0, x.size - 1)
     a, b = x[i], x[np.minimum(i + 1, x.size - 1)]
     g = v - i

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gibbs, specfun
 from .datamodel import PartitionData
-from .errors import DomainError, NoFiniteSolutionError
+from .errors import NoFiniteSolutionError, count
 
 __all__ = [
     "AlphaEstimate",
@@ -54,18 +54,20 @@ def _solve_increasing(f, fprime, method: str) -> AlphaEstimate:
                          residual=float(f(x)))
 
 
-def _check_estimable(n: int, k: int) -> None:
-    if not 1 <= k <= n < math.inf:  # NaN included
-        raise DomainError(f"need 1 <= k <= n < inf, got n={n}, k={k}")
+def _check_estimable(n: int, k: int) -> Tuple[int, int]:
+    """(n, k) as ints, if the estimating equation has a finite root there."""
+    k = count("k", k)
+    n = count("n", n, k)
     if k == n:
         raise NoFiniteSolutionError(
             f"k = n = {n}: every observation distinct, the estimating equation "
             "has no finite root")
+    return n, k
 
 
 def fisher_alpha(n: int, k: int) -> AlphaEstimate:
     """Solve alpha * log(1 + n/alpha) = k for alpha."""
-    _check_estimable(n, k)
+    n, k = _check_estimable(n, k)
 
     def f(a: float) -> float:
         return a * math.log1p(n / a) - k
@@ -78,7 +80,7 @@ def fisher_alpha(n: int, k: int) -> AlphaEstimate:
 
 def mle_alpha(n: int, k: int) -> AlphaEstimate:
     """Solve alpha * (psi(alpha + n) - psi(alpha)) = k, the DP likelihood equation."""
-    _check_estimable(n, k)
+    n, k = _check_estimable(n, k)
     if k == 1:
         # the left side ranges over (1, n): a single distinct taxon pushes the
         # maximizer to the alpha -> 0 boundary
@@ -104,11 +106,7 @@ def classical_rarefaction(data: PartitionData,
     With sizes=None the full curve i = 1..n is returned.
     """
     n, k = data.n, data.k
-    if sizes is None:
-        sizes = np.arange(1, n + 1)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.size and (sizes.min() < 1 or sizes.max() > n):
-        raise DomainError("sizes must lie in 1..n")
+    sizes = gibbs._check_sizes(sizes, n)
     out = np.empty(sizes.shape, dtype=float)
     g = specfun.gammaln
     lgn = g(n + 1)
@@ -125,7 +123,7 @@ def classical_rarefaction(data: PartitionData,
 def sample_coverage(model: gibbs.GibbsModel, n: int, k: int) -> float:
     """Bayesian sample coverage 1 - p_new(n, k), the mass of seen taxa; DP's n / (alpha + n)
     and DM's (n + k s) / (n + H s) in closed form, where 1 - p_new would cancel."""
-    gibbs._check_state(model, n, k)
+    n, k = gibbs._check_state(model, n, k)
     if isinstance(model, gibbs.DirichletProcess):
         return n / (model.alpha + n)
     if isinstance(model, gibbs.DirichletMultinomial):

@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import specfun
-from .datamodel import PartitionData
-from .errors import DomainError
+from .datamodel import PartitionData, _positive_integers
+from .errors import DomainError, count, real
 
 __all__ = [
     "DirichletMultinomial",
@@ -52,12 +52,8 @@ class DirichletMultinomial:
     __slots__ = ("sigma", "H")
 
     def __init__(self, sigma: float, H: int):
-        if not -math.inf < sigma < 0.0:  # NaN included
-            raise DomainError(f"Dirichlet-multinomial needs a finite sigma < 0, got {sigma}")
-        if not (H >= 1 and H % 1 == 0):  # NaN and inf included
-            raise DomainError(f"H must be a positive integer, got {H}")
-        self.sigma = sigma
-        self.H = H
+        self.sigma = real("Dirichlet-multinomial sigma", sigma, high=0.0)
+        self.H = count("H", H)
 
     def __repr__(self) -> str:  # the resolved_model of the config lines
         return f"DirichletMultinomial(sigma={self.sigma!r}, H={self.H!r})"
@@ -71,9 +67,7 @@ class DirichletProcess:
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < math.inf:  # NaN included
-            raise DomainError(f"Dirichlet process needs a finite alpha > 0, got {alpha}")
-        self.alpha = alpha
+        self.alpha = real("Dirichlet process alpha", alpha, 0.0)
 
     def __repr__(self) -> str:
         return f"DirichletProcess(alpha={self.alpha!r})"
@@ -87,9 +81,7 @@ class AldousPitman:
     __slots__ = ("gamma",)
 
     def __init__(self, gamma: float):
-        if not 0.0 < gamma < math.inf:  # NaN included
-            raise DomainError(f"Aldous-Pitman needs a finite gamma > 0, got {gamma}")
-        self.gamma = gamma
+        self.gamma = real("Aldous-Pitman gamma", gamma, 0.0)
 
     def __repr__(self) -> str:
         return f"AldousPitman(gamma={self.gamma!r})"
@@ -102,21 +94,19 @@ class AldousPitman:
 GibbsModel = Union[DirichletMultinomial, DirichletProcess, AldousPitman]
 
 
-def _check_nk(n: int, k: int) -> None:
-    if not 1 <= k <= n < math.inf:  # NaN included
-        raise DomainError(f"need 1 <= k <= n < inf, got n={n}, k={k}")
-
-
-def _check_state(model: GibbsModel, n: int, k: int) -> None:
-    """Refuse (n, k) unless the model's paths of K reach it."""
-    _check_nk(n, k)
+def _check_state(model: GibbsModel, n: int, k: int) -> Tuple[int, int]:
+    """(n, k) as ints, if the model's paths of K reach that state."""
+    k = count("k", k)
+    n = count("n", n, k)
     if isinstance(model, DirichletMultinomial) and k > model.H:
         raise DomainError("k exceeds H")
+    return n, k
 
 
 def log_V(model: GibbsModel, n: int, k: int) -> float:
     """Log of the Gibbs partition weight V_{n,k}; -inf where the weight is 0."""
-    _check_nk(n, k)
+    k = count("k", k)
+    n = count("n", n, k)
     if isinstance(model, DirichletProcess):
         if model.alpha > specfun.STIRLING_FROM:  # k log alpha - log (alpha)_n cancels
             return (k - n) * math.log(model.alpha) - specfun.log_rising_excess(model.alpha, n)
@@ -168,13 +158,12 @@ def _check_abundances(abundances: Sequence[int], n: int, k: int) -> None:
     """Refuse abundances unless they are k positive integers summing to n."""
     if len(abundances) != k or sum(abundances) != n:
         raise DomainError("abundances inconsistent with (n, k)")
-    if not all(a >= 1 and a % 1 == 0 for a in abundances):  # NaN included
-        raise DomainError("abundances must be positive integers")
+    _positive_integers(abundances)
 
 
 def predictive(model: GibbsModel, n: int, k: int,
                abundances: Sequence[int]) -> PredictiveSplit:
-    _check_state(model, n, k)
+    n, k = _check_state(model, n, k)
     _check_abundances(abundances, n, k)
     abundances = np.asarray(abundances, dtype=float)
     # V_{n,k} = (n - sigma k) V_{n+1,k} + V_{n+1,k+1}, so the reuse scale
@@ -360,13 +349,21 @@ def taxon_counts(labels: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _rng(seed: Union[int, np.random.Generator]) -> np.random.Generator:
+    """A generator passed through, or a new one from a seed, a whole number >= 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(count("rng_seed", seed, 0))
+
+
 def urn_sample(model: GibbsModel, n_steps: int,
                rng_seed: Union[int, np.random.Generator]) -> np.ndarray:
     """Draw a stream of n_steps taxon labels (int32, in discovery order).  The flags'
     uniforms are drawn _URN_BLOCK at a time, in the order of one draw of n_steps."""
-    if not 1 <= n_steps < 2**31:
-        raise DomainError(f"n_steps must lie in [1, 2**31), got {n_steps}")
-    rng = np.random.default_rng(rng_seed)
+    n_steps = count("n_steps", n_steps)
+    if n_steps >= 2**31:
+        raise DomainError(f"n_steps must be below 2**31, got {n_steps}")
+    rng = _rng(rng_seed)
     p_new = _discovery_fn(model, n_steps)
     flags = np.empty(n_steps, dtype=bool)
     k = 0
@@ -405,9 +402,7 @@ def _k_law(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
 
 def prior_Kn_pmf(model: GibbsModel, n: int) -> np.ndarray:
     """P(K_n = k) for k = 1..n: the law of the new taxa among n - 1 draws after K_1 = 1."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return _k_law(model, 1, 1, n - 1)
+    return _k_law(model, 1, 1, count("n", n) - 1)
 
 
 DEFAULT_TABLE_CAP = 10_000
@@ -423,14 +418,11 @@ def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
     seeded by rng_seed.  A state that no path reaches (k > H for DM) is a domain
     error.
     """
-    _check_state(model, n, k)
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if m > table_cap:
-        if mc_replicates < 1:
-            raise DomainError(f"mc_replicates must be >= 1 for m > table_cap, "
-                              f"got {mc_replicates}")
-        rng = np.random.default_rng(rng_seed)
+    n, k = _check_state(model, n, k)
+    m = count("m", m)
+    if m > count("table_cap", table_cap, 0):
+        mc_replicates = count("mc_replicates", mc_replicates)
+        rng = _rng(rng_seed)
         p_new = _discovery_fn(model, n + m, n, k)
         pmf = np.zeros(m + 1)
         for _ in range(mc_replicates):
@@ -521,14 +513,20 @@ def _dm_curve(model: DirichletMultinomial, n: int, k: int, i: np.ndarray) -> np.
     return out
 
 
+def _check_sizes(sizes: Optional[Sequence[int]], n: int) -> np.ndarray:
+    """Sample sizes as int64, 1..n by default: each a whole number in [1, n]."""
+    if sizes is None:
+        return np.arange(1, n + 1)
+    given = np.asarray(sizes, dtype=float)
+    if not np.all((given >= 1.0) & (given <= n) & (given == np.floor(given))):  # NaN included
+        raise DomainError(f"sizes must be whole numbers in [1, {n}]")
+    return given.astype(np.int64)
+
+
 def rarefaction(model: GibbsModel, n: int, sizes: Optional[Sequence[int]] = None) -> Curve:
     """Expected accumulation curve E(K_i) at sample sizes i in `sizes` (default 1..n):
     the extrapolation from the empty sample.  Exact for every family."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    sizes = np.arange(1, n + 1) if sizes is None else np.asarray(sizes, dtype=np.int64)
-    if sizes.size and (sizes.min() < 1 or sizes.max() > n):
-        raise DomainError(f"sizes must lie in [1, {n}]")
+    sizes = _check_sizes(sizes, count("n", n))
     return Curve(sizes, _curve(model, 0, 0, sizes))
 
 
@@ -539,15 +537,13 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
     Closed form for DM and DP; for AP the Monte Carlo mean, with its standard-error
     band, of `replicates` paths of K from K_n = k, seeded by rng_seed.
     """
-    _check_state(model, n, k)
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    n, k = _check_state(model, n, k)
+    m = count("m", m)
     i = np.arange(1, m + 1)
     if not isinstance(model, AldousPitman):
         return Curve(n + i, _curve(model, n, k, i))
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
-    rng = np.random.default_rng(rng_seed)
+    replicates = count("replicates", replicates)
+    rng = _rng(rng_seed)
     p_new = _discovery_fn(model, n + m, n, k)
     acc = np.zeros(m)
     acc2 = np.zeros(m)
@@ -566,8 +562,8 @@ def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:
     Closed form for DP and DM.  For AP, C(n, r) E P^{r-1} (1 - P)^{n-r} over the
     size-biased pick P, on the rule of each r's integrand, with log C(n, r) a
     cumulative sum of logs (a gammaln difference is ~2e-10 off at n ~ 5e5)."""
-    if not 1 <= r_max <= n:
-        raise DomainError("need 1 <= r_max <= n")
+    r_max = count("r_max", r_max)
+    n = count("n", n, r_max)
     if isinstance(model, DirichletProcess):
         # E(M_r) = (alpha / r) prod_{j<r} (n - j) / (alpha + n - 1 - j): no term cancels,
         # and the running product stays below max(1, n / alpha).  It is taken in blocks,

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, count, real
 
 __all__ = [
     "CoefficientTable",
@@ -685,8 +685,9 @@ def hermite_ratios(t: float, start: int, stop: int) -> np.ndarray:
     view of that array, so it is read-only.  Past _HERMITE_CACHE_ORDERS cached
     entries the arrays of other t's are dropped, least recently read first.
     """
-    if not (0.0 < t < math.inf and 0 <= start < stop):
-        raise DomainError(f"hermite_ratios needs finite t > 0 and 0 <= start < stop, "
+    # start, stop >= 0: whole iff their remainders sum to 0 (inf % 1 is NaN)
+    if not (0.0 < t < math.inf and 0 <= start < stop and start % 1 + stop % 1 == 0):
+        raise DomainError(f"hermite_ratios needs finite t > 0 and whole 0 <= start < stop, "
                           f"got {t}, {start}, {stop}")
     B = HERMITE_BLOCK
     with _hermite_lock:
@@ -746,17 +747,12 @@ class CoefficientTable:
     __slots__ = ("sigma", "shift")
 
     def __init__(self, sigma: float, shift: float):
-        if not sigma < 1.0:
-            raise DomainError(f"coefficient tables need sigma < 1, got {sigma}")
-        if not shift > 0.0:
-            raise DomainError(f"coefficient tables need shift > 0, got {shift}")
-        self.sigma = sigma
-        self.shift = shift
+        self.sigma = real("sigma", sigma, high=1.0)
+        self.shift = real("shift", shift, 0.0)
 
     def log_row(self, m: int) -> np.ndarray:
         """log E(m, j) for j = 0..m, rolled forward from row 0 in two row buffers."""
-        if m < 0:
-            raise DomainError("row index must be >= 0")
+        m = count("m", m, 0)
         row = np.full(m + 1, -np.inf)
         row[0] = 0.0
         nxt = row.copy()

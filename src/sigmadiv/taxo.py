@@ -21,7 +21,7 @@ from . import apinfer, gibbs, specfun
 from .datamodel import TaxonNode, TaxonomicDataset
 from .dpinfer import CoarsenedPosterior, StirlingGammaSpec, sg_posterior_sample
 from .draws import PosteriorDraws, quantiles
-from .errors import DomainError
+from .errors import DomainError, count, real
 
 __all__ = [
     "LevelModel",
@@ -56,18 +56,22 @@ class LevelModel:
                  rho: float = 1.0):
         if family not in ("dm", "dp", "ap"):
             raise DomainError(f"unknown family {family!r}")
+        if not 0.0 < rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {rho}")
         if family == "dm" and sigma is None:
             sigma = -1.0
         self.family = family
         self.diversity = diversity
         self.sigma = sigma
         self.rho = rho
+        values = (diversity.values() if isinstance(diversity, Mapping)
+                  else [diversity] if isinstance(diversity, (int, float)) else diversity)
+        for value in values:  # refuses a diversity outside the family's domain
+            self.model_for(float(value))
 
     def model_for(self, value: float) -> gibbs.GibbsModel:
         if self.family == "dm":
-            if not float(value).is_integer():
-                raise DomainError(f"a dm level needs an integer taxon bound H, got {value}")
-            return gibbs.DirichletMultinomial(sigma=self.sigma, H=int(value))
+            return gibbs.DirichletMultinomial(sigma=self.sigma, H=value)
         if self.family == "dp":
             return gibbs.DirichletProcess(alpha=value)
         return gibbs.AldousPitman(gamma=value)
@@ -94,11 +98,10 @@ def nested_urn_sample(levels: Sequence[LevelModel], n_steps: int,
     order of first appearance in the stream, and labels l{level}_{counter}
     are numbered by first appearance.
     """
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
+    n_steps = count("n_steps", n_steps)
     if len(levels) < 1:
         raise DomainError("at least one level is required")
-    rng = np.random.default_rng(rng_seed)
+    rng = gibbs._rng(rng_seed)
     taxon = np.zeros(n_steps, dtype=np.int32)  # each individual's taxon at the level above
     dataset = TaxonomicDataset(levels=len(levels), top={})
     nodes = [TaxonNode(label="", children=dataset.top)]  # the root, parent of level 1
@@ -173,6 +176,8 @@ class DPLevelPrior:
     __slots__ = ("sg", "rho")
 
     def __init__(self, sg: StirlingGammaSpec, rho: float = 1.0):
+        if not 0.0 < rho <= 1.0:
+            raise DomainError(f"rho must lie in (0, 1], got {rho}")
         self.sg = sg
         self.rho = rho
 
@@ -196,12 +201,11 @@ class APLevelPrior:
         if not mu_ok:
             raise DomainError(f"hyper_mu must be two finite numbers whose exp is finite, "
                               f"got {hyper_mu}")
-        if not hyper_sd > 0.0:
-            raise DomainError(f"hyper_sd must be > 0, got {hyper_sd}")
         if not 0.0 < rho <= 1.0:
             raise DomainError(f"rho must lie in (0, 1], got {rho}")
         self.hyper_mu = hyper_mu
-        self.hyper_sd = hyper_sd
+        self.hyper_sd = real("hyper_sd", hyper_sd, 0.0)
+        real("hyper_sd^2", self.hyper_sd * self.hyper_sd, 0.0)  # the hyperprior's variance
         self.rho = rho
 
 
@@ -236,14 +240,10 @@ class MCMCSettings:
 
     def __init__(self, iters: int = 10_000, burn_in: int = 1_000, seed: int = 0,
                  threads: int = 1):
-        if not 0 <= burn_in < iters:
-            raise DomainError("need 0 <= burn_in < iters")
-        if threads < 1:
-            raise DomainError(f"threads must be >= 1, got {threads}")
-        self.iters = iters
-        self.burn_in = burn_in
-        self.seed = seed
-        self.threads = threads
+        self.burn_in = count("burn_in", burn_in, 0)
+        self.iters = count("iters", iters, self.burn_in + 1)
+        self.seed = count("seed", seed, 0)
+        self.threads = count("threads", threads)
 
 
 class TaxonomicFit:

@@ -356,6 +356,8 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
     ["simulate", "--levels-spec", "dp:inf;dp:2", "--n", 20],
     ["simulate", "--levels-spec", "dp:2;dm:5:-inf", "--n", 20],
     ["validate", "--input", "{csv}", "--family", "ap", "--gamma", 1e200],
+    ["taxonomic", "--input", "{tree}", "--hyper-sd", "inf"],
+    ["taxonomic", "--input", "{tree}", "--hyper-sd", 1e-300],
 ], ids=["validate-grid-0", "validate-grid-negative", "richness-nhat-inf", "richness-nhat-nan",
         "simulate-spec-not-a-number", "simulate-spec-dm-fractional-bound", "fit-ap-draws-0",
         "fit-ap-rho-2", "taxonomic-rho-2", "taxonomic-hyper-sd-0",
@@ -368,7 +370,7 @@ def test_fewer_than_one_replicate_is_domain_error(argv, tiny_csv, tmp_path):
         "richness-sg-nref-fraction", "taxonomic-sg-nref-nan", "taxonomic-sg-nref-inf",
         "taxonomic-sg-nref-fraction", "extrapolate-dp-alpha-inf", "simulate-dp-alpha-inf",
         "simulate-ap-gamma-inf", "simulate-spec-dp-inf", "simulate-spec-dm-sigma-inf",
-        "validate-ap-gamma-huge"])
+        "validate-ap-gamma-huge", "taxonomic-hyper-sd-inf", "taxonomic-hyper-sd-underflow"])
 def test_value_out_of_range_is_domain_error(argv, tiny_csv, tmp_path, capsys):
     tree = tmp_path / "tree.csv"
     tree.write_text(TREE, encoding="utf-8")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -82,6 +83,19 @@ class TestAbundanceIngestion:
     def test_from_freq_counts(self):
         data = datamodel.PartitionData.from_freq_counts({1: 2, 3: 1})
         assert (data.n, data.k) == (5, 3)
+
+    @pytest.mark.parametrize("counts", [[2.5, 3], [math.nan, 2], [math.inf], [0, 1], [-1]])
+    def test_abundances_must_be_positive_integers(self, counts):
+        # [2.5, 3] was truncated to (3, 2), and [nan, 2] raised ValueError
+        with pytest.raises(DomainError, match="positive integers"):
+            datamodel.PartitionData.from_abundances(counts)
+
+    @pytest.mark.parametrize("freq", [{2.5: 1, 1: 2}, {math.nan: 1}, {0: 1}, {2: 1.5},
+                                      {2: -1}, {2: math.inf}])
+    def test_freq_counts_must_be_whole(self, freq):
+        # {2.5: 1, 1: 2} was truncated to (2, 1, 1)
+        with pytest.raises(DomainError):
+            datamodel.PartitionData.from_freq_counts(freq)
 
     def test_json_shape(self):
         d = datamodel.PartitionData.from_abundances([2, 1]).to_json()

@@ -266,6 +266,12 @@ class TestDiversityTransforms:
         with pytest.raises(DomainError):
             dpinfer.diversity_transforms(np.array([]))
 
+    @pytest.mark.parametrize("alpha", [[math.nan], [math.inf], [0.0], [2.0, -1.0]])
+    def test_non_finite_or_non_positive_rejected(self, alpha):
+        # a NaN draw gave NaN means
+        with pytest.raises(DomainError, match="alpha_draws"):
+            dpinfer.diversity_transforms(np.array(alpha))
+
     def test_amazon_rho_centi(self, amazon_stats):
         n, k = amazon_stats
         post = CP(prior=SG(1.0, 0.0002, n), n=n, k=k, rho=0.01)

@@ -117,6 +117,13 @@ class TestClassicalRarefaction:
         with pytest.raises(DomainError):
             estimators.classical_rarefaction(data, sizes=[4])
 
+    @pytest.mark.parametrize("sizes", [[2.5], [math.nan], [math.inf]])
+    def test_sizes_not_whole_or_not_finite_are_refused(self, sizes):
+        # [2.5] was truncated to size 2, and a NaN size raised numpy's ValueError
+        data = PartitionData.from_abundances([2, 1])
+        with pytest.raises(DomainError, match="sizes"):
+            estimators.classical_rarefaction(data, sizes=sizes)
+
 
 class TestSampleCoverage:
     def test_dm_saturated(self):

@@ -500,6 +500,12 @@ class TestCurves:
         with pytest.raises(DomainError):
             gibbs.rarefaction(model, 200, sizes=[0, 5])
 
+    @pytest.mark.parametrize("sizes", [[201], [2.5, 3.9], [math.nan], [math.inf]])
+    def test_sizes_not_whole_or_not_finite_are_refused(self, sizes):
+        # [2.5, 3.9] was truncated to sizes [2, 3], and a NaN size raised ValueError
+        with pytest.raises(DomainError, match="sizes"):
+            gibbs.rarefaction(DP(2.0), 200, sizes=sizes)
+
     def test_dp_amazon_endpoint(self, amazon_stats):
         n, k = amazon_stats
         # 751.23 solves the ML equation, so the model rarefaction ends at k
