@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Time the exact law of the new-taxa count, `posterior_Km_pmf` and `prior_Kn_pmf`.
+"""Time the exact law of the new-taxa count, `posterior_Km_pmf` and `prior_Kn_pmf`,
+and the AP accumulation curve `extrapolation`.
 
 For each state the script makes one warm-up call (it builds the Hermite ratio table
 an AP state reads), then prints the median wall time of 5 more calls and the
-tracemalloc peak of one call.  The states are the three exact calls of the
+tracemalloc peak of one call.  The pmf states are the three exact calls of the
 benchmark's km-pmf job (AP(2.0) at m = 500), long horizons for each family, a small
 gamma far from its start, the Amazon state (n = 553,949, k = 4,962) with m = 2,000,
-and `prior_Kn_pmf(AP(2.0), 10000)`.  It calls only public functions with their
-long-standing arguments, so the same script times any checkout: it imports the
+and `prior_Kn_pmf(AP(2.0), 10000)`.  The curve states are the benchmark's
+extrapolate-ap state (AP(350 / sqrt(5000)) at (5000, 350), m = 2,000), the Amazon
+state with AP(6.67) at m = 2,000 and 10,000, and AP(2.0) at (30, 10) with m = 10,000,
+each at `extrapolation`'s default arguments.  It calls only public functions with
+their long-standing arguments, so the same script times any checkout: it imports the
 sigmadiv on PYTHONPATH and prints where that is.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/run_k_law.py
@@ -15,6 +19,7 @@ sigmadiv on PYTHONPATH and prints where that is.  Run from the root of a checkou
 To compare two checkouts, run it alternately with PYTHONPATH set to each one's src.
 """
 
+import math
 import statistics
 import time
 import tracemalloc
@@ -40,6 +45,13 @@ STATES = {
     "AP(6.67) Amazon, m = 2000":
         lambda: gibbs.posterior_Km_pmf(AP(6.67), AMAZON_N, AMAZON_K, 2000),
     "prior_Kn_pmf AP(2.0), n = 10000": lambda: gibbs.prior_Kn_pmf(AP(2.0), 10_000),
+    "curve extrapolate-ap, m = 2000":
+        lambda: gibbs.extrapolation(AP(350 / math.sqrt(5000)), 5000, 350, 2000),
+    "curve AP(6.67) Amazon, m = 2000":
+        lambda: gibbs.extrapolation(AP(6.67), AMAZON_N, AMAZON_K, 2000),
+    "curve AP(6.67) Amazon, m = 10000":
+        lambda: gibbs.extrapolation(AP(6.67), AMAZON_N, AMAZON_K, 10_000),
+    "curve AP(2.0) (30, 10), m = 10000": lambda: gibbs.extrapolation(AP(2.0), 30, 10, 10_000),
 }
 
 

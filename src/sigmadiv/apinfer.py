@@ -125,7 +125,7 @@ def sample_modified_half_normal(rng: np.random.Generator, m, p, q):
     curvature dominates, or a Gamma (linearizing -p u^2 at the mode) when the
     power term dominates.  Worst-case acceptance at the crossover is ~0.7.
     Scalars give one float; arrays (broadcast) give one draw per lane, by
-    _sample_mhn_lanes.
+    _sample_mhn_lanes.  An envelope beyond the float range is a DomainError.
     """
     if np.ndim(m) or np.ndim(p) or np.ndim(q):
         return _sample_mhn_lanes(rng, m, p, q)
@@ -133,9 +133,15 @@ def sample_modified_half_normal(rng: np.random.Generator, m, p, q):
     if not (0.0 <= m and 0.0 < p and disc + four_p < math.inf):  # NaN included
         raise DomainError(f"need m >= 0, p > 0 and finite q^2 + 8pm and 4p, "
                           f"got m={m}, p={p}, q={q}")
+    # the envelope's centre (x*, or the tilt's -q / 2p at m = 0 < q) and Robert's lambda
+    # (finite iff beta^2 = q (q / 2p) is); the scale 1 / sqrt(2p) is finite for p > 0
+    x_star = (-q + math.sqrt(disc)) / four_p
+    tilt = q / (2.0 * p) if m == 0.0 < q else 0.0
+    if not x_star + q * tilt < math.inf:
+        raise DomainError(f"the envelope's centre or Robert's lambda is not finite at "
+                          f"m={m}, p={p}, q={q}")
     if m == 0.0:
         return _sample_trunc_normal(rng, -q / (2.0 * p), 1.0 / math.sqrt(2.0 * p))
-    x_star = (-q + math.sqrt(disc)) / four_p
     if q <= 0.0:  # x* solves 2p x*^2 + q x* = m, so this is m / x*^2 <= 2p
         # Gaussian envelope centered at the mode
         sd = 1.0 / math.sqrt(2.0 * p)
@@ -166,14 +172,16 @@ def _sample_mhn_lanes(rng: np.random.Generator, m, p, q) -> np.ndarray:
     """
     zero = np.zeros(np.broadcast(m, p, q).shape)
     m, p, q = ((a + zero).ravel() for a in (m, p, q))
-    with np.errstate(invalid="ignore", over="ignore"):  # in lanes refused just below
-        disc, four_p = q * q + 8.0 * p * m, 4.0 * p
-        finite = np.isfinite(disc + four_p)
-    if not ((m >= 0.0) & (p > 0.0) & finite).all():
-        raise DomainError("need m >= 0, p > 0 and finite q^2 + 8pm and 4p in every lane")
-    x_star = (np.sqrt(disc) - q) / four_p
     gauss = q <= 0.0
     tail = ~gauss & (m == 0.0)
+    with np.errstate(all="ignore"):  # in lanes refused just below
+        disc, four_p = q * q + 8.0 * p * m, 4.0 * p
+        x_star = (np.sqrt(disc) - q) / four_p
+        # with the envelope's centre and Robert's lambda, as in the scalar path
+        finite = np.isfinite(disc + four_p + x_star + q * (np.where(tail, q, 0.0) / (2.0 * p)))
+    if not ((m >= 0.0) & (p > 0.0) & finite).all():
+        raise DomainError("need m >= 0, p > 0, finite q^2 + 8pm and 4p and a finite "
+                          "envelope in every lane")
     out = np.empty(m.size)
     for lanes, envelope in ((gauss, _gauss_envelope), (~gauss & ~tail, _gamma_envelope),
                             (tail, _tail_envelope)):

@@ -324,9 +324,8 @@ def cmd_extrapolate(args) -> int:
     curve = gibbs.extrapolation(model, n, k, args.m, replicates=args.replicates,
                                 rng_seed=args.seed)
     outdir, config = _start_outputs(args, {"resolved_model": repr(model)}, data)
-    se = [""] * args.m if curve.se is None else curve.se
-    _write_table(outdir, "extrapolation", {"size": curve.sizes, "expected": curve.values,
-                                           "se": se}, args.format, config)
+    _write_table(outdir, "extrapolation", {"size": curve.sizes, "expected": curve.values},
+                 args.format, config)
     return 0
 
 
@@ -472,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("extrapolate", cmd_extrapolate, "out-of-sample accumulation curve")
     data(p)
     model(p)
-    p.add_argument("--replicates", type=int, default=1_000)
+    p.add_argument("--replicates", type=int, default=1_000,
+                   help="checked (>= 1) but without effect: every curve is exact")
     p.add_argument("--m", type=int, required=True)
 
     p = command("taxonomic", cmd_taxonomic, "hierarchical fit of a taxonomy CSV")

@@ -7,10 +7,9 @@ them through log_V(n, k), the log partition weights.  Every prior expectation
 is exact: closed forms for DP and DM, and for AP one integral over the
 size-biased pick (rarefaction, frequency counts, diversity indices) on the
 log-grid rule of specfun.log_grid_rule.  The exact law of the distinct count
-(prior_Kn_pmf at any n, posterior_Km_pmf) is one forward chain over the
-discovery probability p_new(n, k) of _discovery_fn, which the urns read too.
-Monte Carlo is left for AP's extrapolation from an observed state and the
-long-horizon fallback of posterior_Km_pmf.
+(prior_Kn_pmf, posterior_Km_pmf at any horizon) and AP's extrapolation from an
+observed state are one forward chain over the discovery probability p_new(n, k)
+of _discovery_fn, which the urns read too; only the urns draw paths of K.
 """
 
 from __future__ import annotations
@@ -229,8 +228,7 @@ def _path_flags(model: GibbsModel, n: int, k: int, u: np.ndarray, p_new=None) ->
     largest it reads), and the window ends at the _PATH_STRIDE-th discovery.
     A draw with u[i] >= bound cannot discover; the others are walked in order
     with the exact p_new, so the flags are those of the draw-by-draw rule, bit
-    for bit.  A caller that runs many paths from (n, k) passes p_new =
-    _discovery_fn(model, n + len(u), n, k), built once.
+    for bit.  The urns pass p_new, built once for all their draws.
     """
     m = len(u)
     if p_new is None:
@@ -374,21 +372,25 @@ def urn_sample(model: GibbsModel, n_steps: int,
     return _urn_labels(flags, model.discount, rng, np.zeros(1, dtype=np.int64))
 
 
-def _k_law(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
+def _k_law(model: GibbsModel, n: int, k: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """P(K_{n+m} - k = j | K_n = k) for j = 0..m, rolled forward from K_n = k: the draw
     after n + i observations moves mass pmf[j] p_new(n + i, k + j) from j to j + 1
     (Gnedin & Pitman 2006).  Each step is a convex combination, so the law stays
     normalised; only the band pmf[lo:hi] is stepped, and an end entry that falls
-    below 1e-300 is set to 0 and leaves it."""
+    below 1e-300 is set to 0 and leaves it.  Also E(K_{n+i} | K_n = k) for i = 1..m: k
+    plus the running sum of the mass each step moves, E(K_{n+i+1}) - E(K_{n+i})."""
     p_new = _discovery_fn(model, n + m, n, k)
     counts = np.arange(k, k + m + 1)
     pmf = np.zeros(m + 1)
     pmf[0] = 1.0
+    means = np.empty(m)
     lo, hi = 0, 1
     for i in range(m):
+        band = pmf[lo:hi]
         p = p_new(n + i, counts[lo:hi])
-        moved = pmf[lo:hi] * p
-        pmf[lo:hi] *= 1.0 - p
+        moved = band * p
+        means[i] = np.add.reduce(moved)
+        band *= 1.0 - p
         pmf[lo + 1:hi + 1] += moved
         hi += 1
         while pmf[lo] < 1e-300:
@@ -397,12 +399,14 @@ def _k_law(model: GibbsModel, n: int, k: int, m: int) -> np.ndarray:
         while pmf[hi - 1] < 1e-300:
             hi -= 1
             pmf[hi] = 0.0
-    return pmf
+    np.cumsum(means, out=means)
+    means += k
+    return pmf, means
 
 
 def prior_Kn_pmf(model: GibbsModel, n: int) -> np.ndarray:
     """P(K_n = k) for k = 1..n: the law of the new taxa among n - 1 draws after K_1 = 1."""
-    return _k_law(model, 1, 1, count("n", n) - 1)
+    return _k_law(model, 1, 1, count("n", n) - 1)[0]
 
 
 DEFAULT_TABLE_CAP = 10_000
@@ -411,36 +415,27 @@ DEFAULT_TABLE_CAP = 10_000
 def posterior_Km_pmf(model: GibbsModel, n: int, k: int, m: int,
                      table_cap: int = DEFAULT_TABLE_CAP,
                      mc_replicates: int = 20_000, rng_seed: int = 0) -> np.ndarray:
-    """P(K^{(n)}_m = j | K_n = k) for j = 0..m, the law of newly discovered taxa.
-
-    For m up to table_cap it is exact, the forward chain of _k_law.  A longer
-    horizon is a Monte Carlo histogram of mc_replicates paths of K from K_n = k,
-    seeded by rng_seed.  A state that no path reaches (k > H for DM) is a domain
-    error.
+    """P(K^{(n)}_m = j | K_n = k) for j = 0..m, the law of newly discovered taxa: the
+    forward chain of _k_law, exact at every horizon.  A state that no path reaches
+    (k > H for DM) is a domain error.  table_cap, mc_replicates and rng_seed (each
+    >= 0) are range-checked but change nothing.
     """
     n, k = _check_state(model, n, k)
     m = count("m", m)
-    if m > count("table_cap", table_cap, 0):
-        mc_replicates = count("mc_replicates", mc_replicates)
-        rng = _rng(rng_seed)
-        p_new = _discovery_fn(model, n + m, n, k)
-        pmf = np.zeros(m + 1)
-        for _ in range(mc_replicates):
-            pmf[np.count_nonzero(_path_flags(model, n, k, rng.random(m), p_new))] += 1.0
-        return pmf / pmf.sum()
-    return _k_law(model, n, k, m)
+    count("table_cap", table_cap, 0)
+    count("mc_replicates", mc_replicates, 0)
+    count("rng_seed", rng_seed, 0)
+    return _k_law(model, n, k, m)[0]
 
 
 class Curve:
-    """Accumulation curve: expected distinct count values[i] at sample size sizes[i],
-    with Monte Carlo standard errors se, or None where the values are exact."""
+    """Accumulation curve: expected distinct count values[i] at sample size sizes[i]."""
 
-    __slots__ = ("sizes", "values", "se")
+    __slots__ = ("sizes", "values")
 
-    def __init__(self, sizes: np.ndarray, values: np.ndarray, se: Optional[np.ndarray] = None):
+    def __init__(self, sizes: np.ndarray, values: np.ndarray):
         self.sizes = sizes
         self.values = values
-        self.se = se
 
 
 _CURVE_BLOCK = 256  # sizes per block of an AP rarefaction: a few MB of temporaries
@@ -534,26 +529,18 @@ def extrapolation(model: GibbsModel, n: int, k: int, m: int, replicates: int = 1
                   rng_seed: int = 0) -> Curve:
     """Expected out-of-sample curve E(K_{n+1} | K_n = k), ..., E(K_{n+m} | K_n = k).
 
-    Closed form for DM and DP; for AP the Monte Carlo mean, with its standard-error
-    band, of `replicates` paths of K from K_n = k, seeded by rng_seed.
+    Exact for every family: closed form for DM and DP, and for AP the means of the
+    forward chain of _k_law from K_n = k.  replicates (>= 1) and rng_seed (>= 0)
+    are range-checked but change nothing.
     """
     n, k = _check_state(model, n, k)
     m = count("m", m)
-    i = np.arange(1, m + 1)
-    if not isinstance(model, AldousPitman):
-        return Curve(n + i, _curve(model, n, k, i))
-    replicates = count("replicates", replicates)
-    rng = _rng(rng_seed)
-    p_new = _discovery_fn(model, n + m, n, k)
-    acc = np.zeros(m)
-    acc2 = np.zeros(m)
-    for _ in range(replicates):
-        ks = k + _path_flags(model, n, k, rng.random(m), p_new).cumsum()
-        acc += ks
-        acc2 += ks * ks
-    mean = acc / replicates
-    se = np.sqrt(np.maximum(acc2 / replicates - mean * mean, 0.0) / replicates)
-    return Curve(n + i, mean, se)
+    count("replicates", replicates)
+    count("rng_seed", rng_seed, 0)
+    sizes = np.arange(n + 1, n + m + 1)
+    if isinstance(model, AldousPitman):
+        return Curve(sizes, _k_law(model, n, k, m)[1])
+    return Curve(sizes, _curve(model, n, k, sizes - n))
 
 
 def expected_freq_counts(model: GibbsModel, n: int, r_max: int) -> np.ndarray:

@@ -126,11 +126,14 @@ def gammaln(x):
     if not isinstance(x, np.ndarray):
         if x < 0.0:
             raise DomainError(f"gammaln requires x >= 0, got {x}")
-        return math.lgamma(x) if x > 0.0 else math.inf
+        try:  # math.lgamma overflows past x ~ 2.6e305, where the array path gives inf
+            return math.lgamma(x) if x > 0.0 else math.inf
+        except OverflowError:
+            return math.inf
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("gammaln requires x >= 0")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # inf at 0 and past the float range
         out = _log_gamma(x)
     return float(out) if out.ndim == 0 else out
 

@@ -203,6 +203,19 @@ class TestModifiedHalfNormal:
                 apinfer.sample_modified_half_normal(rng, np.array([2.0, m]), p, q)
 
 
+    @pytest.mark.parametrize("m, p, q", [(0.0, 1e-300, 1e154), (0.0, 1e-300, -1e154)])
+    def test_envelope_out_of_float_range_is_refused(self, m, p, q):
+        # the domain check passed, then the tilt ran 10,000 rounds (SamplerError) or
+        # the scalar Gaussian returned inf
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda is not finite"):
+                apinfer.sample_modified_half_normal(rng, m, p, q)
+            with pytest.raises(DomainError, match="finite envelope"):
+                apinfer.sample_modified_half_normal(rng, np.array([2.0, m]), p, q)
+
+
 class TestGibbsSweep:
     def test_gamma_conditional_mean(self):
         # E(gamma | u) = (a + k - 1) / (b + u/sqrt(2))
@@ -479,9 +492,10 @@ class TestPosteriorDiversityConsistency:
         n, k, a, b = 30, 10, 2.0, 1.0
         m = 10_000
         draws = apinfer.iid_two_step_sample(n, k, a, b, 150, rng_seed=12).values
+        # one random path of K from K_n = k per draw of gamma
         stats = np.array([
-            gibbs.extrapolation(AP(float(g)), n, k, m, replicates=1,
-                                rng_seed=1_000 + i).values[-1] / math.sqrt(m)
-            for i, g in enumerate(draws)])
+            (k + gibbs._path_flags(AP(float(g)), n, k,
+                                   np.random.default_rng(1_000 + i).random(m)).sum())
+            / math.sqrt(m) for i, g in enumerate(draws)])
         for q in (0.25, 0.5, 0.75):
             assert np.quantile(stats, q) == pytest.approx(np.quantile(draws, q), rel=0.10)

@@ -301,6 +301,19 @@ class TestExtrapolate:
         _, rows = read_csv_rows(out / "extrapolation.csv")
         assert len(rows) == 3 and int(rows[0][0]) == 101
 
+    def test_ap_curve_does_not_depend_on_seed(self, tmp_path):
+        # the AP curve is the exact mean of the K chain; --replicates is inert
+        tables = []
+        for seed in (1, 2):
+            out = tmp_path / f"s{seed}"
+            assert run("extrapolate", "--family", "ap", "--gamma", 4.95, "--n", 5000,
+                       "--k", 350, "--m", 2000, "--replicates", 200, "--seed", seed,
+                       "--output-dir", out) == 0
+            tables.append(read_csv_rows(out / "extrapolation.csv"))
+        assert tables[0] == tables[1]
+        header, rows = tables[0]
+        assert header == ["size", "expected"] and len(rows) == 2000
+
 
 @pytest.mark.parametrize("argv", [
     ["extrapolate", "--family", "ap", "--gamma", 2, "--n", 100, "--k", 20, "--m", 5,

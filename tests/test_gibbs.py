@@ -458,25 +458,29 @@ class TestPosteriorKmPmf:
         assert pmf.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_dm_k_above_H(self):
-        # no path of K reaches k > H; both the exact and the Monte Carlo branch refuse it
+        # no path of K reaches k > H
         with pytest.raises(DomainError, match="k exceeds H"):
             gibbs.posterior_Km_pmf(DM(-1.0, 5), 10, 7, 3)
-        with pytest.raises(DomainError, match="k exceeds H"):
-            gibbs.posterior_Km_pmf(DM(-1.0, 5), 10, 7, 30, table_cap=10, mc_replicates=10)
 
     def test_fewer_than_one_replicate(self):
-        # the Monte Carlo branch needs a replicate; the exact one reads none
-        for r in (0, -3):
+        # mc_replicates is range-checked on every call, at any horizon; 0 is in range
+        # (the benchmark's km-pmf job passes it to its calls below table_cap)
+        for cap in (10, gibbs.DEFAULT_TABLE_CAP):
             with pytest.raises(DomainError):
-                gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 50, table_cap=10, mc_replicates=r)
+                gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 50, table_cap=cap, mc_replicates=-3)
         exact = gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 50, mc_replicates=0)
         assert exact.sum() == pytest.approx(1.0, abs=1e-8)
 
-    def test_mc_fallback(self):
-        exact = gibbs.posterior_Km_pmf(DP(2.0), 5, 3, 4)
-        mc = gibbs.posterior_Km_pmf(DP(2.0), 5, 3, 4, table_cap=2,
-                                    mc_replicates=200_000, rng_seed=0)
-        assert np.abs(exact - mc).max() < 0.01
+    def test_pinned_arguments_change_nothing(self):
+        # past table_cap the law is the same chain, bit for bit, whatever the seed
+        exact = gibbs.posterior_Km_pmf(AP(2.0), 1000, 60, 800)
+        for seed in (5, 6):
+            got = gibbs.posterior_Km_pmf(AP(2.0), 1000, 60, 800, table_cap=500,
+                                         mc_replicates=300, rng_seed=seed)
+            assert np.array_equal(got, exact)
+        for seed in (-1, 0.5):  # checked below table_cap too
+            with pytest.raises(DomainError):
+                gibbs.posterior_Km_pmf(AP(2.0), 100, 20, 5, rng_seed=seed)
 
 
 DM_CURVE_MPMATH = {1: 1.0, 2: 1.999900004999750012499375, 10: 9.995502024089159878054875,
@@ -534,7 +538,6 @@ class TestCurves:
         exact_mean = (np.arange(1, n + 1) * gibbs.prior_Kn_pmf(model, n)).sum()
         curve = gibbs.rarefaction(model, n)
         assert curve.values[-1] == pytest.approx(exact_mean, rel=1e-10)
-        assert curve.se is None
 
     @pytest.mark.parametrize("alpha", [1e9, 1e12, 1e16])
     def test_dp_alpha_far_above_n(self, alpha):
@@ -553,9 +556,26 @@ class TestCurves:
     def test_extrapolation_one_step(self):
         for model in TEST_MODELS:
             split = gibbs.predictive(model, 6, 3, [4, 1, 1])
-            curve = gibbs.extrapolation(model, 6, 3, 1, replicates=40_000, rng_seed=3)
-            tol = 3 * curve.se[0] if curve.se is not None else 1e-9
-            assert abs(curve.values[0] - (3 + split.p_new)) <= max(tol, 1e-9)
+            curve = gibbs.extrapolation(model, 6, 3, 1)
+            assert curve.values[0] == pytest.approx(3 + split.p_new, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model, n, k, m", [(AP(2.0), 1000, 60, 300),
+                                                (AP(350 / math.sqrt(5000)), 5000, 350, 400)])
+    def test_ap_extrapolation_matches_40_digit_chain(self, model, n, k, m):
+        # E(K_{n+i}) = k + sum_j j pmf_j of the law rolled forward in 40 digits
+        curve = gibbs.extrapolation(model, n, k, m)
+        assert np.array_equal(curve.sizes, np.arange(n + 1, n + m + 1))
+        for i in (1, m // 2, m):
+            pmf = k_law_40_digits(gibbs._discovery_fn(model, n + i, n, k), n, k, i)
+            want = k + float(np.arange(i + 1) @ pmf)
+            assert curve.values[i - 1] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_ap_extrapolation_ignores_replicates_and_seed(self):
+        want = gibbs.extrapolation(AP(2.0), 1000, 60, 50).values
+        for replicates, seed in ((1, 0), (200, 7)):
+            got = gibbs.extrapolation(AP(2.0), 1000, 60, 50, replicates=replicates,
+                                      rng_seed=seed)
+            assert np.array_equal(got.values, want)
 
     def test_dm_extrapolation_vs_urn(self):
         # continue the urn after conditioning on (n, k); K depends only on (n, k)
@@ -593,8 +613,18 @@ class TestMemoryBounds:
         assert peak < 2.5
         i = np.arange(1, m + 1)
         want = k + self.ALPHA * (digamma(self.ALPHA + n + i) - digamma(self.ALPHA + n))
-        assert np.array_equal(curve.sizes, n + i) and curve.se is None
+        assert np.array_equal(curve.sizes, n + i)
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
+
+    def test_ap_extrapolation(self, amazon_stats, traced_peak):
+        # the pmf, the means and the counts of one chain (0.32 MiB); the mean of 1,000
+        # Monte Carlo paths with its standard error peaked at 0.61 MiB
+        n, k = amazon_stats
+        m = 10_000
+        gibbs.extrapolation(AP(6.67), n, k, m)  # builds the Hermite table it reads
+        curve, peak = traced_peak(lambda: gibbs.extrapolation(AP(6.67), n, k, m))
+        assert peak < 0.5
+        assert curve.values.shape == (m,) and np.all(np.diff(curve.values) > 0.0)
 
     def test_dp_urn(self, traced_peak):
         self._check_urn(DP(50.0), 100_000, 2.0, traced_peak)
@@ -632,7 +662,7 @@ class TestMemoryBounds:
         assert peak < 12.0
         i = np.arange(1, n + 1)
         want = self.ALPHA * (digamma(self.ALPHA + i) - digamma(self.ALPHA))
-        assert np.array_equal(curve.sizes, i) and curve.se is None
+        assert np.array_equal(curve.sizes, i)
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
         assert curve.values[-1] == pytest.approx(k, abs=0.5)
 
@@ -644,7 +674,7 @@ class TestMemoryBounds:
         # E(K_i) = H (1 - (b)_i / (Hs)_i), b = (H - 1) s, s = 1, as a running product
         j = np.arange(n, dtype=float)
         want = model.H * (1.0 - np.cumprod((model.H - 1.0 + j) / (model.H + j)))
-        assert np.array_equal(curve.sizes, j + 1) and curve.se is None
+        assert np.array_equal(curve.sizes, j + 1)
         assert np.allclose(curve.values, want, rtol=1e-12, atol=0.0)
 
     def test_dp_full_freq_counts(self, amazon_stats, traced_peak):

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ class TestSpecialFunctionsAgainstScipy:
         # log-posterior still reads -inf when its shape exp(log a) underflows to 0
         assert specfun.gammaln(0.0) == sps.gammaln(0.0) == math.inf
         assert specfun.gammaln(np.array([0.0, 1.0]))[0] == math.inf
+
+    @pytest.mark.parametrize("x", [3e305, 1e306])
+    def test_gammaln_past_the_float_range(self, x):
+        # math.lgamma raised OverflowError here while the array path gave inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert specfun.gammaln(x) == math.inf
+            assert specfun.gammaln(np.array([x]))[0] == math.inf
 
     def test_exact_points(self):
         assert specfun.gammaln(1.0) == 0.0 and specfun.gammaln(2.0) == 0.0

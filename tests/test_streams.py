@@ -32,9 +32,6 @@ URN_DIGESTS = {
     ("ap", 100_000): "9f7c3f1fe0a70262e89939080b00e74f1c895c7cefd550ff477b48c6db91db1f",
 }
 
-# posterior_Km_pmf's Monte Carlo branch (m > table_cap): a histogram of seeded paths of K
-KM_PMF_MC_DIGEST = "96427b01e334886e6f39e50018133776841145aa7f0b7d8bb21b33515fae7a5e"
-
 NESTED_DIGEST = "e28bd18dde532270cdb31f637eca411e682b2cb745310f4162fc2849139945f3"
 
 SIMULATE = {
@@ -87,12 +84,6 @@ def _sha256(data: bytes) -> str:
 def test_urn_stream(family, n):
     labels = gibbs.urn_sample(URN_MODELS[family], n, 11)
     assert _sha256(labels.astype("<i4").tobytes()) == URN_DIGESTS[family, n]
-
-
-def test_km_pmf_monte_carlo():
-    pmf = gibbs.posterior_Km_pmf(gibbs.AldousPitman(2.0), 1000, 60, 800, table_cap=500,
-                                 mc_replicates=300, rng_seed=5)
-    assert _sha256(pmf.astype("<f8").tobytes()) == KM_PMF_MC_DIGEST
 
 
 def test_nested_urn_sample():
