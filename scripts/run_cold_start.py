@@ -4,11 +4,15 @@
 Each run is a fresh child interpreter; the subcommands work on tiny inputs written
 to a temporary directory (a 7-taxon abundance table and a 6-row three-level tree),
 so what is timed is mostly start-up: the imports, numpy's load and the CLI's own
-set-up.  The runs are interleaved, `--runs` rounds of all of them (default 11), so
+set-up.  A child calls `sigmadiv.cli.main(argv)`, as the `sigmadiv` console script
+does.  The runs are interleaved, `--runs` rounds of all of them (default 11), so
 a drift in host speed touches every run alike.  For each run the script prints the
 median wall seconds, the median CPU seconds of the child (user + system, from the
-rusage that wait4 reports) and the median peak RSS (VmHWM, `ru_maxrss`).  CPU above
-wall means a second thread was busy, such as a BLAS worker spinning while idle.
+rusage that wait4 reports), the median peak RSS (VmHWM, `ru_maxrss`) and the
+sigmadiv layers the child executed, read in the child after its command (a layer
+is executed on its first attribute access, so a layer listed for a command that
+does not call it is an eager load).  CPU above wall means a second thread was
+busy, such as a BLAS worker spinning while idle.
 
 Python reads any bytecode cached under src/; run with PYTHONDONTWRITEBYTECODE=1
 after removing src/sigmadiv/__pycache__ to time the compile of sigmadiv's source
@@ -40,6 +44,20 @@ COMMANDS = {
     "validate": ["validate", "--input", "{abundance}", "--replicates", "3"],
     "taxonomic": ["taxonomic", "--input", "{tree}", "--mcmc-iters", "30", "--burn-in", "10"],
 }
+# a child: import the CLI and run the command of argv[2:], if any, then write the
+# sigmadiv layers it executed to the file argv[1]; exits with the command's code
+CHILD = """\
+import sys, types
+import sigmadiv.cli
+try:
+    code = sigmadiv.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+finally:
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write(",".join(sorted(m.split(".")[1] for m, module in sys.modules.items()
+                                 if m.startswith("sigmadiv.") and m != "sigmadiv.cli"
+                                 and type(module) is types.ModuleType)))
+sys.exit(code)
+"""
 
 
 def run(argv, env):
@@ -71,20 +89,24 @@ def main():
         for name, text in (("abundance", ABUNDANCE), ("tree", TREE)):
             with open(inputs[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
-        argvs = {"import sigmadiv.cli": [sys.executable, "-c", "import sigmadiv.cli"]}
+        report = os.path.join(work, "layers.txt")
+        argvs = {"import sigmadiv.cli": [sys.executable, "-c", CHILD, report]}
         for i, (name, argv) in enumerate(COMMANDS.items()):
-            argvs[name] = ([sys.executable, "-m", "sigmadiv.cli"]
+            argvs[name] = ([sys.executable, "-c", CHILD, report]
                            + [a.format(**inputs) for a in argv]
                            + ["--seed", "1", "--output-dir", os.path.join(work, f"out{i}")])
         samples = {name: [] for name in argvs}
+        layers = {name: set() for name in argvs}
         for _ in range(args.runs):
             for name, argv in argvs.items():
                 samples[name].append(run(argv, env))
+                with open(report, encoding="utf-8") as fh:
+                    layers[name].add(fh.read())
 
-    print(f"{'run':<22}{'wall s':>9}{'CPU s':>9}{'VmHWM MiB':>11}")
+    print(f"{'run':<22}{'wall s':>9}{'CPU s':>9}{'VmHWM MiB':>11}  layers executed")
     for name, runs in samples.items():
         wall, cpu, peak = (statistics.median(column) for column in zip(*runs))
-        print(f"{name:<22}{wall:>9.3f}{cpu:>9.3f}{peak:>11.1f}")
+        print(f"{name:<22}{wall:>9.3f}{cpu:>9.3f}{peak:>11.1f}  {' | '.join(sorted(layers[name]))}")
 
 
 if __name__ == "__main__":

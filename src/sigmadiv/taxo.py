@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import apinfer, gibbs, specfun
+from . import gibbs, specfun
+from .apinfer import sample_modified_half_normal
 from .datamodel import TaxonNode, TaxonomicDataset
 from .dpinfer import CoarsenedPosterior, StirlingGammaSpec, sg_posterior_sample
 from .draws import PosteriorDraws, quantiles
@@ -319,7 +320,7 @@ def _fit_ap_level(prior: APLevelPrior, stats: List[BranchSufficientStats],
         # (gamma | -) is conjugate branch by branch
         gam = rng.standard_gamma(a_cur + shape_base) / (b_cur + beta * u)
         # (U | -) for every informative branch in one array draw
-        u[branches] = apinfer.sample_modified_half_normal(
+        u[branches] = sample_modified_half_normal(
             rng, m_branches, 0.5 * rho, beta * gam[branches])
         # Metropolis on (log a, log b)
         la_p = la + scale * rng.standard_normal()

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -83,6 +84,32 @@ class TestFit:
         assert exc.value.code == 2
 
 
+def _every_branch(tiny_csv, tmp_path):
+    """The argv of every subcommand branch on tiny inputs, each with its own output
+    directory under tmp_path."""
+    tree = tmp_path / "tree.csv"
+    tree.write_text(TREE, encoding="utf-8")
+    runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
+            ["simulate", "--n", 40, "--family", "ap", "--gamma", 1],
+            ["simulate", "--n", 40, "--levels-spec", "dp:3;dp:2;ap:0.8"],
+            ["fit", "--input", tiny_csv, "--family", "dp", "--draws", 50],
+            ["fit", "--input", tiny_csv, "--family", "ap", "--draws", 50],
+            ["extrapolate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
+             "--m", 5, "--replicates", 3],
+            ["extrapolate", "--input", tiny_csv, "--m", 5],
+            ["validate", "--input", tiny_csv, "--family", "dm", "--bound-h", 10,
+             "--replicates", 3],
+            ["validate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
+             "--replicates", 3],
+            ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10],
+            ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10,
+             "--threads", 2],
+            ["richness", "--input", tiny_csv, "--sg", 1, 0.02, 52, "--nhat", 5000,
+             "--draws", 200]]
+    return [[str(a) for a in argv] + ["--seed", "1", "--output-dir", str(tmp_path / f"out{i}")]
+            for i, argv in enumerate(runs)]
+
+
 class TestImport:
     def test_cli_import_skips_scipy_optimize(self):
         src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
@@ -110,27 +137,7 @@ class TestImport:
         # scipy or numpy.polynomial, no np.quantile or np.unique pulls in
         # numpy.ma, no module builds classes through dataclasses, and the taxonomic
         # fit at --threads 2 fits every branch on the one thread of the process
-        tree = tmp_path / "tree.csv"
-        tree.write_text(TREE, encoding="utf-8")
-        runs = [["simulate", "--n", 40, "--family", "dm", "--bound-h", 5],
-                ["simulate", "--n", 40, "--levels-spec", "dp:3;dp:2;ap:0.8"],
-                ["fit", "--input", tiny_csv, "--family", "dp", "--draws", 50],
-                ["fit", "--input", tiny_csv, "--family", "ap", "--draws", 50],
-                ["extrapolate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
-                 "--m", 5, "--replicates", 3],
-                ["extrapolate", "--input", tiny_csv, "--m", 5],
-                ["validate", "--input", tiny_csv, "--family", "dm", "--bound-h", 10,
-                 "--replicates", 3],
-                ["validate", "--input", tiny_csv, "--family", "ap", "--gamma", 1,
-                 "--replicates", 3],
-                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10],
-                ["taxonomic", "--input", tree, "--mcmc-iters", 30, "--burn-in", 10,
-                 "--threads", 2],
-                ["richness", "--input", tiny_csv, "--sg", 1, 0.02, 52, "--nhat", 5000,
-                 "--draws", 200]]
-        argvs = [[str(a) for a in argv] + ["--seed", "1", "--output-dir",
-                                           str(tmp_path / f"out{i}")]
-                 for i, argv in enumerate(runs)]
+        argvs = _every_branch(tiny_csv, tmp_path)
         code = ("import json, os, sys, threading\n"
                 "env = dict(os.environ)\n"
                 "import sigmadiv.cli, sigmadiv.taxo as taxo\n"
@@ -150,7 +157,7 @@ class TestImport:
                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                              text=True).stdout
         codes, loaded, env_kept, active = json.loads(out.strip().splitlines()[-1])
-        assert codes == [0] * len(runs)
+        assert codes == [0] * len(argvs)
         assert loaded == []
         assert env_kept
         assert active == [1]
@@ -207,6 +214,99 @@ class TestImport:
                 "        ticks += int(fields[11]) + int(fields[12])  # utime, stime\n"
                 "print(ticks)")
         assert int(self._cold(code)) <= 1
+
+    LAYERS = ("errors", "datamodel", "specfun", "gibbs", "estimators", "draws", "dpinfer",
+              "apinfer", "taxo")
+
+    @staticmethod
+    def _commands(argvs, watched=()):
+        """In one cold interpreter, the exit codes of the commands argvs, then the
+        sigmadiv modules executed (a module registered for a lazy load is still a
+        _LazyModule) and the modules of `watched` that are loaded."""
+        code = ("import json, sys, types\n"
+                "import sigmadiv.cli\n"
+                "args = json.loads(sys.argv[1])\n"
+                "codes = [sigmadiv.cli.main(argv) for argv in args[0]]\n"
+                "executed = sorted(m.split('.')[1] for m, module in sys.modules.items()\n"
+                "                  if m.startswith('sigmadiv.')\n"
+                "                  and type(module) is types.ModuleType)\n"
+                "print(json.dumps([codes, executed, [m for m in args[1] if m in sys.modules]]))")
+        src = os.path.dirname(os.path.dirname(sigmadiv.__file__))
+        out = subprocess.run([sys.executable, "-c", code, json.dumps([argvs, watched])],
+                             check=True, env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True).stdout
+        return json.loads(out.strip().splitlines()[-1])
+
+    def test_cli_import_executes_only_base_layers(self):
+        # every layer is registered, so `from . import x` and sys.modules see it, but
+        # only the layers every command runs are executed
+        code = ("import json, sys, types\n"
+                "import sigmadiv.cli\n"
+                "modules = {m.split('.')[1]: type(module) is types.ModuleType\n"
+                "           for m, module in sys.modules.items() if m.startswith('sigmadiv.')}\n"
+                "print(json.dumps(modules))")
+        modules = json.loads(self._cold(code))
+        assert sorted(modules) == sorted(self.LAYERS + ("cli",))
+        assert sorted(m for m, executed in modules.items() if executed) == [
+            "cli", "datamodel", "errors", "specfun"]
+
+    def test_dp_commands_skip_taxo_and_apinfer(self, tiny_csv, tmp_path):
+        runs = [["simulate", "--n", "40", "--alpha", "5"],
+                ["fit", "--input", tiny_csv, "--family", "dp", "--draws", "50"],
+                ["richness", "--input", tiny_csv, "--nhat", "5000", "--draws", "200"],
+                ["extrapolate", "--input", tiny_csv, "--family", "dp", "--m", "5"],
+                ["validate", "--input", tiny_csv, "--family", "dp", "--replicates", "3"],
+                ["validate", "--input", tiny_csv, "--family", "dm", "--bound-h", "10",
+                 "--replicates", "3"]]
+        argvs = [argv + ["--seed", "1", "--output-dir", str(tmp_path / f"out{i}")]
+                 for i, argv in enumerate(runs)]
+        codes, executed, _ = self._commands(argvs)
+        assert codes == [0] * len(runs)
+        assert {"gibbs", "dpinfer"} <= set(executed)
+        assert not {"taxo", "apinfer"} & set(executed)
+
+    def test_extrapolate_skips_random_and_openssl(self, tiny_csv, tmp_path):
+        # the exact chain draws nothing, so neither numpy.random nor the OpenSSL
+        # behind hashlib (which numpy.random and taxo load) is loaded
+        runs = [["--family", "dp"], ["--family", "ap", "--gamma", "1"]]
+        argvs = [["extrapolate", "--input", tiny_csv, "--m", "5", *run, "--seed", "1",
+                  "--output-dir", str(tmp_path / f"out{i}")] for i, run in enumerate(runs)]
+        codes, executed, loaded = self._commands(argvs, ["numpy.random", "_hashlib"])
+        assert codes == [0, 0]
+        assert "gibbs" in executed
+        assert loaded == []
+
+    def test_no_layer_compiles_after_numpy_random(self, tiny_csv, tmp_path):
+        # a layer compiled after the first generator exists raises the job's peak
+        # RSS (a lazy specfun, compiled mid-way through an AP simulate, raised its
+        # VmHWM by ~1 MiB), so each command executes its layers before it draws.
+        # Each branch runs in a fresh interpreter on a copy of the package with no
+        # bytecode cache, recording in order the compile of each of its source files
+        # and the import of numpy.random
+        pkg = tmp_path / "pkg"
+        shutil.copytree(os.path.dirname(sigmadiv.__file__), pkg / "sigmadiv",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = ("import json, os, sys\n"
+                "src, events = os.path.join(sys.argv[1], ''), []\n"
+                "def hook(event, args):\n"
+                "    if event == 'compile' and str(args[1]).startswith(src):\n"
+                "        events.append(os.path.basename(args[1]))\n"
+                "    elif event == 'import' and args[0] == 'numpy.random':\n"
+                "        events.append(args[0])\n"
+                "sys.addaudithook(hook)\n"
+                "import sigmadiv.cli\n"
+                "print(json.dumps([sigmadiv.cli.main(sys.argv[2:]), events]))")
+        env = dict(os.environ, PYTHONPATH=str(pkg), PYTHONDONTWRITEBYTECODE="1")
+        late = []
+        for argv in _every_branch(tiny_csv, tmp_path):
+            out = subprocess.run([sys.executable, "-c", code, str(pkg / "sigmadiv"), *argv],
+                                 check=True, env=env, capture_output=True, text=True).stdout
+            status, events = json.loads(out.strip().splitlines()[-1])
+            assert status == 0 and "cli.py" in events, argv
+            if "numpy.random" in events:
+                late += [(argv[:5], name)
+                         for name in events[events.index("numpy.random") + 1:]]
+        assert late == []
 
 
 class TestDeterminism:

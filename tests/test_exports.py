@@ -2,13 +2,11 @@
 
 A deleted function or dataclass field can leave its name behind in a module's
 `__all__` (found only by `from module import *`) or in the package's
-re-exports; these tests find it without importing `*`.
+re-export table; these tests find it.
 """
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -26,11 +24,19 @@ def test_module_all_names_exist(name):
 
 
 def test_package_reexports_exist():
-    tree = ast.parse(Path(sigmadiv.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"sigmadiv.{node.module}")
-        for alias in node.names:
-            assert hasattr(module, alias.name), (node.module, alias.name)
-            assert getattr(sigmadiv, alias.asname or alias.name) is getattr(module, alias.name)
+    # the package resolves its public names through one name -> module table
+    assert sigmadiv._EXPORTS
+    for name, module_name in sigmadiv._EXPORTS.items():
+        module = importlib.import_module(f"sigmadiv.{module_name}")
+        assert hasattr(module, name), (module_name, name)
+        assert getattr(sigmadiv, name) is getattr(module, name)
+
+
+def test_package_public_names():
+    # dir() and `import *` list every re-export and every layer, though a layer
+    # executes only on its first attribute access
+    public = set(sigmadiv._EXPORTS) | {name for name in MODULES if name != "cli"}
+    namespace = {}
+    exec("from sigmadiv import *", namespace)
+    assert {name for name in namespace if not name.startswith("_")} == public
+    assert {name for name in dir(sigmadiv) if not name.startswith("_")} - {"cli"} == public
